@@ -13,19 +13,26 @@ The transition relation is implemented *literally*, including the
 i.e. a tuple both inserted and deleted keeps its previous status.
 Transitions are deterministic (a pure function of state and received
 messages) and outputs can never be retracted — the runtime accumulates
-them.
+them.  Evaluation exploits that purity: the rules that read no message
+relation are evaluated once per node state, and only the message rules
+per transition (:meth:`Transducer._evaluate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Mapping
+from functools import lru_cache
+from typing import NamedTuple
 
 from ..db.fact import Fact
 from ..db.instance import Instance
 from ..db.schema import SchemaError
+from ..lang.ast import Eq, Rule
+from ..lang.datalog import _program_constants_rules
 from ..lang.engine import engine_override, resolve_engine
 from ..lang.query import EmptyQuery, Query
+from ..lang.ucq import CompiledRules, RuleGroup, UCQNegQuery, compile_rules
 from .schema import TransducerSchema
 
 
@@ -177,6 +184,10 @@ class Transducer:
         state = dict(self.__dict__)
         state["_transition_cache"] = {}
         state["_received_by_fact"] = {}
+        # Built on the first transition-cache miss, never shipped (see
+        # _evaluate), so a used transducer pickles as a fresh one.
+        state.pop("_evaluation_plan", None)
+        state.pop("_state_results", None)
         # A run cache hung here (repro.net.runcache.shared_run_cache)
         # is parent-side lookup state: workers never consult it, and it
         # can dwarf the rest of the pickle.
@@ -257,22 +268,20 @@ class Transducer:
         for rel in received.schema:
             if rel not in self.schema.messages:
                 raise SchemaError(f"received non-message relation {rel!r}")
-        combined = self.schema.combined
-        current = Instance(combined, state.facts() | received.facts())
-
         with engine_override(self.engine):
-            sent_facts: set[Fact] = set()
-            for rel, query in self.send_queries.items():
-                for row in query(current):
-                    sent_facts.add(Fact(rel, row))
-            sent = Instance(self.schema.messages, sent_facts)
-
-            output = frozenset(self.output_query(current))
-
+            results = iter(self._evaluate(state, received))
+            # Rebuilt extents (validated, like every sent fact): a
+            # query's answer may be an object it shares, such as a
+            # relation of the state.
+            sent = Instance.from_relations(
+                self.schema.messages,
+                {rel: list(next(results)) for rel in self.send_queries},
+            )
+            output = frozenset(next(results))
             new_state = state
             for rel in self.schema.memory:
-                inserted = self.insert_queries[rel](current)
-                deleted = self.delete_queries[rel](current)
+                inserted = next(results)
+                deleted = next(results)
                 old = state.relation(rel)
                 updated = (
                     (inserted - deleted)
@@ -295,6 +304,85 @@ class Transducer:
         self._transition_cache[cache_key] = result
         return result
 
+    def _evaluate(self, state: Instance, received: Instance) -> list[frozenset]:
+        """Every query's answer on ``state ∪ received``, in role order:
+        the send queries, the output query, then insert and delete per
+        memory relation.
+
+        A UCQ¬ query runs as two rule groups (:func:`split_rules`).
+        The state rules read no message relation, so they see exactly
+        the node state: their answer is computed once per state and
+        kept in a bounded LRU keyed by the state.  Only the message
+        rules run per transition, on the state's extents plus the
+        received ones.  Other queries run whole on the combined
+        instance.  The groups and the state results are built on the
+        first transition-cache miss and never pickled.
+        """
+        plan = self.__dict__.get("_evaluation_plan")
+        if plan is None:
+            plan = self._evaluation_plan = (self.schema.combined, self._role_plans())
+            self._state_results: dict[Instance, list] = {}
+        combined_schema, roles = plan
+        parts = self._state_results.pop(state, None)
+        if parts is None:
+            parts = [
+                frozenset() if group is None else group(state) for _, group, _, _ in roles
+            ]
+            if len(self._state_results) >= self._transition_cache_limit // 4:
+                self._state_results.pop(next(iter(self._state_results)))
+        self._state_results[state] = parts
+        combined = None
+        out = []
+        for (whole, _, message_group, heartbeat_silent), part in zip(roles, parts):
+            if whole is None:
+                rows = part
+                if message_group is None or (heartbeat_silent and not received):
+                    out.append(rows)
+                    continue
+            if combined is None:
+                # State and message relations are disjoint: merge extents.
+                combined = Instance._build(
+                    combined_schema, {**state._rels, **received._rels}
+                )
+            if whole is not None:
+                out.append(whole(combined))
+                continue
+            derived = message_group(combined)
+            out.append(rows | derived if derived else rows)
+        return out
+
+    def _role_plans(self) -> list:
+        """``(whole query, state rules, message rules, heartbeat silent)``
+        per role.  A query that is not UCQ¬ runs whole; a UCQ¬ query runs
+        as its two rule groups (``None`` when empty), and its message
+        rules are skipped on heartbeats when each reads a message
+        relation positively; an ``EmptyQuery`` does not run at all."""
+        messages = frozenset(self.schema.messages.relation_names())
+        queries = [
+            *self.send_queries.values(),
+            self.output_query,
+            *(q for rel in self.schema.memory
+              for q in (self.insert_queries[rel], self.delete_queries[rel])),
+        ]
+        roles = []
+        for query in queries:
+            if type(query) is EmptyQuery:
+                roles.append((None, None, None, True))
+            elif isinstance(query, UCQNegQuery):
+                split = split_rules(query.rules, messages)
+                constants = (
+                    _program_constants_rules(query.rules) if split.needs_domain else None
+                )
+                roles.append((
+                    None,
+                    RuleGroup(query, split.state, None) if split.state else None,
+                    RuleGroup(query, split.message, constants) if split.message else None,
+                    split.heartbeat_silent,
+                ))
+            else:
+                roles.append((query, None, None, False))
+        return roles
+
     def heartbeat(self, state: Instance) -> LocalTransition:
         """A transition reading no messages (the local half of a heartbeat)."""
         return self.transition(state, self._empty_received)
@@ -313,3 +401,54 @@ class Transducer:
 
     def __repr__(self) -> str:
         return f"Transducer({self.name!r}, {self.schema!r})"
+
+
+class RuleSplit(NamedTuple):
+    """A UCQ¬ query's rules split by :func:`split_rules`."""
+
+    state: CompiledRules
+    message: CompiledRules
+    #: Some message rule may read the active domain.
+    needs_domain: bool
+    #: Every message rule reads a message relation positively, so none
+    #: derives anything when nothing is received.
+    heartbeat_silent: bool
+
+
+@lru_cache(maxsize=4096)
+def split_rules(rules: tuple[Rule, ...], messages: frozenset[str]) -> RuleSplit:
+    """Split UCQ¬ *rules* into state rules and message rules.
+
+    A state rule reads no message relation, positively or negated, and
+    every variable of its positive equalities occurs in a positive
+    atom, so it never consults the active domain either: on
+    ``state ∪ received`` it derives exactly what it derives on the
+    state alone.  Every other rule is a message rule.  Memoized per
+    rule tuple.
+    """
+    state: list[Rule] = []
+    message: list[Rule] = []
+    needs_domain = False
+    heartbeat_silent = True
+    for rule in rules:
+        atoms = rule.positive_body_atoms()
+        atom_vars: set = set()
+        for atom in atoms:
+            atom_vars |= atom.free_vars()
+        domain_free = all(
+            lit.free_vars() <= atom_vars
+            for lit in rule.body
+            if lit.positive and isinstance(lit.atom, Eq)
+        )
+        if domain_free and not rule.body_relations() & messages:
+            state.append(rule)
+            continue
+        message.append(rule)
+        needs_domain = needs_domain or not domain_free
+        heartbeat_silent = heartbeat_silent and any(
+            atom.relation in messages for atom in atoms
+        )
+    return RuleSplit(
+        compile_rules(tuple(state)), compile_rules(tuple(message)),
+        needs_domain, heartbeat_silent,
+    )

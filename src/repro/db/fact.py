@@ -44,6 +44,16 @@ class Fact:
         # constructor, which re-derives the cached hash.
         return (Fact, (self.relation, self.values))
 
+    @classmethod
+    def _validated(cls, relation: str, values: tuple) -> "Fact":
+        """A fact over a relation name and value tuple already checked
+        (an instance's rows are validated when the instance is built)."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "relation", relation)
+        object.__setattr__(f, "values", values)
+        object.__setattr__(f, "_hash", hash((relation, values)))
+        return f
+
     @property
     def arity(self) -> int:
         """Number of values in the fact."""

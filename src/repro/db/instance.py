@@ -173,8 +173,9 @@ class Instance:
     def facts(self) -> frozenset[Fact]:
         """The underlying set of facts (materialized lazily, cached)."""
         if self._facts is None:
+            fact = Fact._validated
             built = frozenset(
-                Fact(name, row)
+                fact(name, row)
                 for name, rows in self._rels.items()
                 for row in rows
             )
@@ -213,7 +214,9 @@ class Instance:
             object.__setattr__(self, "_rel_facts", cache)
         view = cache.get(name)
         if view is None:
-            view = frozenset(Fact(name, row) for row in self._rels.get(name, _EMPTY))
+            view = frozenset(
+                Fact._validated(name, row) for row in self._rels.get(name, _EMPTY)
+            )
             cache[name] = view
         return view
 

@@ -19,7 +19,7 @@ from .fact import Fact
 class FactMultiset:
     """An immutable finite multiset of facts."""
 
-    __slots__ = ("_counts", "_hash", "_distinct")
+    __slots__ = ("_counts", "_hash", "_distinct", "_sorted")
 
     def __init__(self, facts: Iterable[Fact] = ()):
         counts = Counter()
@@ -28,10 +28,9 @@ class FactMultiset:
                 raise TypeError(f"multiset elements must be Facts, got {f!r}")
             counts[f] += 1
         object.__setattr__(self, "_counts", counts)
-        object.__setattr__(
-            self, "_hash", hash(frozenset(counts.items()))
-        )
+        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_distinct", None)
+        object.__setattr__(self, "_sorted", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FactMultiset is immutable")
@@ -64,13 +63,23 @@ class FactMultiset:
 
     def __iter__(self) -> Iterator[Fact]:
         """Iterate occurrences (duplicates repeated), in sorted order."""
-        for f in sorted(self._counts):
+        for f in self.distinct():
             for _ in range(self._counts[f]):
                 yield f
 
     def distinct(self) -> tuple[Fact, ...]:
-        """The distinct facts present, sorted."""
-        return tuple(sorted(self._counts))
+        """The distinct facts present, sorted (computed once, cached).
+
+        The scheduler asks for it on every delivery, and buffers are
+        shared between configurations; sorting by the precomputed key
+        gives the ``Fact.__lt__`` order without building two keys per
+        comparison.
+        """
+        if self._sorted is None:
+            object.__setattr__(
+                self, "_sorted", tuple(sorted(self._counts, key=Fact._sort_key))
+            )
+        return self._sorted
 
     def distinct_set(self) -> frozenset[Fact]:
         """The distinct facts as a cached frozenset.
@@ -100,11 +109,15 @@ class FactMultiset:
 
     def union(self, other: "FactMultiset | Iterable[Fact]") -> "FactMultiset":
         """Multiset union (multiplicities add), as in message sending."""
-        if not isinstance(other, FactMultiset):
-            other = FactMultiset(other)
         new = Counter(self._counts)
-        for f, n in other._counts.items():
-            new[f] += n
+        if isinstance(other, FactMultiset):
+            for f, n in other._counts.items():
+                new[f] += n
+        else:
+            for f in other:
+                if not isinstance(f, Fact):
+                    raise TypeError(f"multiset elements must be Facts, got {f!r}")
+                new[f] += 1
         return _from_counter(new)
 
     def remove(self, f: Fact, times: int = 1) -> "FactMultiset":
@@ -134,6 +147,8 @@ class FactMultiset:
         return self._counts == other._counts
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(frozenset(self._counts.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -152,8 +167,9 @@ def _unpickle_multiset(items: tuple) -> FactMultiset:
 def _from_counter(counts: Counter) -> FactMultiset:
     ms = FactMultiset.__new__(FactMultiset)
     object.__setattr__(ms, "_counts", counts)
-    object.__setattr__(ms, "_hash", hash(frozenset(counts.items())))
+    object.__setattr__(ms, "_hash", None)
     object.__setattr__(ms, "_distinct", None)
+    object.__setattr__(ms, "_sorted", None)
     return ms
 
 

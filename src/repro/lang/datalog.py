@@ -19,9 +19,11 @@ Both return the same model; benchmarks E17/E22 compare their cost.
 Rule bodies are evaluated through compiled join plans
 (:mod:`repro.lang.joinplan`): each body is compiled once into a
 :class:`~repro.lang.joinplan.JoinPlan` that orders the positive atoms
-greedily by bound-variable connectivity and probes them through hash
-indexes, shared across rules and fixpoint rounds by an
-:class:`~repro.lang.joinplan.IndexPool`.  Every evaluation entry point
+greedily by bound-variable connectivity, and each order into a
+slot-tuple :class:`~repro.lang.joinplan.Kernel` that probes hash
+indexes — shared across rules and fixpoint rounds by an
+:class:`~repro.lang.joinplan.IndexPool` — and projects the head
+positionally.  Every evaluation entry point
 takes an ``engine`` argument: ``"indexed"`` (the default) or
 ``"nested"`` (the seed's nested-loop product, kept as the reference
 implementation and benchmark baseline).  Relation extents live in
@@ -71,34 +73,43 @@ def evaluate_body(
     Negative relational atoms are always checked against *relations*.
     Returns a list of variable bindings.
 
-    *engine* selects the positive-atom join strategy: ``"indexed"``
-    (compiled :class:`JoinPlan` with hash indexes, optionally shared
-    through *pool*), ``"nested"`` (the reference nested-loop product),
-    or ``"columnar"`` (bulk NumPy joins over dictionary-encoded
-    matrices, sharing encodings through a
-    :class:`~repro.lang.vecjoin.ColumnPool` *pool*).  ``None`` resolves
-    to the session default (:func:`repro.lang.engine.default_engine`).
-    All engines produce the same bindings up to order; the non-join
-    literals are applied by shared code either way.
+    *engine* selects the strategy: ``"indexed"`` (the compiled
+    slot-tuple :class:`~repro.lang.joinplan.Kernel`, sharing hash
+    indexes through an optional :class:`~repro.lang.joinplan.IndexPool`
+    *pool*), ``"nested"`` (the reference nested-loop product), or
+    ``"columnar"`` (bulk NumPy joins over dictionary-encoded matrices,
+    sharing encodings through a :class:`~repro.lang.vecjoin.ColumnPool`
+    *pool*).  ``None`` resolves to the session default
+    (:func:`repro.lang.engine.default_engine`).  All engines produce
+    the same bindings up to order; the nested and columnar joins share
+    the dict-based constraint code below.
     """
     engine = resolve_engine(engine)
-    plan = plan_for(body)
-    if len(positive_sources) != len(plan.atoms):
-        raise ValueError(
-            f"need {len(plan.atoms)} positive sources, got {len(positive_sources)}"
+    plan = _plan(body, positive_sources)
+    if engine == "indexed":
+        kernel = plan.kernel(positive_sources)
+        return kernel.as_dicts(
+            kernel.bindings(positive_sources, relations, domain, pool)
         )
     if engine == "columnar":
         from .vecjoin import ColumnPool, join_bindings
 
         cpool = pool if isinstance(pool, ColumnPool) else ColumnPool()
         bindings = join_bindings(body, positive_sources, cpool)
-    elif engine == "indexed":
-        bindings = plan.join(positive_sources, pool)
     else:
         bindings = plan.nested_loop(positive_sources)
     if not bindings:
         return []
     return _apply_constraints(plan, bindings, relations, domain)
+
+
+def _plan(body: tuple[Literal, ...], positive_sources: list[frozenset]) -> JoinPlan:
+    plan = plan_for(body)
+    if len(positive_sources) != len(plan.atoms):
+        raise ValueError(
+            f"need {len(plan.atoms)} positive sources, got {len(positive_sources)}"
+        )
+    return plan
 
 
 def _apply_constraints(
@@ -214,11 +225,15 @@ def fire_rule(
         # Outside the vectorizable fragment: the indexed engine owns
         # these cases, including the unsafe-rule error paths.
         engine, pool = "indexed", cpool.index_pool
+    if engine == "indexed":
+        plan = _plan(rule.body, positive_sources)
+        return plan.kernel(positive_sources).fire(
+            rule, positive_sources, relations, domain, pool
+        )
     out = set()
-    bindings = evaluate_body(
-        rule.body, positive_sources, relations, domain, engine=engine, pool=pool
-    )
-    for binding in bindings:
+    for binding in evaluate_body(
+        rule.body, positive_sources, relations, domain, engine=engine
+    ):
         row = _instantiate(rule.head, binding)
         if row is None:
             raise DatalogError(f"unsafe rule {rule!r}")

@@ -9,14 +9,32 @@ head; a UCQ query additionally forbids negation.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import lru_cache
+
 from ..db.instance import Instance
 from ..db.schema import DatabaseSchema
 from .ast import Rule
 from .datalog import DatalogError, fire_rule, _program_constants_rules
 from .engine import make_pool, resolve_engine
+from .joinplan import JoinPlan, plan_for
 from .query import Query
 
 _EMPTY: frozenset = frozenset()
+
+#: Rules ready to fire: each with its join plan and the relations its
+#: positive atoms read, in body order.
+CompiledRules = tuple[tuple[Rule, JoinPlan, tuple[str, ...]], ...]
+
+
+@lru_cache(maxsize=4096)
+def compile_rules(rules: tuple[Rule, ...]) -> CompiledRules:
+    """*rules* ready to fire (memoized per rule tuple, like ``plan_for``)."""
+    return tuple(
+        (rule, plan_for(rule.body),
+         tuple(atom.relation for atom in rule.positive_body_atoms()))
+        for rule in rules
+    )
 
 
 class UCQNegQuery(Query):
@@ -81,24 +99,40 @@ class UCQNegQuery(Query):
         return cls(parse_rules(text), input_schema, **kwargs)
 
     def __call__(self, instance: Instance) -> frozenset[tuple]:
+        domain = instance.active_domain() | _program_constants_rules(self.rules)
+        return frozenset(
+            self.fire(compile_rules(self.rules), instance.nonempty_relations(), domain)
+        )
+
+    def fire(
+        self,
+        compiled: CompiledRules,
+        relations: Mapping[str, frozenset],
+        domain: frozenset,
+    ) -> set[tuple]:
+        """The head tuples that *compiled* rules derive from *relations*.
+
+        *compiled* is :func:`compile_rules` of this query's rules or of
+        a subset of them (a transducer fires the rules that read no
+        message once per node state, the rest per transition); absent
+        relations read as empty.  The engine and index pools are this
+        query's, as in ``__call__``.
+        """
         engine = resolve_engine(self.engine)
         pool = self._pools.get(engine)
         if pool is None and engine != "nested":
             pool = self._pools[engine] = make_pool(engine)
-        domain = instance.active_domain() | _program_constants_rules(self.rules)
-        relations = {
-            name: instance.relation(name) if name in instance.schema else _EMPTY
-            for name in self.input_schema.relation_names()
-        }
         out: set[tuple] = set()
-        for rule in self.rules:
-            sources = [
-                relations.get(atom.relation, _EMPTY)
-                for atom in rule.positive_body_atoms()
-            ]
-            out |= fire_rule(rule, sources, relations, domain,
-                             engine=engine, pool=pool)
-        return frozenset(out)
+        for rule, plan, names in compiled:
+            sources = [relations.get(name, _EMPTY) for name in names]
+            if engine == "indexed":
+                # fire_rule's indexed path without its plan_for lookup,
+                # which hashes the whole body on every call.
+                out |= plan.kernel(sources).fire(rule, sources, relations, domain, pool)
+            else:
+                out |= fire_rule(rule, sources, relations, domain,
+                                 engine=engine, pool=pool)
+        return out
 
     def relations(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -121,3 +155,45 @@ class UCQQuery(UCQNegQuery):
     """A union of conjunctive queries (no negated atoms): always monotone."""
 
     negation_allowed = False
+
+
+class RuleGroup(Query):
+    """Some of a UCQ¬ query's rules, run as a query of their own.
+
+    A transducer evaluates the rules of each UCQ¬ query that read no
+    message relation once per node state, and the rest per transition
+    (:meth:`repro.core.transducer.Transducer.transition`); each group
+    runs with its query's engine and index pools.  *constants* are the
+    whole query's constants, added to the active domain, or ``None``
+    when no rule of the group reads the active domain — then it is not
+    computed.
+    """
+
+    def __init__(
+        self,
+        query: UCQNegQuery,
+        compiled: CompiledRules,
+        constants: frozenset | None,
+    ):
+        self.query = query
+        self.compiled = compiled
+        self.constants = constants
+        self.arity = query.arity
+        self.input_schema = query.input_schema
+
+    def __call__(self, instance: Instance) -> frozenset[tuple]:
+        domain = _EMPTY
+        if self.constants is not None:
+            domain = instance.active_domain() | self.constants
+        return frozenset(
+            self.query.fire(self.compiled, instance.nonempty_relations(), domain)
+        )
+
+    def relations(self) -> frozenset[str]:
+        out: frozenset[str] = frozenset()
+        for rule, _, _ in self.compiled:
+            out |= rule.body_relations()
+        return out
+
+    def __repr__(self) -> str:
+        return f"RuleGroup({self.query.output}, {len(self.compiled)} of {self.query!r})"

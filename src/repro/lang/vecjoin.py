@@ -262,7 +262,7 @@ def _join_coded(plan, mats, pool: ValuePool, base: int, sort_cache=None):
     """All assignments of the positive atoms, as parallel code columns.
 
     *mats* gives one code matrix per positive atom in body order (the
-    semi-naive delta hook, same contract as ``JoinPlan.join``).
+    semi-naive delta hook, same contract as ``JoinPlan.kernel``).
     Returns ``(cols, n)``: *cols* maps each variable to a length-*n*
     int64 array; *n* counts assignments even when *cols* is empty
     (constants-only bodies).  *sort_cache* memoizes build-side argsorts

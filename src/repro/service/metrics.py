@@ -9,6 +9,7 @@ never double-tracked.  See ``docs/service.md`` for the glossary.
 
 from __future__ import annotations
 
+import re
 import threading
 
 #: Histogram bucket upper bounds, seconds.  Log-spaced from "warm
@@ -44,7 +45,9 @@ class Histogram:
         self.overflow += 1
 
     def quantile(self, q: float) -> float | None:
-        """Bucket-upper-bound estimate of the *q*-quantile."""
+        """Bucket-upper-bound estimate of the *q*-quantile, clamped to
+        the observed ``[min, max]`` (a bucket bound can lie beyond every
+        sample)."""
         if self.count == 0:
             return None
         target = q * self.count
@@ -52,7 +55,7 @@ class Histogram:
         for i, bound in enumerate(LATENCY_BUCKETS):
             seen += self.counts[i]
             if seen >= target:
-                return bound
+                return min(max(bound, self.min), self.max)
         return self.max
 
     def to_json(self) -> dict:
@@ -122,21 +125,37 @@ class MetricsRegistry:
 
 
 def render_text(snapshot: dict) -> str:
-    """A flat ``name value`` rendering (``GET /metrics?format=text``)."""
+    """The Prometheus text rendering (``GET /metrics?format=text``).
+
+    Nested keys join with ``_`` under a ``repro`` prefix, characters a
+    metric name cannot hold become ``_``, booleans are 0/1 and a
+    missing number is ``NaN``.  A string value becomes a label on an
+    info line, ``name_info{value="..."} 1``, so every line is
+    ``name[{labels}] <float>``.
+    """
     lines: list[str] = []
 
     def emit(prefix: str, value) -> None:
         if isinstance(value, dict):
             for key, sub in sorted(value.items()):
-                emit(f"{prefix}_{key}" if prefix else str(key), sub)
-        elif isinstance(value, bool):
-            lines.append(f"{prefix} {int(value)}")
+                emit(f"{prefix}_{key}", sub)
+            return
+        name = _NAME_UNSAFE.sub("_", prefix)
+        if isinstance(value, bool):
+            lines.append(f"{name} {int(value)}")
         elif isinstance(value, (int, float)):
-            lines.append(f"{prefix} {value}")
+            lines.append(f"{name} {value}")
         elif value is None:
-            lines.append(f"{prefix} nan")
+            lines.append(f"{name} NaN")
         else:
-            lines.append(f'{prefix} "{value}"')
+            label = (
+                str(value).replace("\\", "\\\\").replace('"', '\\"')
+                .replace("\n", "\\n")
+            )
+            lines.append(f'{name}_info{{value="{label}"}} 1')
 
     emit("repro", snapshot)
     return "\n".join(lines) + "\n"
+
+
+_NAME_UNSAFE = re.compile(r"[^a-zA-Z0-9_:]")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import urllib.error
 import urllib.request
 
@@ -192,6 +193,11 @@ class TestHttpSurface:
             text = resp.read().decode()
         assert "repro_run_cache_cache_hits" in text
         assert "repro_engine_lifetime" in text
+        for line in text.splitlines():
+            # Prometheus exposition: name[{labels}] <float>.
+            head, value = line.rsplit(" ", 1)
+            float(value)
+            assert re.fullmatch(r'[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})?', head), line
 
     def test_job_listing(self, service):
         status, listing = _request(service.base_url, "/jobs")
