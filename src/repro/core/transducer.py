@@ -13,9 +13,11 @@ The transition relation is implemented *literally*, including the
 i.e. a tuple both inserted and deleted keeps its previous status.
 Transitions are deterministic (a pure function of state and received
 messages) and outputs can never be retracted — the runtime accumulates
-them.  Evaluation exploits that purity: the rules that read no message
-relation are evaluated once per node state, and only the message rules
-per transition (:meth:`Transducer._evaluate`).
+them.  Evaluation exploits that purity twice: whole transitions are
+memoized per ``(state, received)`` pair, and the answer of each group
+of UCQ¬ rules that read the same relations per extents of those
+relations, so a step re-derives only what it changed
+(:meth:`Transducer._evaluate`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping
 from functools import lru_cache
-from typing import NamedTuple
 
 from ..db.fact import Fact
 from ..db.instance import Instance
@@ -34,6 +35,8 @@ from ..lang.engine import engine_override, resolve_engine
 from ..lang.query import EmptyQuery, Query
 from ..lang.ucq import CompiledRules, RuleGroup, UCQNegQuery, compile_rules
 from .schema import TransducerSchema
+
+_EMPTY: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,7 @@ class Transducer:
         # Built on the first transition-cache miss, never shipped (see
         # _evaluate), so a used transducer pickles as a fresh one.
         state.pop("_evaluation_plan", None)
-        state.pop("_state_results", None)
+        state.pop("_group_memo", None)
         # A run cache hung here (repro.net.runcache.shared_run_cache)
         # is parent-side lookup state: workers never consult it, and it
         # can dwarf the rest of the pickle.
@@ -270,13 +273,21 @@ class Transducer:
                 raise SchemaError(f"received non-message relation {rel!r}")
         with engine_override(self.engine):
             results = iter(self._evaluate(state, received))
-            # Rebuilt extents (validated, like every sent fact): a
-            # query's answer may be an object it shares, such as a
-            # relation of the state.
-            sent = Instance.from_relations(
-                self.schema.messages,
-                {rel: list(next(results)) for rel in self.send_queries},
-            )
+            # Equal send answers give one sent instance, kept in the
+            # group memo: its facts are then the same objects in every
+            # buffer they reach, and dict lookups match them by
+            # identity.  Its rows are validated once, like every sent
+            # fact.
+            answers = tuple(next(results) for _ in self.send_queries)
+            sent_key = ("sent", *answers)
+            memo = self._group_memo
+            sent = memo.pop(sent_key, None)
+            if sent is None:
+                sent = Instance.from_relations(
+                    self.schema.messages, dict(zip(self.send_queries, answers))
+                )
+                self._forget_stalest(memo)
+            memo[sent_key] = sent
             output = frozenset(next(results))
             new_state = state
             for rel in self.schema.memory:
@@ -298,9 +309,7 @@ class Transducer:
             sent=sent,
             output=output,
         )
-        if len(self._transition_cache) >= self._transition_cache_limit:
-            # LRU eviction: drop the stalest entry, not the whole cache.
-            self._transition_cache.pop(next(iter(self._transition_cache)))
+        self._forget_stalest(self._transition_cache)
         self._transition_cache[cache_key] = result
         return result
 
@@ -309,55 +318,68 @@ class Transducer:
         the send queries, the output query, then insert and delete per
         memory relation.
 
-        A UCQ¬ query runs as two rule groups (:func:`split_rules`).
-        The state rules read no message relation, so they see exactly
-        the node state: their answer is computed once per state and
-        kept in a bounded LRU keyed by the state.  Only the message
-        rules run per transition, on the state's extents plus the
-        received ones.  Other queries run whole on the combined
-        instance.  The groups and the state results are built on the
-        first transition-cache miss and never pickled.
+        A UCQ¬ query runs as rule groups (:func:`group_rules`).  The
+        rules of a group read the same relations, so its answer is a
+        function of their extents: it is kept in one bounded LRU keyed
+        by the group and those extents, shared by all groups.  Extents
+        are frozensets that cache their hash, and an unchanged extent
+        is the same object in the next state, so a lookup costs a few
+        hashes.  Rules that may read the active domain, and queries
+        that are not UCQ¬, run per transition on the combined
+        instance; an ``EmptyQuery`` does not run.  The groups and the
+        memo are built on the first transition-cache miss and never
+        pickled.
         """
         plan = self.__dict__.get("_evaluation_plan")
         if plan is None:
             plan = self._evaluation_plan = (self.schema.combined, self._role_plans())
-            self._state_results: dict[Instance, list] = {}
+            # Group answers, and the sent instances built from them
+            # (see transition).
+            self._group_memo: dict[tuple, frozenset | Instance] = {}
         combined_schema, roles = plan
-        parts = self._state_results.pop(state, None)
-        if parts is None:
-            parts = [
-                frozenset() if group is None else group(state) for _, group, _, _ in roles
-            ]
-            if len(self._state_results) >= self._transition_cache_limit // 4:
-                self._state_results.pop(next(iter(self._state_results)))
-        self._state_results[state] = parts
+        memo = self._group_memo
+        # State and message relations are disjoint: merge the extents.
+        # Absent relations are empty (instances keep no empty extent).
+        rels = {**state._rels, **received._rels}
         combined = None
         out = []
-        for (whole, _, message_group, heartbeat_silent), part in zip(roles, parts):
-            if whole is None:
-                rows = part
-                if message_group is None or (heartbeat_silent and not received):
-                    out.append(rows)
-                    continue
-            if combined is None:
-                # State and message relations are disjoint: merge extents.
-                combined = Instance._build(
-                    combined_schema, {**state._rels, **received._rels}
-                )
-            if whole is not None:
-                out.append(whole(combined))
-                continue
-            derived = message_group(combined)
-            out.append(rows | derived if derived else rows)
+        for groups, direct in roles:
+            rows = _EMPTY
+            for group, reads in groups:
+                key = (group, *map(rels.get, reads))
+                answer = memo.pop(key, None)
+                if answer is None:
+                    if combined is None:
+                        combined = Instance._build(combined_schema, rels)
+                    answer = group(combined)
+                    self._forget_stalest(memo)
+                # (Re-)inserted last: the dict order is the recency.
+                memo[key] = answer
+                if answer:
+                    rows = rows | answer if rows else answer
+            if direct is not None:
+                if combined is None:
+                    combined = Instance._build(combined_schema, rels)
+                answer = direct(combined)
+                rows = rows | answer if rows else answer
+            out.append(rows)
         return out
 
+    def _forget_stalest(self, cache: dict) -> None:
+        """Make room for one entry in a full LRU *cache*: its stalest
+        entry goes, not the whole cache."""
+        if len(cache) >= self._transition_cache_limit:
+            cache.pop(next(iter(cache)))
+
     def _role_plans(self) -> list:
-        """``(whole query, state rules, message rules, heartbeat silent)``
-        per role.  A query that is not UCQ¬ runs whole; a UCQ¬ query runs
-        as its two rule groups (``None`` when empty), and its message
-        rules are skipped on heartbeats when each reads a message
-        relation positively; an ``EmptyQuery`` does not run at all."""
-        messages = frozenset(self.schema.messages.relation_names())
+        """``(memoized groups, direct query)`` per role.
+
+        A UCQ¬ query runs as its :func:`group_rules` groups, each paired
+        with the relations it reads; its active-domain rules, if any,
+        form the direct query, run on the combined instance.  Any other
+        query is run directly, except that an ``EmptyQuery`` does not
+        run at all.
+        """
         queries = [
             *self.send_queries.values(),
             self.output_query,
@@ -367,20 +389,17 @@ class Transducer:
         roles = []
         for query in queries:
             if type(query) is EmptyQuery:
-                roles.append((None, None, None, True))
+                roles.append(((), None))
             elif isinstance(query, UCQNegQuery):
-                split = split_rules(query.rules, messages)
-                constants = (
-                    _program_constants_rules(query.rules) if split.needs_domain else None
-                )
+                groups, domain = group_rules(query.rules)
                 roles.append((
-                    None,
-                    RuleGroup(query, split.state, None) if split.state else None,
-                    RuleGroup(query, split.message, constants) if split.message else None,
-                    split.heartbeat_silent,
+                    tuple((RuleGroup(query, compiled, None), reads)
+                          for reads, compiled in groups),
+                    RuleGroup(query, domain, _program_constants_rules(query.rules))
+                    if domain else None,
                 ))
             else:
-                roles.append((query, None, None, False))
+                roles.append(((), query))
         return roles
 
     def heartbeat(self, state: Instance) -> LocalTransition:
@@ -394,8 +413,7 @@ class Transducer:
             received = Instance(
                 self.schema.messages.restrict([fact.relation]), (fact,)
             ).expand_schema(self.schema.messages)
-            if len(self._received_by_fact) >= self._transition_cache_limit:
-                self._received_by_fact.pop(next(iter(self._received_by_fact)))
+            self._forget_stalest(self._received_by_fact)
             self._received_by_fact[fact] = received
         return self.transition(state, received)
 
@@ -403,52 +421,34 @@ class Transducer:
         return f"Transducer({self.name!r}, {self.schema!r})"
 
 
-class RuleSplit(NamedTuple):
-    """A UCQ¬ query's rules split by :func:`split_rules`."""
-
-    state: CompiledRules
-    message: CompiledRules
-    #: Some message rule may read the active domain.
-    needs_domain: bool
-    #: Every message rule reads a message relation positively, so none
-    #: derives anything when nothing is received.
-    heartbeat_silent: bool
-
-
 @lru_cache(maxsize=4096)
-def split_rules(rules: tuple[Rule, ...], messages: frozenset[str]) -> RuleSplit:
-    """Split UCQ¬ *rules* into state rules and message rules.
+def group_rules(
+    rules: tuple[Rule, ...],
+) -> tuple[tuple[tuple[tuple[str, ...], CompiledRules], ...], CompiledRules]:
+    """UCQ¬ *rules* grouped by the relations they read.
 
-    A state rule reads no message relation, positively or negated, and
-    every variable of its positive equalities occurs in a positive
-    atom, so it never consults the active domain either: on
-    ``state ∪ received`` it derives exactly what it derives on the
-    state alone.  Every other rule is a message rule.  Memoized per
-    rule tuple.
+    Returns ``(groups, domain)``.  Each group pairs a sorted tuple of
+    relation names, negated ones included, with the rules that read
+    exactly those relations; such a rule derives the same rows from any
+    instance with the same extents of them.  *domain* holds the rules
+    that may read the active domain instead: a positive equality with
+    a variable in no positive atom (``x = y`` ranges over adom).
+    Memoized per rule tuple, like ``plan_for``.
     """
-    state: list[Rule] = []
-    message: list[Rule] = []
-    needs_domain = False
-    heartbeat_silent = True
+    by_reads: dict[tuple[str, ...], list[Rule]] = {}
+    domain: list[Rule] = []
     for rule in rules:
-        atoms = rule.positive_body_atoms()
         atom_vars: set = set()
-        for atom in atoms:
+        for atom in rule.positive_body_atoms():
             atom_vars |= atom.free_vars()
-        domain_free = all(
-            lit.free_vars() <= atom_vars
+        if any(
+            lit.positive and isinstance(lit.atom, Eq) and not lit.free_vars() <= atom_vars
             for lit in rule.body
-            if lit.positive and isinstance(lit.atom, Eq)
-        )
-        if domain_free and not rule.body_relations() & messages:
-            state.append(rule)
-            continue
-        message.append(rule)
-        needs_domain = needs_domain or not domain_free
-        heartbeat_silent = heartbeat_silent and any(
-            atom.relation in messages for atom in atoms
-        )
-    return RuleSplit(
-        compile_rules(tuple(state)), compile_rules(tuple(message)),
-        needs_domain, heartbeat_silent,
+        ):
+            domain.append(rule)
+        else:
+            by_reads.setdefault(tuple(sorted(rule.body_relations())), []).append(rule)
+    groups = tuple(
+        (reads, compile_rules(tuple(group))) for reads, group in by_reads.items()
     )
+    return groups, compile_rules(tuple(domain))

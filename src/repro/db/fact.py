@@ -19,7 +19,8 @@ from .values import Permutation, Value, is_atomic
 class Fact:
     """An immutable fact ``R(a1, ..., ak)``."""
 
-    __slots__ = ("relation", "values", "_hash")
+    # _key (the sort key) is filled on first use and never pickled.
+    __slots__ = ("relation", "values", "_hash", "_key")
 
     relation: str
     values: tuple
@@ -81,12 +82,19 @@ class Fact:
 
     def _sort_key(self) -> tuple:
         # Values may mix types (ints, strings); compare on (typename, repr)
-        # to get a deterministic, if arbitrary, total order.
-        return (
-            self.relation,
-            len(self.values),
-            tuple((type(v).__name__, repr(v)) for v in self.values),
-        )
+        # to get a deterministic, if arbitrary, total order.  Buffers and
+        # convergence checks sort the same facts over and over, so the
+        # key is built once per fact.
+        try:
+            return self._key
+        except AttributeError:
+            key = (
+                self.relation,
+                len(self.values),
+                tuple((type(v).__name__, repr(v)) for v in self.values),
+            )
+            object.__setattr__(self, "_key", key)
+            return key
 
     def __lt__(self, other: "Fact") -> bool:
         if not isinstance(other, Fact):

@@ -10,23 +10,27 @@ so configurations can share buffers.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Iterator
 
 from .fact import Fact
 
 
 class FactMultiset:
-    """An immutable finite multiset of facts."""
+    """An immutable finite multiset of facts.
+
+    Stored as a plain ``fact → count`` dict with no zero counts: copying
+    one is a single C-level call, which matters because every step of a
+    run derives new buffers from old ones.
+    """
 
     __slots__ = ("_counts", "_hash", "_distinct", "_sorted")
 
     def __init__(self, facts: Iterable[Fact] = ()):
-        counts = Counter()
+        counts: dict[Fact, int] = {}
         for f in facts:
             if not isinstance(f, Fact):
                 raise TypeError(f"multiset elements must be Facts, got {f!r}")
-            counts[f] += 1
+            counts[f] = counts.get(f, 0) + 1
         object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_distinct", None)
@@ -103,41 +107,47 @@ class FactMultiset:
         """Self with *times* extra occurrences of *f*."""
         if times < 0:
             raise ValueError("cannot add a negative number of occurrences")
-        new = Counter(self._counts)
-        new[f] += times
-        return _from_counter(new)
+        if not times:
+            return self
+        new = dict(self._counts)
+        new[f] = new.get(f, 0) + times
+        return _from_counts(new)
 
     def union(self, other: "FactMultiset | Iterable[Fact]") -> "FactMultiset":
         """Multiset union (multiplicities add), as in message sending."""
-        new = Counter(self._counts)
+        new = dict(self._counts)
         if isinstance(other, FactMultiset):
             for f, n in other._counts.items():
-                new[f] += n
+                new[f] = new.get(f, 0) + n
         else:
             for f in other:
                 if not isinstance(f, Fact):
                     raise TypeError(f"multiset elements must be Facts, got {f!r}")
-                new[f] += 1
-        return _from_counter(new)
+                new[f] = new.get(f, 0) + 1
+        return _from_counts(new)
 
     def remove(self, f: Fact, times: int = 1) -> "FactMultiset":
         """Self with *times* occurrences of *f* removed (must exist)."""
         if self._counts.get(f, 0) < times:
             raise KeyError(f"cannot remove {times} x {f!r}: only {self.count(f)} present")
-        new = Counter(self._counts)
-        new[f] -= times
-        if new[f] == 0:
-            del new[f]
-        return _from_counter(new)
+        new = dict(self._counts)
+        left = new.get(f, 0) - times
+        if left:
+            new[f] = left
+        else:
+            new.pop(f, None)
+        return _from_counts(new)
 
     def difference(self, other: "FactMultiset") -> "FactMultiset":
         """Multiset difference (multiplicities subtract, floored at 0)."""
-        new = Counter(self._counts)
+        new = dict(self._counts)
         for f, n in other._counts.items():
-            new[f] -= n
-            if new[f] <= 0:
-                del new[f]
-        return _from_counter(new)
+            left = new.get(f, 0) - n
+            if left > 0:
+                new[f] = left
+            else:
+                new.pop(f, None)
+        return _from_counts(new)
 
     # -- value semantics -----------------------------------------------------------
 
@@ -161,10 +171,10 @@ class FactMultiset:
 
 
 def _unpickle_multiset(items: tuple) -> FactMultiset:
-    return _from_counter(Counter(dict(items)))
+    return _from_counts(dict(items))
 
 
-def _from_counter(counts: Counter) -> FactMultiset:
+def _from_counts(counts: dict[Fact, int]) -> FactMultiset:
     ms = FactMultiset.__new__(FactMultiset)
     object.__setattr__(ms, "_counts", counts)
     object.__setattr__(ms, "_hash", None)

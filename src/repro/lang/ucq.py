@@ -113,10 +113,9 @@ class UCQNegQuery(Query):
         """The head tuples that *compiled* rules derive from *relations*.
 
         *compiled* is :func:`compile_rules` of this query's rules or of
-        a subset of them (a transducer fires the rules that read no
-        message once per node state, the rest per transition); absent
-        relations read as empty.  The engine and index pools are this
-        query's, as in ``__call__``.
+        a subset of them (a transducer fires its rules in groups that
+        read the same relations); absent relations read as empty.  The
+        engine and index pools are this query's, as in ``__call__``.
         """
         engine = resolve_engine(self.engine)
         pool = self._pools.get(engine)
@@ -160,13 +159,13 @@ class UCQQuery(UCQNegQuery):
 class RuleGroup(Query):
     """Some of a UCQ¬ query's rules, run as a query of their own.
 
-    A transducer evaluates the rules of each UCQ¬ query that read no
-    message relation once per node state, and the rest per transition
-    (:meth:`repro.core.transducer.Transducer.transition`); each group
-    runs with its query's engine and index pools.  *constants* are the
-    whole query's constants, added to the active domain, or ``None``
-    when no rule of the group reads the active domain — then it is not
-    computed.
+    A transducer evaluates each UCQ¬ query as groups of rules that
+    read the same relations, and keeps each group's answer per extents
+    of those relations (:meth:`repro.core.transducer.Transducer.transition`);
+    each group runs with its query's engine and index pools.
+    *constants* are the whole query's constants, added to the active
+    domain, or ``None`` when no rule of the group reads the active
+    domain — then it is not computed.
     """
 
     def __init__(

@@ -542,7 +542,7 @@ class ConvergenceTracker:
             return _NonQuiet(None)
         outputs = set(local.output)
         sent = set(local.sent.facts())
-        for f in sorted(incoming):
+        for f in sorted(incoming, key=Fact._sort_key):
             local = transducer.deliver(state, f)
             if local.new_state != state:
                 return _NonQuiet(f)

@@ -58,22 +58,36 @@ def general_transition(
 ) -> GlobalTransition:
     """Perform a general transition at *node* reading the given facts.
 
-    *received* must be multiset-contained in the node's buffer.
+    *received* must be multiset-contained in the node's buffer.  A
+    heartbeat and a single-fact delivery go through the transducer's
+    cached received instances (:meth:`Transducer.heartbeat`,
+    :meth:`Transducer.deliver`); only several facts build a fresh one.
     """
     if node not in network:
         raise ValueError(f"unknown node {node!r}")
     buffer = config.buffer(node)
-    taken = FactMultiset(received)
-    if not buffer.contains_multiset(taken):
-        raise ValueError(
-            f"received facts {received!r} not all present in buffer of {node!r}"
+    state = config.state(node)
+    if not received:
+        local = transducer.heartbeat(state)
+        rest = buffer
+    elif len(received) == 1:
+        fact = received[0]
+        if fact not in buffer:
+            raise ValueError(f"received fact {fact!r} not present in buffer of {node!r}")
+        local = transducer.deliver(state, fact)
+        rest = buffer.remove(fact)
+    else:
+        taken = FactMultiset(received)
+        if not buffer.contains_multiset(taken):
+            raise ValueError(
+                f"received facts {received!r} not all present in buffer of {node!r}"
+            )
+        local = transducer.transition(
+            state, Instance(transducer.schema.messages, set(received))
         )
-    received_instance = Instance(
-        transducer.schema.messages, set(received)
-    )
-    local = transducer.transition(config.state(node), received_instance)
+        rest = buffer.difference(taken)
 
-    buffer_updates: dict[Node, FactMultiset] = {node: buffer.difference(taken)}
+    buffer_updates: dict[Node, FactMultiset] = {node: rest}
     sent = local.sent.facts()
     if sent:
         for neighbor in network.neighbors(node):

@@ -1,6 +1,10 @@
 """Unit tests for repro.db.fact."""
 
+import pickle
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from repro.db import Fact, fact, facts
 from repro.db.values import Permutation
@@ -64,3 +68,33 @@ class TestOperations:
     def test_facts_builder(self):
         fs = facts("S", [(1, 2), (2, 3)])
         assert fs == frozenset({fact("S", 1, 2), fact("S", 2, 3)})
+
+
+def _uncached_key(f: Fact) -> tuple:
+    """The sort key, built from scratch."""
+    return (f.relation, len(f.values), tuple((type(v).__name__, repr(v)) for v in f.values))
+
+
+MIXED_FACTS = st.lists(st.builds(
+    Fact,
+    st.sampled_from(["R", "S"]),
+    st.lists(st.one_of(st.integers(-12, 12), st.text("1a-", max_size=2)), max_size=3),
+))
+
+
+class TestSortKeyCache:
+    @given(MIXED_FACTS)
+    def test_cached_keys_order_like_uncached_ones(self, mixed):
+        expected = sorted(mixed, key=_uncached_key)
+        assert sorted(mixed) == expected  # keys built and cached here
+        assert sorted(mixed) == expected  # and read back from the cache
+        assert sorted(mixed, key=Fact._sort_key) == expected
+        assert [f._sort_key() for f in mixed] == [_uncached_key(f) for f in mixed]
+
+    def test_cached_key_is_not_pickled(self):
+        f = fact("S", 1, "a")
+        before = pickle.dumps(f)
+        f._sort_key()
+        assert pickle.dumps(f) == before
+        clone = pickle.loads(before)
+        assert clone == f and clone._sort_key() == _uncached_key(f)

@@ -75,6 +75,17 @@ class TestAlgebra:
         assert d.count(fact("M", 2)) == 0
         assert d.count(fact("M", 1)) == 2
 
+    def test_no_zero_counts_are_kept(self, buf):
+        # Equality and hashing compare the stored counts, so no
+        # operation may leave a fact with count zero behind.
+        absent = fact("M", 7)
+        assert buf.add(absent, times=0) == buf
+        assert buf.remove(absent, times=0) == buf
+        assert hash(buf.remove(fact("M", 2)).remove(fact("M", 1), times=2)) == hash(
+            FactMultiset()
+        )
+        assert buf.difference(FactMultiset([absent])) == buf
+
     def test_contains_multiset(self, buf):
         assert buf.contains_multiset(FactMultiset([fact("M", 1), fact("M", 1)]))
         assert not buf.contains_multiset(
