@@ -332,10 +332,10 @@ class Transducer:
         """
         plan = self.__dict__.get("_evaluation_plan")
         if plan is None:
-            plan = self._evaluation_plan = (self.schema.combined, self._role_plans())
             # Group answers, and the sent instances built from them
-            # (see transition).
+            # (see transition).  Made before the plan that signals it.
             self._group_memo: dict[tuple, frozenset | Instance] = {}
+            plan = self._evaluation_plan = (self.schema.combined, self._role_plans())
         combined_schema, roles = plan
         memo = self._group_memo
         # State and message relations are disjoint: merge the extents.
@@ -369,7 +369,7 @@ class Transducer:
         """Make room for one entry in a full LRU *cache*: its stalest
         entry goes, not the whole cache."""
         if len(cache) >= self._transition_cache_limit:
-            cache.pop(next(iter(cache)))
+            cache.pop(next(iter(cache)), None)
 
     def _role_plans(self) -> list:
         """``(memoized groups, direct query)`` per role.
