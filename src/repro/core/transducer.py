@@ -271,47 +271,61 @@ class Transducer:
         for rel in received.schema:
             if rel not in self.schema.messages:
                 raise SchemaError(f"received non-message relation {rel!r}")
-        with engine_override(self.engine):
-            results = iter(self._evaluate(state, received))
-            # Equal send answers give one sent instance, kept in the
-            # group memo: its facts are then the same objects in every
-            # buffer they reach, and dict lookups match them by
-            # identity.  Its rows are validated once, like every sent
-            # fact.
-            answers = tuple(next(results) for _ in self.send_queries)
-            sent_key = ("sent", *answers)
-            memo = self._group_memo
-            sent = memo.pop(sent_key, None)
-            if sent is None:
-                sent = Instance.from_relations(
-                    self.schema.messages, dict(zip(self.send_queries, answers))
-                )
-                self._forget_stalest(memo)
-            memo[sent_key] = sent
-            output = frozenset(next(results))
-            new_state = state
-            for rel in self.schema.memory:
-                inserted = next(results)
-                deleted = next(results)
-                old = state.relation(rel)
-                updated = (
-                    (inserted - deleted)
-                    | (inserted & deleted & old)
-                    | (old - (inserted | deleted))
-                )
-                if updated != old:
-                    new_state = new_state.set_relation(rel, updated)
-
-        result = LocalTransition(
-            state=state,
-            received=received,
-            new_state=new_state,
-            sent=sent,
-            output=output,
-        )
+        if self.engine is None:
+            result = self._compute(state, received)
+        else:
+            with engine_override(self.engine):
+                result = self._compute(state, received)
         self._forget_stalest(self._transition_cache)
         self._transition_cache[cache_key] = result
         return result
+
+    def _compute(self, state: Instance, received: Instance) -> LocalTransition:
+        """The transition, evaluated (a transition-cache miss)."""
+        results = iter(self._evaluate(state, received))
+        # Equal send answers give one sent instance, kept in the group
+        # memo: its facts are then the same objects in every buffer
+        # they reach, and dict lookups match them by identity.  Its
+        # rows are validated once, like every sent fact.
+        answers = tuple(next(results) for _ in self.send_queries)
+        sent_key = ("sent", *answers)
+        memo = self._group_memo
+        sent = memo.pop(sent_key, None)
+        if sent is None:
+            sent = Instance.from_relations(
+                self.schema.messages, dict(zip(self.send_queries, answers))
+            )
+            self._forget_stalest(memo)
+        memo[sent_key] = sent
+        output = frozenset(next(results))
+        # The update formula per memory relation, as a frozenset (old
+        # is the left operand).  With nothing deleted it is old ∪ Qins,
+        # which is old itself when Qins adds no row.
+        rels = state._rels
+        updates = {}
+        for rel in self.schema.memory:
+            inserted = next(results)
+            deleted = next(results)
+            old = rels.get(rel, _EMPTY)
+            if deleted:
+                updated = (
+                    (old - (inserted | deleted))
+                    | (inserted - deleted)
+                    | (inserted & deleted & old)
+                )
+            elif inserted <= old:
+                continue
+            else:
+                updated = old | inserted
+            if updated != old:
+                updates[rel] = updated
+        return LocalTransition(
+            state=state,
+            received=received,
+            new_state=state.set_relations(updates) if updates else state,
+            sent=sent,
+            output=output,
+        )
 
     def _evaluate(self, state: Instance, received: Instance) -> list[frozenset]:
         """Every query's answer on ``state ∪ received``, in role order:

@@ -352,23 +352,33 @@ class Instance:
         self, name: str, tuples: Iterable[tuple]
     ) -> "Instance":
         """Replace relation *name*'s extent wholesale."""
-        arity = self.schema[name]
-        rows = set()
-        for t in tuples:
-            t = tuple(t)
-            if len(t) != arity:
-                raise SchemaError(
-                    f"tuple {t!r} has arity {len(t)}, relation {name} needs {arity}"
-                )
-            for v in t:
-                if not is_atomic(v):
-                    raise ValueError(f"non-atomic value in fact: {v!r}")
-            rows.add(t)
+        rows = frozenset(_checked_rows(name, self.schema[name], tuples))
         out = dict(self._rels)
         if rows:
-            out[name] = frozenset(rows)
+            out[name] = rows
         else:
             out.pop(name, None)
+        return Instance._build(self.schema, out)
+
+    def set_relations(self, extents: Mapping[str, frozenset]) -> "Instance":
+        """Replace the extents of several relations, building one instance.
+
+        Only the rows new to a relation are checked, with the errors of
+        :meth:`set_relation`: the rows already in its extent here were
+        checked when this instance was built.  A transition's memory
+        update keeps most rows, so this is where it saves.
+        """
+        out = dict(self._rels)
+        for name, rows in extents.items():
+            new = rows - out.get(name, _EMPTY)
+            checked = frozenset(_checked_rows(name, self.schema[name], new))
+            if checked != new:
+                # A row that was not a tuple, coerced as set_relation does.
+                rows = (rows - new) | checked
+            if rows:
+                out[name] = rows
+            else:
+                out.pop(name, None)
         return Instance._build(self.schema, out)
 
     def rename(self, mapping: Mapping[str, str]) -> "Instance":
@@ -421,6 +431,20 @@ class Instance:
             return f"Instance(∅ over {list(self.schema)})"
         shown = ", ".join(repr(f) for f in sorted(self.facts()))
         return f"Instance({{{shown}}})"
+
+
+def _checked_rows(name: str, arity: int, tuples: Iterable) -> Iterator[tuple]:
+    """*tuples* as tuples, each checked for *arity* and atomic values."""
+    for t in tuples:
+        t = tuple(t)
+        if len(t) != arity:
+            raise SchemaError(
+                f"tuple {t!r} has arity {len(t)}, relation {name} needs {arity}"
+            )
+        for v in t:
+            if not is_atomic(v):
+                raise ValueError(f"non-atomic value in fact: {v!r}")
+        yield t
 
 
 def _unpickle_instance(schema: DatabaseSchema, rels: dict) -> Instance:

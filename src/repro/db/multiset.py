@@ -10,6 +10,7 @@ so configurations can share buffers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
 from .fact import Fact
@@ -111,6 +112,8 @@ class FactMultiset:
             return self
         new = dict(self._counts)
         new[f] = new.get(f, 0) + times
+        if len(new) == len(self._counts):  # f was present
+            return _from_counts(new, self._distinct, self._sorted)
         return _from_counts(new)
 
     def union(self, other: "FactMultiset | Iterable[Fact]") -> "FactMultiset":
@@ -124,6 +127,8 @@ class FactMultiset:
                 if not isinstance(f, Fact):
                     raise TypeError(f"multiset elements must be Facts, got {f!r}")
                 new[f] = new.get(f, 0) + 1
+        if len(new) == len(self._counts):  # no new distinct fact
+            return _from_counts(new, self._distinct, self._sorted)
         return _from_counts(new)
 
     def remove(self, f: Fact, times: int = 1) -> "FactMultiset":
@@ -134,9 +139,14 @@ class FactMultiset:
         left = new.get(f, 0) - times
         if left:
             new[f] = left
-        else:
-            new.pop(f, None)
-        return _from_counts(new)
+            return _from_counts(new, self._distinct, self._sorted)
+        new.pop(f, None)
+        kept = self._sorted
+        if kept is not None and f in self._counts:
+            # The sorted view without f: find it by its sort key.
+            i = kept.index(f, bisect_left(kept, f._sort_key(), key=Fact._sort_key))
+            kept = kept[:i] + kept[i + 1:]
+        return _from_counts(new, None, kept)
 
     def difference(self, other: "FactMultiset") -> "FactMultiset":
         """Multiset difference (multiplicities subtract, floored at 0)."""
@@ -174,12 +184,19 @@ def _unpickle_multiset(items: tuple) -> FactMultiset:
     return _from_counts(dict(items))
 
 
-def _from_counts(counts: dict[Fact, int]) -> FactMultiset:
+def _from_counts(
+    counts: dict[Fact, int],
+    distinct: frozenset | None = None,
+    sorted_facts: tuple | None = None,
+) -> FactMultiset:
+    """A multiset over *counts*, inheriting the cached distinct views of
+    a multiset with the same distinct facts when they are given: most
+    sends and deliveries leave a buffer's distinct facts as they were."""
     ms = FactMultiset.__new__(FactMultiset)
     object.__setattr__(ms, "_counts", counts)
     object.__setattr__(ms, "_hash", None)
-    object.__setattr__(ms, "_distinct", None)
-    object.__setattr__(ms, "_sorted", None)
+    object.__setattr__(ms, "_distinct", distinct)
+    object.__setattr__(ms, "_sorted", sorted_facts)
     return ms
 
 

@@ -84,21 +84,45 @@ class Configuration:
         buffer: FactMultiset | None = None,
     ) -> "Configuration":
         """A copy with *node*'s state and/or buffer replaced."""
-        states = dict(self.states)
-        buffers = dict(self.buffers)
-        if state is not None:
-            states[node] = state
-        if buffer is not None:
-            buffers[node] = buffer
-        return Configuration(states, buffers)
+        if node not in self.states:
+            raise ValueError(f"unknown node {node!r}")
+        return self._derive(
+            {node: state} if state is not None else None,
+            {node: buffer} if buffer is not None else None,
+        )
 
     def replace_buffers(
         self, updates: Mapping[Node, FactMultiset]
     ) -> "Configuration":
         """A copy with several buffers replaced at once."""
-        buffers = dict(self.buffers)
-        buffers.update(updates)
-        return Configuration(self.states, buffers)
+        for node in updates:
+            if node not in self.buffers:
+                raise ValueError(f"unknown node {node!r}")
+        return self._derive(None, updates)
+
+    def _derive(
+        self,
+        state_updates: Mapping[Node, Instance] | None,
+        buffer_updates: Mapping[Node, FactMultiset] | None,
+    ) -> "Configuration":
+        """A copy with some states and buffers replaced; the updated
+        nodes must be nodes of this configuration (not checked).
+
+        Each dict is copied once, and only if it changes; the node set
+        is not re-checked, since replacing cannot change it.  The dicts
+        are never mutated, so an unchanged one is shared.
+        """
+        states = self.states
+        if state_updates:
+            states = {**states, **state_updates}
+        buffers = self.buffers
+        if buffer_updates:
+            buffers = {**buffers, **buffer_updates}
+        config = object.__new__(Configuration)
+        object.__setattr__(config, "states", states)
+        object.__setattr__(config, "buffers", buffers)
+        object.__setattr__(config, "_hash", None)
+        return config
 
     def states_key(self) -> tuple:
         """A hashable digest of all node states (for cycle detection)."""

@@ -137,8 +137,15 @@ class _OutputTracker:
         self.by_node: dict[Node, set] = {}
         self.quiescence_step = 0
         self._frozen: frozenset = frozenset()
+        # The last output recorded per node.  Memoized transitions hand
+        # out shared answers, so a node often produces the very same
+        # object again, and then it has nothing new to record.
+        self._last: dict[Node, frozenset] = {}
 
     def record(self, node: Node, produced: frozenset, step: int) -> None:
+        if self._last.get(node) is produced:
+            return
+        self._last[node] = produced
         new = produced - self.output
         if new:
             self.output |= new

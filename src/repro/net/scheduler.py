@@ -163,6 +163,13 @@ class Action:
         return cls("restart", node, payload=retain_state)
 
 
+def _reused_actions(nodes) -> tuple[Action, dict[Node, Action]]:
+    """One check action and one heartbeat action per node, for one
+    schedule to yield over and over (actions are immutable).  Delivery
+    actions stay fresh per step."""
+    return Action.check(), {v: Action.heartbeat(v) for v in nodes}
+
+
 # The driver sends back a GlobalTransition (for transition actions) or a
 # bool (for check actions); the generator's return value is the
 # scheduler's own convergence verdict, None delegating to a final check.
@@ -219,7 +226,8 @@ class FairRandomScheduler(Scheduler):
         check_every = self.check_every
         if check_every is None:
             check_every = max(8, 4 * len(nodes))
-        yield Action.check()
+        check, heartbeats = _reused_actions(nodes)
+        yield check
         steps_since_check = 0
         while True:
             node = rng.choice(nodes)
@@ -232,11 +240,11 @@ class FairRandomScheduler(Scheduler):
                     f = choices[rng.randrange(len(choices))]
                     yield Action.deliver(node, f)
             else:
-                yield Action.heartbeat(node)
+                yield heartbeats[node]
             steps_since_check += 1
             if steps_since_check >= check_every or ctx.config.buffers_empty():
                 steps_since_check = 0
-                yield Action.check()
+                yield check
 
 
 class HeartbeatOnlyScheduler(Scheduler):
@@ -256,10 +264,11 @@ class HeartbeatOnlyScheduler(Scheduler):
 
     def schedule(self, ctx) -> Schedule:
         nodes = ctx.network.sorted_nodes()
+        _, heartbeats = _reused_actions(nodes)
         seen_states = {ctx.config.states_key()}
         for _ in range(self.max_rounds):
             for node in nodes:
-                yield Action.heartbeat(node)
+                yield heartbeats[node]
             key = ctx.config.states_key()
             if key in seen_states:
                 return True
@@ -298,6 +307,7 @@ class FifoRoundsScheduler(Scheduler):
         skip = self.skip_nodes
         nodes = [v for v in network.sorted_nodes() if v not in skip]
         fifo: dict[Node, list[Fact]] = {v: [] for v in network.sorted_nodes()}
+        check, heartbeats = _reused_actions(nodes)
 
         def absorb(transition) -> None:
             sent = sorted(transition.sent_facts)
@@ -307,7 +317,7 @@ class FifoRoundsScheduler(Scheduler):
 
         for _ in range(self.max_rounds):
             for node in nodes:
-                absorb((yield Action.heartbeat(node)))
+                absorb((yield heartbeats[node]))
             if any(fifo[v] for v in nodes):
                 for node in nodes:
                     if fifo[node]:
@@ -321,9 +331,9 @@ class FifoRoundsScheduler(Scheduler):
                             absorb((yield Action.deliver(node, f)))
             else:
                 for node in nodes:
-                    absorb((yield Action.heartbeat(node)))
+                    absorb((yield heartbeats[node]))
             if not skip:
-                yield Action.check()
+                yield check
             elif all(not fifo[v] for v in nodes):
                 # With skipped nodes we stop once the active part is
                 # quiet: states stable under heartbeat and no pending
@@ -378,10 +388,11 @@ class WitnessGuidedScheduler(Scheduler):
     def schedule(self, ctx) -> Schedule:
         nodes = ctx.network.sorted_nodes()
         cursor = {v: 0 for v in nodes}
-        yield Action.check()
+        check, heartbeats = _reused_actions(nodes)
+        yield check
         for _ in range(self.max_rounds):
             for node in nodes:
-                yield Action.heartbeat(node)
+                yield heartbeats[node]
             delivered: set = set()
             tracker = ctx.tracker
             if tracker is not None and not self.uses_batching:
@@ -410,7 +421,7 @@ class WitnessGuidedScheduler(Scheduler):
                     if (node, f) in delivered:
                         continue
                     yield Action.deliver(node, f)
-            yield Action.check()
+            yield check
         return False
 
 
@@ -440,10 +451,11 @@ class RoundRobinBatchScheduler(Scheduler):
         # (always taking the smallest would starve the rest under
         # duplicate re-sends).
         cursor = {v: 0 for v in nodes}
-        yield Action.check()
+        check, heartbeats = _reused_actions(nodes)
+        yield check
         for _ in range(self.max_rounds):
             for node in nodes:
-                yield Action.heartbeat(node)
+                yield heartbeats[node]
             for node in ctx.config.nonempty_buffer_nodes():
                 if self.uses_batching:
                     yield Action.deliver_batch(node)
@@ -452,7 +464,7 @@ class RoundRobinBatchScheduler(Scheduler):
                     f = choices[cursor[node] % len(choices)]
                     cursor[node] += 1
                     yield Action.deliver(node, f)
-            yield Action.check()
+            yield check
         return False
 
 

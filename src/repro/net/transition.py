@@ -67,15 +67,16 @@ def general_transition(
         raise ValueError(f"unknown node {node!r}")
     buffer = config.buffer(node)
     state = config.state(node)
+    # Only what the step changes is replaced in the next configuration.
+    buffer_updates: dict[Node, FactMultiset] = {}
     if not received:
         local = transducer.heartbeat(state)
-        rest = buffer
     elif len(received) == 1:
         fact = received[0]
         if fact not in buffer:
             raise ValueError(f"received fact {fact!r} not present in buffer of {node!r}")
         local = transducer.deliver(state, fact)
-        rest = buffer.remove(fact)
+        buffer_updates[node] = buffer.remove(fact)
     else:
         taken = FactMultiset(received)
         if not buffer.contains_multiset(taken):
@@ -85,16 +86,16 @@ def general_transition(
         local = transducer.transition(
             state, Instance(transducer.schema.messages, set(received))
         )
-        rest = buffer.difference(taken)
+        buffer_updates[node] = buffer.difference(taken)
 
-    buffer_updates: dict[Node, FactMultiset] = {node: rest}
     sent = local.sent.facts()
     if sent:
         for neighbor in network.neighbors(node):
             base = buffer_updates.get(neighbor, config.buffer(neighbor))
             buffer_updates[neighbor] = base.union(sent)
-    after = config.replace(node, state=local.new_state).replace_buffers(
-        buffer_updates
+    new_state = local.new_state
+    after = config._derive(
+        {node: new_state} if new_state is not state else None, buffer_updates
     )
     return GlobalTransition(
         before=config,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Transducer, TransducerSchema
 from repro.db import Instance, fact, instance, schema
-from repro.lang import EmptyQuery, FOQuery
+from repro.lang import EmptyQuery, FOQuery, PythonQuery
 from repro.lang.combinators import ConstantQuery
 
 
@@ -162,6 +162,38 @@ class TestUpdateFormula:
         state = state.set_relation("R", [(1,), (5,)])
         got = t.heartbeat(state).new_state.relation("R")
         assert got == q_result
+
+
+def _nested_value(instance):
+    # A one-column row whose value is a tuple: not an atomic value.
+    return [((1, 2),)]
+
+
+class TestMemoryRowsValidated:
+    """A row a query inserts into memory is checked like any fact,
+    also when the transition keeps the rest of the extent as it was."""
+
+    def _transducer(self, tschema, combined):
+        return Transducer(
+            tschema,
+            insert={"R": PythonQuery(_nested_value, 1, combined)},
+            output=FOQuery.parse("R(x)", "x", combined),
+        )
+
+    def test_transition_rejects_a_non_atomic_row(self, tschema, combined):
+        t = self._transducer(tschema, combined)
+        state = t.make_state(Instance.empty(schema(S=1)), "v", frozenset({"v"}))
+        state = state.set_relation("R", [(7,)])
+        with pytest.raises(ValueError, match="non-atomic"):
+            t.transition(state, Instance.empty(tschema.messages))
+
+    def test_run_rejects_a_non_atomic_row(self, tschema, combined):
+        from repro.net import full_replication, line, run_fair
+
+        network = line(2)
+        partition = full_replication(instance(schema(S=1), S=[(1,)]), network)
+        with pytest.raises(ValueError, match="non-atomic"):
+            run_fair(network, self._transducer(tschema, combined), partition, seed=0)
 
 
 class TestNoopDetection:

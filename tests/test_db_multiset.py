@@ -1,8 +1,12 @@
 """Unit tests for repro.db.multiset — the message-buffer semantics."""
 
-import pytest
+from collections import Counter
 
-from repro.db import FactMultiset, fact
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.db import Fact, FactMultiset, fact
 
 
 @pytest.fixture
@@ -98,3 +102,53 @@ class TestAlgebra:
         assert a == b
         assert hash(a) == hash(b)
         assert a != FactMultiset([fact("M", 1)])
+
+
+# Values of two types, so the sorted view orders across types too.
+_VALUES = st.one_of(st.integers(0, 4), st.sampled_from(["a", "b"]))
+
+
+@st.composite
+def _steps(draw):
+    """A chain of add/union/remove steps; each step may first compute
+    the parent's cached views, which a derived multiset may inherit."""
+    kind = draw(st.sampled_from(["add", "union", "union-multiset", "remove"]))
+    values = draw(st.lists(_VALUES, min_size=1, max_size=3))
+    return kind, values, draw(st.integers(0, 2)), draw(st.booleans())
+
+
+class TestInheritedViews:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_steps(), max_size=12))
+    def test_views_equal_a_rebuilt_multiset(self, steps):
+        current, model = FactMultiset(), Counter()
+        for kind, values, times, warm in steps:
+            # Fresh Fact objects: equal to the buffered ones, not identical.
+            facts = [Fact("M", (v,)) for v in values]
+            if warm:
+                current.distinct(), current.distinct_set()
+            if kind == "add":
+                derived = current.add(facts[0], times)
+                model[facts[0]] += times
+            elif kind in ("union", "union-multiset"):
+                derived = current.union(
+                    FactMultiset(facts) if kind == "union-multiset" else facts
+                )
+                model.update(facts)
+            else:
+                present = sorted(model)
+                if not present:
+                    continue
+                f = Fact("M", present[times % len(present)].values)
+                n = 1 + times % model[f]
+                derived = current.remove(f, n)
+                model[f] -= n
+            model = +model  # drop zero counts
+            rebuilt = FactMultiset(model.elements())
+            assert derived == rebuilt
+            assert derived.distinct() == rebuilt.distinct() == tuple(sorted(model))
+            assert derived.distinct_set() == rebuilt.distinct_set() == frozenset(model)
+            if warm and derived.distinct_set() == current.distinct_set():
+                assert derived.distinct_set() is current.distinct_set()
+                assert derived.distinct() is current.distinct()
+            current = derived

@@ -68,6 +68,16 @@ class TestConfigurationValueSemantics:
         assert updated.buffer(v) == buf
         assert config.buffer(v) == FactMultiset.empty()  # original intact
 
+    def test_replace_rejects_an_unknown_node(self, setup):
+        t, I, net, config = setup
+        v = net.sorted_nodes()[0]
+        buf = FactMultiset([fact("M", 1, 2)])
+        with pytest.raises(ValueError):
+            config.replace("elsewhere", state=config.state(v), buffer=buf)
+        with pytest.raises(ValueError):
+            config.replace_buffers({v: buf, "elsewhere": buf})
+        assert config.nodes == net.nodes
+
     def test_total_buffered(self, setup):
         t, I, net, config = setup
         v = net.sorted_nodes()[0]

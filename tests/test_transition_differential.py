@@ -379,7 +379,7 @@ CHAIN = instance(schema(S=2), S=[(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
 #: Pickled sizes of the RunResults of ``_chain_runs``: the run cache
 #: weighs cells by these sizes.
 RUN_RESULT_BYTES = [1509, 1466, 1541, 1535]
-TRACED_RUN_RESULT_BYTES = [22803, 14027, 25565, 23915]
+TRACED_RUN_RESULT_BYTES = [21766, 13531, 24419, 22643]
 #: The same sizes before a result shared its equal rows.
 UNSHARED_RUN_RESULT_BYTES = [2055, 1988, 2091, 2142]
 UNSHARED_TRACED_RUN_RESULT_BYTES = [31619, 18368, 35136, 32245]
