@@ -16,13 +16,13 @@ definitive, confirmations are evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, cast
 
 from ..core.properties import property_report
 from ..core.transducer import Transducer
 from ..db.instance import Instance
 from ..db.schema import DatabaseSchema
-from ..lang.monotone import check_monotone_pair, instance_pairs
+from ..lang.monotone import _AnswerTable, check_monotone_pair, instance_pairs
 from ..lang.query import Query
 from ..net.consistency import computed_output
 from ..net.coordination import check_coordination_free_on
@@ -63,9 +63,10 @@ class ComputedQuery(Query):
         # this query on dozens of instances of the same transducer, so
         # certificates proven in one evaluation warm the next.
         self.memo = memo
-        # Run-level cache: repeated evaluations on the *same* instance
-        # (CALM re-derives Q(I) per probe, CI re-derives it per job)
-        # skip the reference run entirely.
+        # Run-level cache: evaluations on an instance an earlier call
+        # already ran (CI re-derives Q(I) per job) skip the reference
+        # run entirely.  Within one calm_verdict an answer table serves
+        # repeats before they reach the cache.
         self.run_cache = run_cache
         # Optional seeded fault plan: the reference run tolerates the
         # injected faults, which is exactly the claim the fault-plane
@@ -190,9 +191,11 @@ def calm_verdict(
     (coordination witness search, NTI consistency probes); *memo*
     shares one cross-run convergence memo across every fair run the
     diagnostic performs — one transducer, hence one sound scope.
-    *run_cache* skips whole runs the cache has seen (the diagnostic
-    re-executes many identical cells across its probes — and across
-    *diagnostics*, since the cache is fingerprint-keyed); a
+    *run_cache* skips whole runs the cache has seen (the coordination
+    and NTI sweeps re-execute identical cells — and so do separate
+    *diagnostics*, since the cache is fingerprint-keyed; repeated
+    computed-query evaluations within one diagnostic are answered by
+    its answer table before they reach the cache); a
     ``persistent``-lifetime *engine* (or the deprecated *pool*) runs
     every sweep underneath through one live fork pool.  All verdicts
     are identical with or without any of these knobs.
@@ -224,10 +227,12 @@ def calm_verdict(
     flags = property_report(transducer)
     memo = resolve_memo(memo, transducer)
     run_cache = resolve_run_cache(run_cache, transducer)
-    query = ComputedQuery(
+    # The coordination and monotonicity probes share one answer table,
+    # so each distinct probe instance runs once per verdict.
+    query = cast(Query, _AnswerTable(ComputedQuery(
         transducer, network, seed=seed, batch_delivery=batch_delivery,
         memo=memo, run_cache=run_cache, faults=faults,
-    )
+    )))
 
     static_report: StaticReport | None = None
     if static_first:

@@ -381,9 +381,17 @@ class Transducer:
 
     def _forget_stalest(self, cache: dict) -> None:
         """Make room for one entry in a full LRU *cache*: its stalest
-        entry goes, not the whole cache."""
+        entry goes, not the whole cache.
+
+        The memos are unlocked, so a thread sharing this transducer may
+        resize *cache* while its stalest key is read; that eviction is
+        then skipped, and the next insert evicts instead."""
         if len(cache) >= self._transition_cache_limit:
-            cache.pop(next(iter(cache)), None)
+            try:
+                stalest = next(iter(cache))
+            except RuntimeError:
+                return
+            cache.pop(stalest, None)
 
     def _role_plans(self) -> list:
         """``(memoized groups, direct query)`` per role.

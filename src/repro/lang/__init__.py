@@ -44,7 +44,6 @@ from .monotone import (
     check_monotone_empirical,
     check_monotone_pair,
     find_monotonicity_counterexample,
-    is_monotone_syntactic,
     random_instance,
 )
 from .nonrecursive import NonrecursiveProgram, NonrecursiveQuery
@@ -122,7 +121,6 @@ __all__ = [
     "engine_override",
     "evaluate_fo",
     "find_monotonicity_counterexample",
-    "is_monotone_syntactic",
     "naive_fixpoint",
     "resolve_engine",
     "set_default_engine",

@@ -4,9 +4,9 @@ Monotonicity is the pivot of the CALM property (Corollary 13): a query
 is distributedly computable coordination-freely iff it is monotone.
 Semantic monotonicity is undecidable, so the library offers
 
-* :func:`is_monotone_syntactic` — a sound, incomplete certificate
-  (positive-existential FO, negation-free Datalog/UCQ, declared-monotone
-  Python queries);
+* :func:`repro.analysis.static.analyze_query` — a sound, incomplete
+  certificate (positive-existential FO, negation-free Datalog/UCQ,
+  declared-monotone Python queries);
 * :func:`find_monotonicity_counterexample` — randomized search for
   instances ``I ⊆ J`` with ``Q(I) ⊄ Q(J)``, used by the E12 bench to
   *refute* monotonicity of coordinating transducers' queries.
@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterable, Sequence
+from typing import cast
 
 from ..db.fact import Fact
 from ..db.instance import Instance
@@ -24,27 +25,36 @@ from ..db.schema import DatabaseSchema
 from .query import Query, QueryUndefined
 
 
-def is_monotone_syntactic(query: Query) -> bool:
-    """Sound syntactic monotonicity: ``True`` implies the query is monotone.
+class _AnswerTable:
+    """*query* evaluated at most once per instance.
 
-    .. deprecated::
-        Use :func:`repro.analysis.static.analyze_query` (which carries
-        diagnostics and provenance) or the query's own
-        ``is_monotone_syntactic`` method.  This free function will be
-        removed once external callers migrate.
+    A query is a function of its input instance, so a probe that meets
+    an instance again reads the recorded outcome: the answer, or the
+    :class:`QueryUndefined` it raised, raised again.  The table fills
+    lazily in call order and lives only as long as the probe that
+    made it.  It keeps to the :class:`Query` protocol without
+    subclassing it: it evaluates nothing itself, so tracers that time
+    every ``Query.__call__`` as query evaluation must not count it.
     """
-    import warnings
 
-    warnings.warn(
-        "repro.lang.monotone.is_monotone_syntactic is deprecated; use "
-        "repro.analysis.static.analyze_query(query).certifies('monotone') "
-        "or query.is_monotone_syntactic()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..analysis.static import analyze_query
+    def __init__(self, query: Query):
+        self.query = query
+        self.arity = query.arity
+        self.input_schema = query.input_schema
+        self._outcomes: dict[Instance, frozenset[tuple] | QueryUndefined] = {}
 
-    return analyze_query(query).certifies("monotone")
+    def __call__(self, instance: Instance) -> frozenset[tuple]:
+        outcome = self._outcomes.get(instance)
+        if outcome is None:
+            try:
+                outcome = self.query(instance)
+            except QueryUndefined as exc:
+                self._outcomes[instance] = exc
+                raise
+            self._outcomes[instance] = outcome
+        elif isinstance(outcome, QueryUndefined):
+            raise outcome.with_traceback(None)
+        return outcome
 
 
 def check_monotone_pair(query: Query, small: Instance, big: Instance) -> bool:
@@ -101,12 +111,14 @@ def find_monotonicity_counterexample(
 
     A returned pair is a genuine refutation of monotonicity; ``None``
     only means no counterexample was found within the trial budget.
+    Each distinct instance drawn is evaluated once.
     """
+    answers = cast(Query, _AnswerTable(query))
     rng = random.Random(seed)
     for _ in range(trials):
         small = random_instance(query.input_schema, domain, rng, density)
         big = random_superinstance(small, domain, rng, density)
-        if not check_monotone_pair(query, small, big):
+        if not check_monotone_pair(answers, small, big):
             return (small, big)
     return None
 

@@ -1,5 +1,8 @@
 """The CALM harness: diagnostics line up with Corollary 13/17."""
 
+import random
+
+import pytest
 
 from repro.analysis import CalmVerdict, ComputedQuery, calm_verdict
 from repro.core import (
@@ -7,7 +10,11 @@ from repro.core import (
     ping_identity_transducer,
     transitive_closure_transducer,
 )
+from repro.core.examples import ALL_EXAMPLES
 from repro.db import Instance, instance, schema
+from repro.lang.monotone import check_monotone_pair, instance_pairs, random_instance
+from repro.net import line
+from repro.net.coordination import check_coordination_free_on
 
 
 class TestComputedQuery:
@@ -84,3 +91,61 @@ class TestCalmVerdicts:
             computed_query_monotone=False,
         )
         assert not bad2.consistent_with_calm()  # Theorem 16 violated
+
+
+def _reference_probes(transducer, test_instance, trials, seed=0):
+    """``calm_verdict``'s coordination and monotonicity probes with every
+    computed-query evaluation run bare: the coordination probes' expected
+    outputs and both sides of each pair, with no answer table."""
+    network = line(2)
+    query = ComputedQuery(transducer, network, seed=seed)
+    probes = [test_instance, Instance.empty(transducer.schema.inputs)]
+    coordination_free = all([
+        check_coordination_free_on(
+            network, transducer, probe, query(probe)
+        ).coordination_free
+        for probe in probes
+    ])
+    pairs = instance_pairs(transducer.schema.inputs, (1, 2, 3), trials, seed=seed)
+    monotone = all(check_monotone_pair(query, small, big) for small, big in pairs)
+    return coordination_free, monotone
+
+
+class TestAnswerTable:
+    """One answer table per verdict: the same verdict as evaluating every
+    probe bare, from one run per distinct instance."""
+
+    TRIALS = 12
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """Every instance a ``ComputedQuery`` is evaluated on, in order."""
+        seen: list[Instance] = []
+        evaluate = ComputedQuery.__call__
+
+        def recorded(self, inst):
+            seen.append(inst)
+            return evaluate(self, inst)
+
+        monkeypatch.setattr(ComputedQuery, "__call__", recorded)
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(ALL_EXAMPLES))
+    @pytest.mark.parametrize("instance_seed", [0, 1, 2])
+    def test_verdict_equals_bare_evaluation(self, name, instance_seed, evaluations):
+        factory = ALL_EXAMPLES[name]
+        inputs = factory().schema.inputs
+        inst = random_instance(inputs, (1, 2, 3), random.Random(instance_seed), 0.4)
+        expected = _reference_probes(factory(), inst, self.TRIALS)
+        visited = list(evaluations)
+        evaluations.clear()
+        verdict = calm_verdict(factory(), inst, monotonicity_trials=self.TRIALS)
+        assert (verdict.coordination_free, verdict.computed_query_monotone) == expected
+        # Up to the first failing pair, each distinct instance runs once.
+        assert len(evaluations) == len(set(visited))
+        evaluations.clear()
+        static = calm_verdict(
+            factory(), inst, monotonicity_trials=self.TRIALS, static_first=True
+        )
+        assert static == verdict
+        assert len(evaluations) <= len(set(visited))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 import urllib.error
 import urllib.request
 
@@ -229,9 +230,20 @@ class TestSharedCacheAcrossJobs:
         _, snap = _request(service.base_url, "/metrics")
         assert snap["run_cache"]["cache_hits"] >= warm_cache["hits"]
 
-    def test_inflight_duplicate_attaches_to_running_job(self, service):
-        # A cold, non-trivial grid: the duplicate lands while the
-        # original is still queued/running on the 2-thread pool.
+    def test_inflight_duplicate_attaches_to_running_job(self, service, monkeypatch):
+        # A cold, non-trivial grid, held at the start of its run until
+        # the duplicate is posted: the duplicate always lands while the
+        # original is still queued/running on the 2-thread pool (a
+        # cold grid can otherwise finish before the second POST).
+        orchestrator = service.service.orchestrator
+        release = threading.Event()
+        run = orchestrator._run
+
+        def held_run(job, request):
+            release.wait(timeout=240)
+            run(job, request)
+
+        monkeypatch.setattr(orchestrator, "_run", held_run)
         payload = _payload(
             instance={"S": [[i, i + 1] for i in range(1, 7)]},
             seeds=[21, 22, 23],
@@ -239,7 +251,10 @@ class TestSharedCacheAcrossJobs:
             network={"topology": "ring", "size": 4},
         )
         _, first = _request(service.base_url, "/jobs", payload)
-        _, dup = _request(service.base_url, "/jobs", payload)
+        try:
+            _, dup = _request(service.base_url, "/jobs", payload)
+        finally:
+            release.set()
         assert dup["deduplicated"] is True
         assert dup["job_id"] == first["job_id"]
         assert first["fingerprint"] == dup["fingerprint"]
