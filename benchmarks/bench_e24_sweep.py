@@ -35,7 +35,7 @@ from conftest import once, write_snapshot
 
 from repro.core import transitive_closure_transducer
 from repro.db import instance, schema
-from repro.net import RunCache, check_consistency, line
+from repro.net import RunCache, SweepEngine, check_consistency, line
 
 S2 = schema(S=2)
 CHAIN_FACTS = 20
@@ -123,8 +123,10 @@ def test_e24_parallel_warm_sweep(benchmark, report):
         for workers in WORKER_COUNTS:
             t0 = time.perf_counter()
             warm = check_consistency(
-                net, transducer, chain, memo=True, workers=workers,
-                backend="multiprocessing" if workers > 1 else None,
+                net, transducer, chain, memo=True,
+                engine=SweepEngine(
+                    workers=workers, lifetime="fork" if workers > 1 else None
+                ),
                 **kwargs,
             )
             t_warm = time.perf_counter() - t0

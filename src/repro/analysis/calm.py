@@ -167,11 +167,8 @@ def calm_verdict(
     check_coordination: bool = True,
     seed: int = 0,
     batch_delivery: bool = False,
-    workers: int = 1,
-    backend: str | None = None,
     memo=None,
     run_cache=None,
-    pool=None,
     engine=None,
     faults=None,
     static_first: bool = False,
@@ -187,7 +184,8 @@ def calm_verdict(
     mode — only legal (and only meaningful) for oblivious, monotone,
     inflationary transducers, where CALM guarantees the same computed query.
 
-    *workers*/*backend*/*engine* parallelize the run sweeps underneath
+    *engine* (a :class:`~repro.net.executor.SweepEngine`; ``None`` is
+    serial) parallelizes the run sweeps underneath
     (coordination witness search, NTI consistency probes); *memo*
     shares one cross-run convergence memo across every fair run the
     diagnostic performs — one transducer, hence one sound scope.
@@ -196,8 +194,8 @@ def calm_verdict(
     *diagnostics*, since the cache is fingerprint-keyed; repeated
     computed-query evaluations within one diagnostic are answered by
     its answer table before they reach the cache); a
-    ``persistent``-lifetime *engine* (or the deprecated *pool*) runs
-    every sweep underneath through one live fork pool.  All verdicts
+    ``persistent``-lifetime *engine* runs every sweep underneath
+    through one live fork pool.  All verdicts
     are identical with or without any of these knobs.
 
     *faults* (a :class:`~repro.net.faults.FaultPlan`) subjects the
@@ -251,11 +249,8 @@ def calm_verdict(
         networks=[single(), network],
         partition_count=2,
         seeds=(seed,),
-        workers=workers,
-        backend=backend,
         memo=memo,
         run_cache=run_cache,
-        pool=pool,
         engine=engine,
         faults=faults,
     )
@@ -284,8 +279,7 @@ def calm_verdict(
                 expected = query(probe)
                 report = check_coordination_free_on(
                     network, transducer, probe, expected,
-                    workers=workers, backend=backend,
-                    run_cache=run_cache, pool=pool, engine=engine,
+                    run_cache=run_cache, engine=engine,
                 )
                 verdicts.append(report.coordination_free)
             coordination_free = all(verdicts)

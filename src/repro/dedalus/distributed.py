@@ -175,10 +175,7 @@ def run_distributed(
     broadcast: set[str] | None = None,
     batch_async: bool = False,
     seeds: tuple[int, ...] | None = None,
-    workers: int = 1,
-    backend: str | None = None,
     run_cache=None,
-    pool=None,
     engine=None,
     lang_engine: str | None = None,
     faults=None,
@@ -200,19 +197,20 @@ def run_distributed(
 
     With *seeds* (a tuple of arrival-schedule seeds), the run becomes a
     sweep: the localized program is executed once per seed — in
-    parallel when ``workers > 1``, see :mod:`repro.net.executor` — and
-    a list of traces comes back in seed order, identical to running the
-    seeds serially.  That is the Section 8 analogue of quantifying
+    parallel on a parallel *engine*, see :mod:`repro.net.executor` —
+    and a list of traces comes back in seed order, identical to running
+    the seeds serially.  That is the Section 8 analogue of quantifying
     consistency over fair runs: every arrival schedule must stabilize
     to the same state.
 
-    *run_cache* (a :class:`~repro.net.runcache.RunCache`) memoizes
-    whole traces — a seeded localized run is a pure function of
-    ``(program, network, partition, seed, kwargs)``, and Dedalus
-    programs always fingerprint canonically (their rules are plain
-    ASTs).  *engine* (a :class:`~repro.net.executor.SweepEngine`, e.g.
-    a ``persistent``-lifetime one) or the deprecated *pool* fans a
-    seeds sweep over a live worker pool.
+    *run_cache* (a :class:`~repro.net.runcache.RunCache`, or ``True``
+    for the one hung off *program*) memoizes whole traces — a seeded
+    localized run is a pure function of ``(program, network,
+    partition, seed, kwargs)``, and Dedalus programs always
+    fingerprint canonically (their rules are plain ASTs).  *engine* (a
+    :class:`~repro.net.executor.SweepEngine`, e.g. a
+    ``persistent``-lifetime one; ``None`` is serial) fans a seeds
+    sweep over its workers.
 
     *lang_engine* selects the local evaluation engine of
     :mod:`repro.lang.engine` ("nested", "indexed" or "columnar") for
@@ -228,8 +226,10 @@ def run_distributed(
     becomes part of every run-cache key, so faulty and clean traces
     never alias.
     """
+    from ..net.runcache import resolve_run_cache
     from .interp import run_program
 
+    run_cache = resolve_run_cache(run_cache, program)
     if faults is not None:
         run_kwargs["faults"] = faults
     if seeds is not None:
@@ -240,10 +240,7 @@ def run_distributed(
             seeds=seeds,
             broadcast=broadcast,
             batch_async=batch_async,
-            workers=workers,
-            backend=backend,
             run_cache=run_cache,
-            pool=pool,
             engine=engine,
             lang_engine=lang_engine,
             **run_kwargs,
@@ -302,10 +299,7 @@ def sweep_distributed(
     seeds: tuple[int, ...] = (0,),
     broadcast: set[str] | None = None,
     batch_async: bool = False,
-    workers: int = 1,
-    backend: str | None = None,
     run_cache=None,
-    pool=None,
     engine=None,
     lang_engine: str | None = None,
     faults=None,
@@ -323,17 +317,19 @@ def sweep_distributed(
     (keys include the localized program's fingerprint, the network,
     the partition, the seed and the kwargs) — the shared
     :class:`~repro.net.executor.CacheSplice` bookkeeping, so equal
-    cells inside one grid also collapse to a single run.  *engine*
-    selects the executor outright; the deprecated *pool* and the
-    *workers*/*backend* pair are accepted as before.  *lang_engine*
+    cells inside one grid also collapse to a single run; ``True``
+    selects the cache hung off *program*.  *engine* selects the
+    executor (``None`` is serial).  *lang_engine*
     picks the local evaluation engine inside every cell, as in
     :func:`run_distributed`.  *faults* injects the same seeded
     :class:`~repro.net.faults.FaultPlan` into every cell (and into
     every cell's cache key).
     """
-    from ..net.executor import CacheSplice, resolve_engine
+    from ..net.executor import CacheSplice, SweepEngine
+    from ..net.runcache import resolve_run_cache
     from ..lang.engine import resolve_engine as resolve_lang_engine
 
+    run_cache = resolve_run_cache(run_cache, program)
     if lang_engine is not None:
         resolve_lang_engine(lang_engine)  # validate before fan-out
     if faults is not None:
@@ -349,7 +345,7 @@ def sweep_distributed(
             localized, network, task[0], task[1], batch_async, run_kwargs
         ),
     )
-    eng = resolve_engine(engine=engine, pool=pool, workers=workers, backend=backend)
+    eng = engine if engine is not None else SweepEngine()
     return splice.fill(eng.map(_distributed_task, context, splice.pending_tasks))
 
 

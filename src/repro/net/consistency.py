@@ -21,7 +21,7 @@ from ..db.instance import Instance
 from ..core.transducer import Transducer
 from .network import Network, single, standard_topologies
 from .partition import HorizontalPartition, sample_partitions
-from .run import RunResult, run_fair
+from .run import RunResult, RunStats, run_fair
 
 
 @dataclass
@@ -46,10 +46,6 @@ class ConsistencyReport:
     resolved without consulting the store (they never execute, so they
     are neither hits nor misses — ``hits + misses + dedup`` covers the
     grid).
-
-    The fault counters (``messages_dropped`` … ``partitions``) sum the
-    per-run :meth:`~repro.net.run.RunStats.fault_counts` over every
-    observation; all stay 0 for clean sweeps.
     """
 
     consistent: bool
@@ -61,24 +57,15 @@ class ConsistencyReport:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_dedup: int = 0
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
-    messages_delayed: int = 0
-    crashes: int = 0
-    restarts: int = 0
-    partitions: int = 0
 
     def fault_counts(self) -> dict[str, int]:
-        """The aggregated fault counters as a dict (mirrors
-        :meth:`~repro.net.run.RunStats.fault_counts`)."""
-        return {
-            "messages_dropped": self.messages_dropped,
-            "messages_duplicated": self.messages_duplicated,
-            "messages_delayed": self.messages_delayed,
-            "crashes": self.crashes,
-            "restarts": self.restarts,
-            "partitions": self.partitions,
-        }
+        """The per-run :meth:`~repro.net.run.RunStats.fault_counts`
+        summed over every observation; all 0 for clean sweeps."""
+        totals = RunStats().fault_counts()
+        for obs in self.observations:
+            for name, count in obs.result.stats.fault_counts().items():
+                totals[name] += count
+        return totals
 
     def _groups(self) -> dict[frozenset, list[RunObservation]]:
         """Observations grouped by output, one O(n) pass, insertion-ordered."""
@@ -119,11 +106,8 @@ def observe_runs(
     max_steps: int = 20_000,
     batch_delivery: bool = False,
     convergence: str = "incremental",
-    workers: int = 1,
-    backend: str | None = None,
     memo=None,
     run_cache=None,
-    pool=None,
     engine=None,
     faults=None,
 ) -> list[RunObservation]:
@@ -135,8 +119,8 @@ def observe_runs(
     inflationary) transducers are fair
     runs too, so sampling them strengthens the evidence.
 
-    *workers*/*backend*/*engine* select the sweep engine (see
-    :mod:`repro.net.executor`): runs are independent, so they execute
+    *engine* (a :class:`~repro.net.executor.SweepEngine`; ``None`` is
+    serial) executes the sweep: runs are independent, so they execute
     concurrently without changing a single observation — the returned
     list is identical to the serial one for every worker count.
     *memo* opts into cross-run convergence memoization (``True`` for
@@ -145,10 +129,10 @@ def observe_runs(
     checks without affecting verdicts.  *run_cache* short-circuits
     whole runs already known to the
     :class:`~repro.net.runcache.RunCache`, and a ``persistent``-lifetime
-    *engine* (or the deprecated *pool*) reuses one live fork pool
-    across consecutive sweeps; both also leave every observation
-    unchanged.  *faults* (a :class:`~repro.net.faults.FaultPlan`)
-    subjects every run to the same seeded fault plan — a faulty run is
+    *engine* reuses one live fork pool across consecutive sweeps; both
+    also leave every observation unchanged.  *faults* (a
+    :class:`~repro.net.faults.FaultPlan`) subjects every run to the
+    same seeded fault plan — a faulty run is
     still a deterministic function of ``(plan, seed, scheduler)``, so
     the returned observations stay reproducible bit-for-bit.
     """
@@ -164,11 +148,8 @@ def observe_runs(
         max_steps=max_steps,
         batch_delivery=batch_delivery,
         convergence=convergence,
-        workers=workers,
-        backend=backend,
         memo=memo,
         run_cache=run_cache,
-        pool=pool,
         engine=engine,
         faults=faults,
     )
@@ -184,11 +165,8 @@ def check_consistency(
     max_steps: int = 20_000,
     batch_delivery: bool = False,
     convergence: str = "incremental",
-    workers: int = 1,
-    backend: str | None = None,
     memo=None,
     run_cache=None,
-    pool=None,
     engine=None,
     faults=None,
 ) -> ConsistencyReport:
@@ -196,12 +174,12 @@ def check_consistency(
 
     Consistency fails definitively if two fair runs produced different
     outputs; it is supported (not proved) when all sampled runs agree.
-    *workers*/*backend*/*engine*/*memo*/*run_cache*/*pool* parallelize,
-    memoize and cache the underlying sweep (see :func:`observe_runs`) without
+    *engine*/*memo*/*run_cache* parallelize, memoize and cache the
+    underlying sweep (see :func:`observe_runs`) without
     changing the report's evidence; memo and run-cache effectiveness
     are surfaced on the report.  *faults* injects a seeded
     :class:`~repro.net.faults.FaultPlan` into every run; the aggregate
-    fault counters are surfaced on the report.
+    fault counters are read through :meth:`ConsistencyReport.fault_counts`.
     """
     from .convergence import resolve_memo
     from .runcache import resolve_run_cache
@@ -224,28 +202,14 @@ def check_consistency(
         max_steps,
         batch_delivery=batch_delivery,
         convergence=convergence,
-        workers=workers,
-        backend=backend,
         memo=memo,
         run_cache=cache,
-        pool=pool,
         engine=engine,
         faults=faults,
     )
     outputs = [obs.result.output for obs in observations]
     unconverged = sum(1 for obs in observations if not obs.result.converged)
     consistent = len(set(outputs)) <= 1
-    fault_totals = {
-        "messages_dropped": 0,
-        "messages_duplicated": 0,
-        "messages_delayed": 0,
-        "crashes": 0,
-        "restarts": 0,
-        "partitions": 0,
-    }
-    for obs in observations:
-        for name, count in obs.result.stats.fault_counts().items():
-            fault_totals[name] += count
     return ConsistencyReport(
         consistent=consistent,
         outputs=outputs,
@@ -256,7 +220,6 @@ def check_consistency(
         cache_hits=cache.cache_hits - chits0 if cache is not None else 0,
         cache_misses=cache.cache_misses - cmisses0 if cache is not None else 0,
         cache_dedup=cache.cache_dedup - cdedup0 if cache is not None else 0,
-        **fault_totals,
     )
 
 
@@ -332,11 +295,7 @@ class TopologyIndependenceReport:
     inconsistent_networks: list[str] = field(default_factory=list)
 
     def distinct_outputs(self) -> list[frozenset]:
-        seen: list[frozenset] = []
-        for out in self.per_network.values():
-            if out not in seen:
-                seen.append(out)
-        return seen
+        return list(dict.fromkeys(self.per_network.values()))
 
 
 def check_topology_independence(
@@ -346,11 +305,8 @@ def check_topology_independence(
     partition_count: int = 3,
     seeds: tuple[int, ...] = (0, 1),
     max_steps: int = 20_000,
-    workers: int = 1,
-    backend: str | None = None,
     memo=None,
     run_cache=None,
-    pool=None,
     engine=None,
     faults=None,
 ) -> TopologyIndependenceReport:
@@ -364,7 +320,7 @@ def check_topology_independence(
     memoized certificates depend only on the transducer, not on the
     topology (see :class:`~repro.net.convergence.ConvergenceMemo`).
     The same holds for *run_cache* (the network is part of the cache
-    key) and a persistent *engine*/*pool* — one live pool serves every
+    key) and a persistent *engine* — one live pool serves every
     per-network sweep, which is the fork-amortization this probe grid
     exists for.
     """
@@ -387,11 +343,8 @@ def check_topology_independence(
             partition_count=partition_count,
             seeds=seeds,
             max_steps=max_steps,
-            workers=workers,
-            backend=backend,
             memo=memo,
             run_cache=run_cache,
-            pool=pool,
             engine=engine,
             faults=faults,
         )

@@ -17,9 +17,9 @@ enforces the contract differentially: every (lifetime × workers ×
 cache configuration) combination is run against the serial unbounded
 reference and must match it bit for bit.
 
-PR 3 grew a per-sweep ``SweepExecutor`` and PR 4 a persistent
-``SweepPool`` with near-duplicate lifecycle code; this module fuses
-them into one :class:`SweepEngine` with three worker *lifetimes*:
+Every sweep entry point takes one execution parameter,
+``engine=`` (``None`` is a serial engine): a :class:`SweepEngine`
+with one of three worker *lifetimes*:
 
 * ``serial`` — the reference loop, in-process, no pool ever;
 * ``fork`` — a fresh fork pool per :class:`EngineSession`, with the
@@ -36,10 +36,9 @@ On top of the engine, :class:`CacheSplice` is the one shared
 implementation of the cached/pending bookkeeping every sweep needs
 with a :class:`~repro.net.runcache.RunCache`: split the task grid into
 cache hits, in-grid duplicates and pending work, fan only the pending
-tasks out, and splice the fresh results back in task order.  It used
-to be hand-rolled three times (``sweep_runs``,
-``check_coordination_free_on``, ``sweep_distributed``); the three
-copies are gone.
+tasks out, and splice the fresh results back in task order
+(``sweep_runs``, ``check_coordination_free_on`` and
+``sweep_distributed`` all use it).
 """
 
 from __future__ import annotations
@@ -57,21 +56,15 @@ from .partition import HorizontalPartition
 from .run import run_fair
 
 __all__ = [
-    "BACKENDS",
     "CacheSplice",
     "EngineHealth",
     "EngineSession",
     "LIFETIMES",
     "SweepEngine",
-    "lifetime_for_backend",
-    "resolve_engine",
     "sweep_runs",
 ]
 
 LIFETIMES = ("serial", "fork", "persistent")
-
-#: Legacy backend names accepted by the deprecated ``backend=`` knob.
-BACKENDS = ("serial", "multiprocessing")
 
 
 def _fork_context():
@@ -539,52 +532,6 @@ class EngineSession:
             self.close()
 
 
-def lifetime_for_backend(backend: str | None) -> str | None:
-    """Translate the deprecated ``backend=`` knob into an engine lifetime.
-
-    ``None`` keeps the engine's auto choice; ``"serial"`` pins serial;
-    ``"multiprocessing"`` maps to the strict ``"fork"`` lifetime (an
-    explicit request that cannot parallelize raises, exactly as the old
-    executor did).
-    """
-    if backend is None:
-        return None
-    if backend == "serial":
-        return "serial"
-    if backend == "multiprocessing":
-        return "fork"
-    raise ValueError(
-        f"unknown sweep backend {backend!r}; expected one of {BACKENDS}"
-    )
-
-
-def resolve_engine(
-    engine: "SweepEngine | None" = None,
-    pool=None,
-    workers: int = 1,
-    backend: str | None = None,
-) -> SweepEngine:
-    """Normalize the execution knobs every sweep entry point accepts.
-
-    Precedence: an explicit *engine* wins; then *pool* (the deprecated
-    :class:`~repro.net.runcache.SweepPool`, which is an engine shim);
-    otherwise a fresh engine is built from the *workers*/*backend*
-    pair with the historical semantics (``backend=None`` quietly
-    degrades, an explicit ``"multiprocessing"`` that cannot
-    parallelize raises).  Caller-provided engines and pools are never
-    closed here — their lifecycle belongs to the caller.
-    """
-    if engine is not None:
-        if not isinstance(engine, SweepEngine):
-            raise TypeError(f"engine must be a SweepEngine, got {engine!r}")
-        return engine
-    if pool is not None:
-        if not isinstance(pool, SweepEngine):
-            raise TypeError(f"pool must be a SweepPool/SweepEngine, got {pool!r}")
-        return pool
-    return SweepEngine(workers=workers, lifetime=lifetime_for_backend(backend))
-
-
 # ---------------------------------------------------------------------------
 # The shared cache-splice bookkeeping
 # ---------------------------------------------------------------------------
@@ -757,11 +704,8 @@ def sweep_runs(
     max_steps: int = 20_000,
     batch_delivery: bool = False,
     convergence: str = "incremental",
-    workers: int = 1,
-    backend: str | None = None,
     memo: "ConvergenceMemo | bool | None" = None,
     run_cache=None,
-    pool=None,
     engine: "SweepEngine | None" = None,
     faults=None,
 ) -> list[RunObservation]:
@@ -775,9 +719,8 @@ def sweep_runs(
     new ones are folded back, warming later runs; verdicts (and hence
     observations) are unaffected.
 
-    *engine* (a :class:`SweepEngine`) selects the executor outright;
-    otherwise one is resolved from the legacy *pool* / *workers* /
-    *backend* knobs (see :func:`resolve_engine`).  *run_cache* (a
+    *engine* (a :class:`SweepEngine`; ``None`` is serial) executes
+    the grid.  *run_cache* (a
     :class:`~repro.net.runcache.RunCache`, or ``True`` for the one
     hung off the transducer) short-circuits grid cells whose
     :class:`~repro.net.run.RunResult` is already known — each cell is
@@ -831,7 +774,7 @@ def sweep_runs(
     )
     pending_tasks = splice.pending_tasks
 
-    eng = resolve_engine(engine=engine, pool=pool, workers=workers, backend=backend)
+    eng = engine if engine is not None else SweepEngine()
     cache_deltas: list[dict] = []
     if not (eng.parallel and len(pending_tasks) > 1):
         # In-process execution (including the nothing-to-fan-out case):

@@ -52,10 +52,6 @@ canonical sorted-fact digests — so differently-ordered but equal
 instances (the monotonicity probes regenerate theirs per diagnostic)
 land on the same cell, and keys stay compact strings instead of
 pinning whole partition object graphs in every persisted bundle.
-
-The persistent ``SweepPool`` that used to live here was fused into
-:class:`repro.net.executor.SweepEngine` (the ``persistent`` lifetime);
-the old name remains importable as a deprecation shim.
 """
 
 from __future__ import annotations
@@ -74,14 +70,12 @@ import zlib
 from ..lang.query import EmptyQuery, FOQuery, PythonQuery, Query
 from ..lang.ucq import UCQNegQuery
 from .convergence import ConvergenceMemo
-from .executor import SweepEngine, _fork_context
 from .faults import FaultPlan
 from .network import Network
 from .partition import HorizontalPartition
 
 __all__ = [
     "RunCache",
-    "SweepPool",
     "instance_digest",
     "partition_digest",
     "resolve_run_cache",
@@ -1216,37 +1210,3 @@ def resolve_run_cache(run_cache, transducer) -> RunCache | None:
             f"run_cache must be a RunCache or bool, got {run_cache!r}"
         )
     return run_cache
-
-
-# ---------------------------------------------------------------------------
-# Deprecated: the persistent sweep pool (now an engine lifetime)
-# ---------------------------------------------------------------------------
-
-
-class SweepPool(SweepEngine):
-    """Deprecated: one fork pool reused across consecutive sweeps —
-    now the ``persistent`` lifetime of
-    :class:`~repro.net.executor.SweepEngine`.
-
-    The shim keeps the historical leniency: where fork is unavailable,
-    or with ``workers=1``, it degrades to an in-process map
-    (``pool.parallel`` is False) instead of raising, so old callers
-    keep one code path.  New code should construct
-    ``SweepEngine(workers=n, lifetime="persistent")`` directly (which
-    is strict about requests it cannot honor).
-    """
-
-    def __init__(self, workers: int = 2):
-        warnings.warn(
-            "SweepPool is deprecated; use "
-            "repro.net.SweepEngine(lifetime='persistent')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        workers = max(1, int(workers))
-        lifetime = (
-            "persistent"
-            if workers > 1 and _fork_context() is not None
-            else "serial"
-        )
-        super().__init__(workers=workers, lifetime=lifetime)

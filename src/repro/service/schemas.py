@@ -377,13 +377,11 @@ def static_report_json(subject) -> dict:
 def result_to_json(kind: str, result) -> dict:
     """Harness report objects → the job's ``result`` JSON."""
     if kind == "consistency":
-        distinct = []
-        for output in result.outputs:
-            if output not in distinct:
-                distinct.append(output)
         return {
             "consistent": result.consistent,
-            "distinct_outputs": [_facts_to_json(o) for o in distinct],
+            "distinct_outputs": [
+                _facts_to_json(o) for o in result.distinct_outputs
+            ],
             "observations": len(result.observations),
             "unconverged": result.unconverged,
             "cache": {

@@ -13,7 +13,7 @@ from repro.dedalus import (
     run_program,
     sweep_distributed,
 )
-from repro.net import full_replication, line, ring, round_robin
+from repro.net import SweepEngine, full_replication, line, ring, round_robin
 
 S2 = schema(S=2)
 
@@ -176,11 +176,40 @@ class TestDistributedSweep:
         )
         swept = sweep_distributed(
             prog, net, partitions, seeds=(0, 1), max_steps=300,
-            workers=workers,
-            backend="multiprocessing" if workers > 1 else None,
+            engine=SweepEngine(
+                workers=workers, lifetime="fork" if workers > 1 else None
+            ),
         )
         assert len(swept) == len(serial) == 4
         for a, b in zip(serial, swept):
             assert a.stabilized_at == b.stabilized_at
             assert a.steps == b.steps
             assert a.final() == b.final()
+
+    def test_run_cache_true_uses_the_program_scoped_cache(self, chain):
+        # ``run_cache=True`` means "the cache hung off the subject", as
+        # for a transducer: here the subject is the Dedalus program.
+        net = line(2)
+        prog = DedalusProgram.parse(TC_LOCAL, S2)
+        partition = round_robin(chain, net)
+        plain = run_distributed(prog, net, partition, max_steps=300)
+        first = run_distributed(
+            prog, net, partition, max_steps=300, run_cache=True
+        )
+        cache = prog.run_cache
+        misses = cache.cache_misses
+        second = run_distributed(
+            prog, net, partition, max_steps=300, run_cache=True
+        )
+        assert cache.cache_hits == 1 and cache.cache_misses == misses
+        assert first == second == plain
+        swept = sweep_distributed(
+            prog, net, [partition], seeds=(0,), max_steps=300,
+            run_cache=True,
+        )
+        assert swept == [plain]
+        assert cache.cache_hits == 2  # same cell as the seed-0 run
+        with pytest.raises(TypeError, match="run_cache"):
+            run_distributed(prog, net, partition, run_cache="yes")
+        with pytest.raises(TypeError, match="run_cache"):
+            sweep_distributed(prog, net, [partition], run_cache="yes")

@@ -23,8 +23,8 @@ Also pinned here, per the executor-fusion acceptance criteria:
 * the three hand-rolled cached/pending splice loops are gone — every
   sweep routes through the one shared
   :class:`~repro.net.executor.CacheSplice` helper;
-* the old ``SweepExecutor``/``SweepPool`` names are importable only as
-  deprecation shims over :class:`~repro.net.SweepEngine`;
+* ``engine=`` is the only execution parameter of every sweep entry
+  point, and the old executor names are gone;
 * early-exiting a partially consumed probe search (witness found with
   candidates still unprobed) still drains and joins the worker pool —
   the leak-detection tests count live children before and after.
@@ -71,8 +71,8 @@ RELAY = relay_identity_transducer()
 # pinned below), so their workers=1 points are covered by the auto
 # path, which resolves workers=1 to serial.
 ENGINE_CONFIGS = [
-    ("auto-w1", lambda: {"workers": 1}),
-    ("auto-w2", lambda: {"workers": 2}),
+    ("auto-w1", lambda: {"engine": SweepEngine(workers=1)}),
+    ("auto-w2", lambda: {"engine": SweepEngine(workers=2)}),
     ("serial-w2", lambda: {"engine": SweepEngine(workers=2, lifetime="serial")}),
     ("fork-w2", lambda: {"engine": SweepEngine(workers=2, lifetime="fork")}),
     (
@@ -249,7 +249,8 @@ class TestFullMatrix:
         cache = RunCache(max_entries=2)
         for _ in range(3):
             got = sweep_runs(
-                ring(3), TC, partitions, seeds, run_cache=cache, workers=2
+                ring(3), TC, partitions, seeds, run_cache=cache,
+                engine=SweepEngine(workers=2),
             )
             assert got == reference
             assert len(cache) <= 2
@@ -343,7 +344,7 @@ class TestFaultColumn:
         )
         got = check_consistency(
             line(3), TC, GRAPH, partitions=partitions, seeds=(0, 1),
-            faults=self.PLAN, workers=2,
+            faults=self.PLAN, engine=SweepEngine(workers=2),
         )
         assert got.consistent == reference.consistent
         assert got.outputs == reference.outputs
@@ -539,7 +540,7 @@ class TestNoWorkerLeaks:
         before = _live_children()
         report = check_coordination_free_on(
             line(2), TC, GRAPH, expected,
-            workers=2, backend="multiprocessing",
+            engine=SweepEngine(workers=2, lifetime="fork"),
         )
         assert report.coordination_free
         assert report.exhaustive and report.partitions_tried < 27  # early exit
@@ -568,28 +569,49 @@ class TestNoWorkerLeaks:
     def test_parallel_sweeps_leave_no_children(self):
         partitions = sample_partitions(GRAPH, line(3), 3)
         before = _live_children()
-        sweep_runs(line(3), TC, partitions, (0, 1), workers=2)
+        sweep_runs(
+            line(3), TC, partitions, (0, 1), engine=SweepEngine(workers=2)
+        )
         assert _live_children() <= before
 
 
 # ---------------------------------------------------------------------------
-# Structural criteria: one splice helper, old names are shims
+# Structural criteria: one splice helper, one execution parameter
 # ---------------------------------------------------------------------------
 
 
 class TestFusionStructure:
-    def test_old_names_are_deprecation_shims(self):
-        from repro.net.runcache import SweepPool
-        from repro.net.sweep import SweepExecutor, SweepSession
+    def test_engine_is_the_only_execution_parameter(self):
+        import repro.net
+        from repro.dedalus.distributed import run_distributed, sweep_distributed
+        from repro.net import (
+            check_topology_independence,
+            observe_runs,
+        )
 
-        assert issubclass(SweepExecutor, SweepEngine)
-        assert issubclass(SweepPool, SweepEngine)
-        with pytest.warns(DeprecationWarning):
-            SweepExecutor(workers=1)
-        with pytest.warns(DeprecationWarning):
-            SweepPool(workers=1)
-        with pytest.warns(DeprecationWarning):
-            SweepSession(SweepEngine(workers=1), lambda c, i: i, None)
+        entry_points = (
+            sweep_runs,
+            observe_runs,
+            check_consistency,
+            check_topology_independence,
+            check_coordination_free_on,
+            calm_verdict,
+            run_distributed,
+            sweep_distributed,
+        )
+        for fn in entry_points:
+            params = inspect.signature(fn).parameters
+            assert "engine" in params, fn.__name__
+            for knob in ("workers", "backend", "pool"):
+                assert knob not in params, (fn.__name__, knob)
+        # The old executor, pool and session classes, the backend-name
+        # table and its translator, and the knob resolver are all gone.
+        exported = set(dir(repro.net)) | set(repro.net.__all__)
+        assert {n for n in exported if n.startswith("Sweep")} == {"SweepEngine"}
+        assert not {n for n in exported if "backend" in n.lower()}
+        assert "resolve_engine" not in exported
+        with pytest.raises(ImportError):
+            import repro.net.sweep  # noqa: F401
 
     def test_single_shared_splice_helper(self):
         # The three hand-rolled cached/pending merge loops are gone:

@@ -32,6 +32,7 @@ from repro.db import Fact, Instance, schema
 from repro.net import (
     FaultPlan,
     FaultyScheduler,
+    SweepEngine,
     check_consistency,
     computed_output,
     line,
@@ -231,8 +232,12 @@ class TestDeterministicFaultReplay:
         seeds = tuple(sorted(seeds))
         net = line(3)
         parts = [round_robin(GRAPH, net)]
-        serial = sweep_runs(net, TC, parts, seeds, faults=MIXED, workers=1)
-        forked = sweep_runs(net, TC, parts, seeds, faults=MIXED, workers=2)
+        serial = sweep_runs(
+            net, TC, parts, seeds, faults=MIXED, engine=SweepEngine(workers=1)
+        )
+        forked = sweep_runs(
+            net, TC, parts, seeds, faults=MIXED, engine=SweepEngine(workers=2)
+        )
         assert [_signature(o.result) for o in serial] == [
             _signature(o.result) for o in forked
         ]
