@@ -45,6 +45,7 @@ from repro.net import (
     star,
     sweep_runs,
 )
+from repro.net.run import RunStats
 from repro.net.runcache import RunCache, _disk_key_text, run_key
 
 S2 = schema(S=2)
@@ -325,6 +326,13 @@ class TestFaultCacheIsolation:
         for name in totals:
             assert totals[name] == sum(c[name] for c in per_run)
         assert totals["messages_dropped"] > 0
+
+    def test_clean_report_fault_counters_are_zero(self):
+        report = check_consistency(line(3), TC, GRAPH, partition_count=2,
+                                   seeds=(0, 1))
+        zero = {name: 0 for name in RunStats().fault_counts()}
+        assert report.observations
+        assert report.fault_counts() == zero
 
 
 class TestDedalusFaults:

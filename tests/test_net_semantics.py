@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.db import Instance, instance, schema
 from repro.net import (
+    SweepEngine,
     check_consistency,
     check_coordination_free_on,
     check_topology_independence,
@@ -20,6 +21,7 @@ from repro.net import (
     ring,
     single,
 )
+from repro.net.consistency import TopologyIndependenceReport
 
 
 @pytest.fixture
@@ -51,6 +53,22 @@ class TestConsistencyChecker:
         a, b = witness
         assert a.result.output != b.result.output
 
+    def test_default_engine_matches_an_explicit_serial_engine(self):
+        t = first_element_transducer()
+        I = instance(schema(S=1), S=[(1,), (2,)])
+        default = check_consistency(line(2), t, I, seeds=tuple(range(4)))
+        serial = check_consistency(
+            line(2), t, I, seeds=tuple(range(4)), engine=SweepEngine()
+        )
+        assert default.consistent == serial.consistent
+        assert [
+            (o.partition, o.seed, o.result.output, o.result.stats.steps)
+            for o in default.observations
+        ] == [
+            (o.partition, o.seed, o.result.output, o.result.stats.steps)
+            for o in serial.observations
+        ]
+
 
 class TestTopologyIndependence:
     def test_tc_is_topology_independent(self, tc, I2):
@@ -68,6 +86,14 @@ class TestTopologyIndependence:
         )
         assert not report.independent
         assert len(report.distinct_outputs()) == 2
+
+    def test_distinct_outputs_keep_first_seen_order(self):
+        a, b = frozenset({1}), frozenset({2})
+        report = TopologyIndependenceReport(
+            independent=False,
+            per_network={"single": b, "line(2)": a, "ring(3)": b},
+        )
+        assert report.distinct_outputs() == [b, a]
 
     def test_single_node_always_included(self, tc, I2):
         report = check_topology_independence(
