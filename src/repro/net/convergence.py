@@ -222,56 +222,6 @@ class ConvergenceMemo:
         self.memo_hits += hits
         self.memo_misses += misses
 
-    def save(self, path) -> None:
-        """Persist the certificate store to *path* (pickle).
-
-        Counters and the journal are transient bookkeeping and are not
-        persisted.  The file carries no transducer identity — loading a
-        memo for the wrong transducer is the caller's unsoundness; use
-        :meth:`repro.net.runcache.RunCache.store_memo` for a
-        fingerprint-guarded bundle.  It does carry the library's
-        runtime token: certificates proven by different code could be
-        wrong for this one (they would change *verdicts*, not just
-        speed), so :meth:`load` rejects cross-version files.
-        """
-        import pickle
-
-        from .runcache import runtime_token
-
-        payload = {
-            "format": "repro-convergence-memo",
-            "version": 1,
-            "runtime": runtime_token(),
-            "entries": self.entries,
-        }
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def load(cls, path) -> "ConvergenceMemo":
-        """Load a memo persisted by :meth:`save`."""
-        import pickle
-
-        from .runcache import runtime_token
-
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != "repro-convergence-memo"
-        ):
-            raise ValueError(f"{path!r} is not a saved ConvergenceMemo")
-        if payload.get("version") != 1:
-            raise ValueError(
-                f"unsupported ConvergenceMemo version {payload.get('version')!r}"
-            )
-        if payload.get("runtime") != runtime_token():
-            raise ValueError(
-                f"{path!r} was saved by a different runtime version; "
-                "discard it and start cold"
-            )
-        return cls(payload["entries"])
-
     def stats(self) -> dict:
         return {
             "entries": len(self.entries),

@@ -38,7 +38,9 @@ with a :class:`~repro.net.runcache.RunCache`: split the task grid into
 cache hits, in-grid duplicates and pending work, fan only the pending
 tasks out, and splice the fresh results back in task order
 (``sweep_runs``, ``check_coordination_free_on`` and
-``sweep_distributed`` all use it).
+``sweep_distributed`` all use it).  The splice makes the parent the
+cache's only writer: workers receive pending tasks only, never the
+cache.
 """
 
 from __future__ import annotations
@@ -650,49 +652,18 @@ def _run_task_mp(context, task):
     has proven since (per-worker warmth accumulates across its tasks).
     The freshly proven entries and the hit/miss counter deltas travel
     back with the observation for the parent to merge.
-
-    The worker's *cache view* gets the same treatment: before running,
-    the task checks the shared read-mostly snapshot (a sibling in this
-    worker may already have computed the cell — ``shared_hit``), and a
-    fresh run is journalled so its entry travels back with the memo
-    delta for the parent cache to merge.
     """
-    network, transducer, memo, run_kwargs, cache_view, fingerprint = context
-    partition, seed = task
-    if memo is not None:
-        memo.start_journal()
-        hits0, misses0 = memo.memo_hits, memo.memo_misses
-    result = None
-    shared_hit = False
-    key = None
-    if cache_view is not None:
-        from .runcache import run_key
-
-        cache_view.start_journal()
-        key = run_key(
-            "fair-random", network, fingerprint, partition, seed, run_kwargs
-        )
-        cached = cache_view.get(key)
-        if cached is not None:
-            result = cached
-            shared_hit = True
-    if result is None:
-        result = run_fair(
-            network, transducer, partition, seed=seed, memo=memo, **run_kwargs
-        )
-        if cache_view is not None:
-            cache_view.record(key, result)
-    observation = RunObservation(network, partition, seed, result)
-    cache_delta = cache_view.drain_new() if cache_view is not None else None
+    memo = context[2]
     if memo is None:
-        return observation, None, 0, 0, cache_delta, shared_hit
+        return _run_task(context, task), None, 0, 0
+    memo.start_journal()
+    hits0, misses0 = memo.memo_hits, memo.memo_misses
+    observation = _run_task(context, task)
     return (
         observation,
         memo.drain_new(),
         memo.memo_hits - hits0,
         memo.memo_misses - misses0,
-        cache_delta,
-        shared_hit,
     )
 
 
@@ -761,7 +732,6 @@ def sweep_runs(
                 "fair-random", network, fingerprint, task[0], task[1], run_kwargs
             )
     else:
-        fingerprint = None
         key_fn = None
 
     splice = CacheSplice(
@@ -775,38 +745,24 @@ def sweep_runs(
     pending_tasks = splice.pending_tasks
 
     eng = engine if engine is not None else SweepEngine()
-    cache_deltas: list[dict] = []
+    context = (network, transducer, memo, run_kwargs)
     if not (eng.parallel and len(pending_tasks) > 1):
         # In-process execution (including the nothing-to-fan-out case):
         # the tracker records straight into the parent memo — runs warm
         # each other directly, nothing to merge.  _run_task_mp must not
-        # run in-parent: its journal/counter bookkeeping assumes
-        # worker-side memo and cache copies and would double-count on
-        # the shared ones.
-        context = (network, transducer, memo, run_kwargs)
+        # run in-parent: its journal/counter bookkeeping assumes a
+        # worker-side memo copy and would double-count on the shared
+        # one.
         fresh = [_run_task(context, task) for task in pending_tasks]
     else:
-        # Workers get a read-mostly snapshot of the cache; their fresh
-        # recordings journal back as deltas, so a cell one worker
-        # computes stops re-missing in its siblings' later tasks.
-        view = cache.worker_view() if cache is not None else None
-        context = (network, transducer, memo, run_kwargs, view, fingerprint)
-        outcomes = eng.map(_run_task_mp, context, pending_tasks)
         fresh = []
-        for observation, delta, hits, misses, cache_delta, shared_hit in outcomes:
+        for observation, delta, hits, misses in eng.map(
+            _run_task_mp, context, pending_tasks
+        ):
             fresh.append(observation)
-            if memo is not None and delta is not None:
+            if delta is not None:
                 memo.merge(delta)
                 memo.add_counts(hits, misses)
-            if cache is not None:
-                if shared_hit:
-                    cache.bump("shared_hits")
-                if cache_delta:
-                    cache_deltas.append(cache_delta)
-    results = splice.fill(fresh, store=lambda obs: obs.result)
-    # After fill (which records every pending result anyway) the worker
-    # deltas are mostly overlap; merging them keeps the LRU recency and
-    # the bound exact without double-recording (existing entries win).
-    for cache_delta in cache_deltas:
-        cache.merge_worker_delta(cache_delta)
-    return results
+    # The parent is the cache's only writer: fill records every pending
+    # result in grid order, exactly as the serial sweep does.
+    return splice.fill(fresh, store=lambda obs: obs.result)

@@ -23,18 +23,16 @@ in-memory store into an LRU keyed by last hit (the transition cache's
 pattern — hits promote, inserts evict the stalest entry), where
 ``max_bytes`` weighs each entry by its pickled size — the honest unit,
 since a heartbeat-probe frozenset and a traced ``RunResult`` differ by
-orders of magnitude; ``compress_traces=`` transparently compresses
-``keep_trace=True`` results, whose traces dominate the footprint; and
-``disk_path=`` adds a sqlite tier *below* the in-memory bound, so
-eviction demotes entries to disk instead of discarding them and a
-memory miss promotes them back.  Workers inside a parallel sweep get a
-read-mostly :meth:`RunCache.worker_view` whose fresh recordings travel
-back as deltas for the parent to merge (the same journal discipline
-the convergence memo uses).  The knobs survive
-:meth:`save`/:meth:`load` round-trips (bundle format v3), and an
-evict-then-recompute cycle is property-tested bit-identical to an
-unbounded cache (results are pure functions of their keys, so an
-eviction costs time, never correctness).
+orders of magnitude; and ``disk_path=`` adds a sqlite tier *below*
+the in-memory bound, so eviction demotes entries to disk instead of
+discarding them and a memory miss promotes them back.  The parent
+sweep is the cache's only writer: workers never see the cache, so a
+parallel sweep leaves the serial sweep's entries, LRU order and
+counters.  The bounds survive :meth:`save`/:meth:`load` round-trips
+(bundle format v4), and an evict-then-recompute cycle is
+property-tested bit-identical to an unbounded cache (results are pure
+functions of their keys, so an eviction costs time, never
+correctness).
 
 Fingerprints are the soundness boundary: a cache entry recorded for
 one transducer must never be served to a different one.
@@ -65,7 +63,6 @@ import sqlite3
 import sys
 import threading
 import warnings
-import zlib
 
 from ..lang.query import EmptyQuery, FOQuery, PythonQuery, Query
 from ..lang.ucq import UCQNegQuery
@@ -86,7 +83,7 @@ __all__ = [
 ]
 
 _CACHE_FORMAT = "repro-runcache"
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 
 _RUNTIME_TOKEN = None
 _RUNTIME_TOKEN_LOCK = threading.Lock()
@@ -480,11 +477,12 @@ class _DiskTier:
     file degrades to a cold tier, never a wrong hit.
 
     Damage degrades, never crashes: a corrupt or truncated file at
-    open is warned about, deleted and recreated fresh; if even that
-    fails — or sqlite errors mid-session — the tier disables itself
-    (gets miss, puts discard) and the cache continues memory-only.  A
-    long sweep must survive a bad disk, and the tier is only ever an
-    accelerator.
+    open is warned about, deleted and recreated fresh, and a row that
+    no longer unpickles is warned about and deleted (a miss); if the
+    recreation fails — or sqlite errors mid-session — the tier
+    disables itself (gets miss, puts discard) and the cache continues
+    memory-only.  A long sweep must survive a bad disk, and the tier
+    is only ever an accelerator.
 
     The tier is thread-safe: the connection is opened with
     ``check_same_thread=False`` (sqlite's default refuses any use from
@@ -591,6 +589,16 @@ class _DiskTier:
             except sqlite3.DatabaseError as exc:
                 self._disable(f"failed mid-session ({exc})")
 
+    def delete(self, text: str) -> None:
+        with self._lock:
+            if self._conn is None:
+                return
+            try:
+                self._conn.execute("DELETE FROM entries WHERE k = ?", (text,))
+                self._conn.commit()
+            except sqlite3.DatabaseError as exc:
+                self._disable(f"failed mid-session ({exc})")
+
     def __len__(self) -> int:
         with self._lock:
             if self._conn is None:
@@ -618,41 +626,6 @@ class _DiskTier:
 # ---------------------------------------------------------------------------
 
 
-class _CompressedResult:
-    """A zlib-compressed pickle of one cached value (trace-heavy
-    ``RunResult``s).  Thawed transparently on :meth:`RunCache.get`;
-    pickle round-trips are pinned bit-identical by the conformance
-    suite, so compression never changes an observation."""
-
-    __slots__ = ("blob",)
-
-    def __init__(self, blob: bytes):
-        self.blob = blob
-
-    @classmethod
-    def freeze(cls, value) -> "_CompressedResult":
-        return cls(
-            zlib.compress(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-        )
-
-    def thaw(self):
-        return pickle.loads(zlib.decompress(self.blob))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _CompressedResult):
-            return NotImplemented
-        return self.blob == other.blob
-
-    def __hash__(self) -> int:
-        return hash(self.blob)
-
-    def __reduce__(self):
-        return (_CompressedResult, (self.blob,))
-
-    def __repr__(self) -> str:
-        return f"_CompressedResult({len(self.blob)} bytes)"
-
-
 #: Weight charged to a value that cannot be pickled (it still occupies
 #: memory, so it must still count against a byte budget).
 _NOMINAL_WEIGHT = 1024
@@ -661,11 +634,7 @@ _NOMINAL_WEIGHT = 1024
 def _weigh(value) -> int:
     """The byte weight of one cached value: its pickled size — the one
     size measure that is well-defined for every value shape the cache
-    holds (RunResults, frozensets, Dedalus traces) and that
-    ``compress_traces`` already computes (a compressed entry weighs its
-    blob, the bytes it actually occupies)."""
-    if isinstance(value, _CompressedResult):
-        return len(value.blob)
+    holds (RunResults, frozensets, Dedalus traces)."""
     try:
         return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:
@@ -689,18 +658,12 @@ class RunCache:
     :meth:`record` past the bound evicts the least-recently-used entry
     first (``evictions`` counts them).  *max_bytes* bounds the same
     LRU by **weight** instead of count: every entry is weighed by its
-    pickled size (``compress_traces`` entries by their compressed blob
-    — the bytes they actually occupy), eviction pops the stalest
-    entries until the total fits, and an entry larger than the whole
-    budget is simply not kept in memory.  Both bounds may be active at
-    once; ``None`` (the default) keeps the historical unbounded
+    pickled size, eviction pops the stalest entries until the total
+    fits, and an entry larger than the whole budget is simply not kept
+    in memory.  Both bounds may be active at once; ``None`` (the default) keeps the historical unbounded
     behaviour.  Because every value is a pure function of its key,
     eviction is always safe — a later miss on an evicted key
     recomputes the identical value (property-tested).
-
-    *compress_traces* compresses ``RunResult`` values that carry a
-    nonempty ``keep_trace=True`` trace (the entries that dominate a
-    bounded cache's footprint); :meth:`get` thaws them transparently.
 
     *disk_path* opens a sqlite tier **below** the in-memory bound:
     eviction *demotes* the entry to disk (``demotions``) when its key
@@ -709,20 +672,21 @@ class RunCache:
     memory (``promotions``) and counts as a cache hit.  The file is
     guarded by :func:`runtime_token`, so a long-lived server restarts
     warm while a stale file degrades to a cold tier.  The tier is
-    process-local plumbing: it is dropped by pickling (worker copies
-    are memory-only) and :meth:`save` bundles only the memory tier.
+    process-local plumbing: it is dropped by pickling (an unpickled
+    copy is memory-only) and :meth:`save` bundles only the memory
+    tier.
 
     The cache also bundles per-fingerprint convergence-memo snapshots
     (:meth:`store_memo` / :meth:`memo_for`), so one :meth:`save` file
     restores both the run results *and* the quiescence certificates a
-    warm CI job needs; the bounds, the compression flag and the LRU
-    recency order all survive the round-trip (bundle format v3).
+    warm CI job needs; the bounds and the LRU recency order both
+    survive the round-trip (bundle format v4).
 
     The cache is **thread-safe**: one reentrant lock guards every
     mutation path — :meth:`get` (LRU promotion + counters),
-    :meth:`record`, eviction/demotion, the journal, merges and
-    :meth:`save`'s snapshot.  Unlocked, two orchestrator workers
-    interleaving ``get``/``record`` could corrupt the recency dict
+    :meth:`record`, eviction/demotion, merges and :meth:`save`'s
+    snapshot.  Unlocked, two orchestrator workers interleaving
+    ``get``/``record`` could corrupt the recency dict
     mid-promotion (``del`` then re-insert is two steps), double-evict
     one key (both pop the same front entry, the ``bytes`` ledger
     drifts), or lose counter increments (``+=`` is a read-modify-write)
@@ -738,7 +702,6 @@ class RunCache:
         entries: dict | None = None,
         memos: dict | None = None,
         max_entries: int | None = None,
-        compress_traces: bool = False,
         max_bytes: int | None = None,
         disk_path=None,
     ):
@@ -752,10 +715,9 @@ class RunCache:
                 raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.compress_traces = bool(compress_traces)
         # Reentrant: record() -> _evict_over_bound() -> _disk demotion
-        # all run under one acquisition; dropped by __reduce__ (worker
-        # copies build their own).
+        # all run under one acquisition; dropped by __reduce__ (an
+        # unpickled copy builds its own).
         self._lock = threading.RLock()
         self.entries: dict[tuple, object] = {}
         #: key -> pickled size; ``bytes`` is the running total.
@@ -768,13 +730,9 @@ class RunCache:
         #: In-grid duplicate cells resolved without consulting the
         #: store (see CacheSplice) — neither hits nor misses.
         self.cache_dedup = 0
-        #: Worker-side hits on a shared worker_view, merged back by
-        #: the parent sweep.
-        self.shared_hits = 0
         self.evictions = 0
         self.demotions = 0
         self.promotions = 0
-        self._journal: dict | None = None
         self.disk_path = str(disk_path) if disk_path is not None else None
         self._disk = _DiskTier(disk_path) if disk_path is not None else None
         if entries:
@@ -786,11 +744,10 @@ class RunCache:
         return len(self.entries)
 
     def bump(self, counter: str, n: int = 1) -> None:
-        """Atomically add *n* to a named counter (``cache_dedup``,
-        ``shared_hits``…).  ``+=`` on the attribute is a
-        read-modify-write that loses increments under concurrent
-        sweeps; external counter arithmetic routes through here so it
-        shares the cache's own lock."""
+        """Atomically add *n* to a named counter (``cache_dedup``).
+        ``+=`` on the attribute is a read-modify-write that loses
+        increments under concurrent sweeps; external counter arithmetic
+        routes through here so it shares the cache's own lock."""
         with self._lock:
             setattr(self, counter, getattr(self, counter) + n)
 
@@ -819,8 +776,6 @@ class RunCache:
             # entry.
             del self.entries[key]
             self.entries[key] = value
-        if isinstance(value, _CompressedResult):
-            value = value.thaw()
         return value
 
     def _disk_get(self, key: tuple):
@@ -831,26 +786,33 @@ class RunCache:
         blob = self._disk.get(text)
         if blob is None:
             return None
-        value = pickle.loads(blob)
+        try:
+            value = pickle.loads(blob)
+        except Exception as exc:
+            # A damaged row is a miss, not a crash: drop it so the
+            # recomputed value can take its place.
+            warnings.warn(
+                f"run-cache disk tier {self._disk.path!r} holds an "
+                f"undecodable row ({exc!r}); dropping it",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            self._disk.delete(text)
+            return None
         self.cache_hits += 1
         self.promotions += 1
         self._insert(key, value)
         self._evict_over_bound()
-        if isinstance(value, _CompressedResult):
-            value = value.thaw()
         return value
 
     def record(self, key: tuple, value) -> None:
-        value = self._freeze(value)
         with self._lock:
             self._insert(key, value)
-            if self._journal is not None:
-                self._journal[key] = value
             self._evict_over_bound()
 
     def _insert(self, key: tuple, value) -> None:
-        """Insert an already-frozen value as most-recent, keeping the
-        weight ledger exact on re-insert."""
+        """Insert *value* as most-recent, keeping the weight ledger
+        exact on re-insert."""
         old = self._weights.pop(key, None)
         if old is not None:
             del self.entries[key]
@@ -859,11 +821,6 @@ class RunCache:
         self.entries[key] = value
         self._weights[key] = weight
         self.bytes += weight
-
-    def _freeze(self, value):
-        if self.compress_traces and getattr(value, "trace", None):
-            return _CompressedResult.freeze(value)
-        return value
 
     def _evict_over_bound(self) -> None:
         if self.max_entries is not None:
@@ -890,54 +847,6 @@ class RunCache:
                 self._disk.put(text, blob)
                 self.demotions += 1
 
-    # -- the shared worker tier ------------------------------------------
-
-    def start_journal(self) -> None:
-        """Start (or reset) journalling: every :meth:`record` from now
-        on is also kept aside for :meth:`drain_new` — the worker side
-        of the delta protocol, mirroring ``ConvergenceMemo``."""
-        with self._lock:
-            self._journal = {}
-
-    def drain_new(self) -> dict:
-        """The entries recorded since the journal (re)started; resets
-        the journal.  Values are frozen exactly as stored."""
-        with self._lock:
-            delta, self._journal = self._journal or {}, {}
-        return delta
-
-    def worker_view(self) -> "RunCache":
-        """A read-mostly snapshot for one sweep's workers.
-
-        The view shares the (immutable) cached values but none of the
-        bounds or tiers: workers only ever add to their copy, journal
-        every fresh recording, and ship the delta back with their memo
-        delta for the parent to :meth:`merge_worker_delta` — so a
-        sibling's result computed earlier in the same sweep serves
-        later tasks instead of re-missing per worker.
-        """
-        view = RunCache(compress_traces=self.compress_traces)
-        with self._lock:
-            view.entries = dict(self.entries)
-            view._weights = dict(self._weights)
-            view.bytes = self.bytes
-        view.start_journal()
-        return view
-
-    def merge_worker_delta(self, delta: dict) -> int:
-        """Fold one worker's journalled recordings in; returns the
-        number of new entries.  Existing entries win on overlap (under
-        one runtime, overlapping values are identical)."""
-        added = 0
-        with self._lock:
-            for key, value in delta.items():
-                if key not in self.entries:
-                    self._insert(key, value)
-                    added += 1
-            if added:
-                self._evict_over_bound()
-        return added
-
     def merge(self, other: "RunCache") -> int:
         """Fold another cache in; returns the number of new run entries.
 
@@ -961,12 +870,7 @@ class RunCache:
             before = len(self.entries)
             for key, value in other_entries.items():
                 if key not in self.entries:
-                    # Freeze on the way in, exactly like record():
-                    # merging a warm-start bundle into a
-                    # compress_traces cache must not accumulate the
-                    # uncompressed trace-heavy entries the knob exists
-                    # to shrink.
-                    self._insert(key, self._freeze(value))
+                    self._insert(key, value)
             for fingerprint, memo_entries in other_memos.items():
                 mine = self.memos.setdefault(fingerprint, {})
                 for key, value in memo_entries.items():
@@ -1031,8 +935,8 @@ class RunCache:
         Session-local ``mem:`` fingerprints are dropped on the way out:
         they can never match in another process, so persisting them
         would only bloat the file.  Entries are written in LRU recency
-        order and the bound/compression knobs ride along, so a
-        :meth:`load` resumes the exact cache state (minus counters).
+        order and the bounds ride along, so a :meth:`load` resumes the
+        exact cache state (minus counters).
         """
         def persistable(key) -> bool:
             fingerprint = key[2] if len(key) > 2 else ""
@@ -1048,7 +952,6 @@ class RunCache:
                 "runtime": runtime_token(),
                 "max_entries": self.max_entries,
                 "max_bytes": self.max_bytes,
-                "compress_traces": self.compress_traces,
                 "entries": {
                     key: value
                     for key, value in self.entries.items()
@@ -1067,7 +970,7 @@ class RunCache:
     def load(
         cls, path, max_entries=_KEEP, max_bytes=_KEEP, disk_path=None
     ) -> "RunCache":
-        """Load a cache persisted by :meth:`save` (format v3).
+        """Load a cache persisted by :meth:`save` (format v4).
 
         *max_entries* / *max_bytes* override the persisted bounds when
         given (``None`` unbinds, an integer re-binds — oldest entries
@@ -1131,7 +1034,6 @@ class RunCache:
             payload["entries"],
             payload["memos"],
             max_entries=max_entries,
-            compress_traces=payload.get("compress_traces", False),
             max_bytes=max_bytes,
             disk_path=disk_path,
         )
@@ -1145,7 +1047,6 @@ class RunCache:
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
                 "cache_dedup": self.cache_dedup,
-                "shared_hits": self.shared_hits,
                 "max_entries": self.max_entries,
                 "max_bytes": self.max_bytes,
                 "evictions": self.evictions,
@@ -1155,9 +1056,8 @@ class RunCache:
             }
 
     def __reduce__(self):
-        # Counters, journal, the lock and the disk tier are
-        # process-local plumbing and deliberately dropped: an unpickled
-        # copy (worker view in a persistent pool's payload) is
+        # Counters, the lock and the disk tier are process-local
+        # plumbing and deliberately dropped: an unpickled copy is
         # memory-only and builds its own lock.
         with self._lock:
             return (
@@ -1166,7 +1066,6 @@ class RunCache:
                     dict(self.entries),
                     {fp: dict(e) for fp, e in self.memos.items()},
                     self.max_entries,
-                    self.compress_traces,
                     self.max_bytes,
                 ),
             )

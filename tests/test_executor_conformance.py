@@ -15,8 +15,9 @@ churn (a bounded cache small enough that recording evicts earlier
 cells of the *same* grid).  Tier configurations cover the whole
 storage hierarchy: unbounded, entry-bounded, byte-bounded, and
 entry-bounded with a sqlite disk tier below (eviction demotes,
-memory misses promote); parallel lifetimes additionally exercise the
-shared worker tier (read-mostly views + merged deltas).
+memory misses promote).  Every configuration must also leave the
+serial sweep's cache state: the parent sweep is the cache's only
+writer, so counters and LRU order cannot depend on the engine.
 
 Also pinned here, per the executor-fusion acceptance criteria:
 
@@ -183,6 +184,33 @@ class TestFullMatrix:
                         # in memory or on disk, so the sweep never misses
                         assert cache.cache_misses == misses_after_warm
                         assert stats["promotions"] > 0
+                # The parent is the cache's only writer: any engine
+                # leaves exactly the serial sweep's cache state.
+                serial_dir = tmp_path / "serial"
+                serial_dir.mkdir()
+                serial = _make_cache(
+                    cache_mode, line(3), partitions, seeds,
+                    disk_dir=str(serial_dir),
+                )
+                try:
+                    sweep_runs(
+                        line(3), TC, partitions, seeds, run_cache=serial
+                    )
+                    got, want = cache.stats(), serial.stats()
+                    if label.startswith("persistent"):
+                        # A weight is a pickled size, which follows
+                        # object sharing.  Fork workers inherit the
+                        # parent's objects; a persistent worker's
+                        # unpickled transducer holds its own copies of
+                        # relation names the runtime also takes from
+                        # literals, so equal results weigh a few bytes
+                        # apart.
+                        assert got.pop("bytes") == sum(cache._weights.values())
+                        want.pop("bytes")
+                    assert got == want
+                    assert list(cache.entries) == list(serial.entries)
+                finally:
+                    serial.close()
         finally:
             if cache is not None:
                 cache.close()
@@ -449,8 +477,8 @@ class TestPersistentLifetime:
     def test_smoke_persistent_shared_tier(self, tmp_path):
         # The second CI conformance smoke configuration: the full
         # hierarchy under a persistent 2-worker pool — byte-bounded
-        # memory, sqlite disk tier below, shared worker views — checked
-        # against the serial unbounded reference across two sweeps.
+        # memory with a sqlite disk tier below — checked against the
+        # serial unbounded reference across two sweeps.
         partitions = sample_partitions(GRAPH, line(3), 3)
         seeds = (0, 1)
         reference = check_consistency(

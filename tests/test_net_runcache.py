@@ -1,7 +1,7 @@
 """The run-level result cache and the persistent sweep engine.
 
-Property suites pinning the PR 4 guarantees (and the PR 5 LRU bound,
-canonical partition digests and trace compression):
+Property suites pinning the PR 4 guarantees (and the PR 5 LRU bound
+and canonical partition digests):
 
 * **cache determinism** — a :class:`~repro.net.runcache.RunCache` hit
   reproduces the exact :class:`~repro.net.run.RunResult` a fresh run
@@ -49,7 +49,6 @@ from repro.net import (
     transducer_fingerprint,
 )
 from repro.net.runcache import (
-    _CompressedResult,
     instance_digest,
     partition_digest,
     resolve_run_cache,
@@ -205,23 +204,36 @@ class TestRunCache:
             RunCache.load(path)
 
     def test_load_rejects_cross_runtime_bundles(self, tmp_path, monkeypatch):
-        from repro.net import convergence as convergence_module
         from repro.net import runcache as runcache_module
 
         cache = RunCache()
         cache.record(("k",), "v")
         cache_path = tmp_path / "cache.pkl"
         cache.save(cache_path)
-        memo = ConvergenceMemo()
-        memo.record("k", "v")
-        memo_path = tmp_path / "memo.pkl"
-        memo.save(memo_path)
-        # Same files, "next release": the library's source changed.
+        # Same file, "next release": the library's source changed.
         monkeypatch.setattr(runcache_module, "_RUNTIME_TOKEN", "changed")
         with pytest.raises(ValueError, match="different runtime"):
             RunCache.load(cache_path)
-        with pytest.raises(ValueError, match="different runtime"):
-            convergence_module.ConvergenceMemo.load(memo_path)
+
+    def test_saved_bundle_is_format_v4(self, tmp_path):
+        cache = RunCache(max_entries=4, max_bytes=1 << 16)
+        cache.record(("k",), "v")
+        path = tmp_path / "cache.pkl"
+        cache.save(path)
+        payload = pickle.loads(path.read_bytes())
+        assert payload["version"] == 4
+        assert set(payload) == {
+            "format", "version", "runtime", "max_entries", "max_bytes",
+            "entries", "memos",
+        }
+
+    def test_stats_fields(self):
+        # The service's /metrics endpoint reports stats() verbatim.
+        assert set(RunCache().stats()) == {
+            "entries", "bytes", "memo_fingerprints", "cache_hits",
+            "cache_misses", "cache_dedup", "max_entries", "max_bytes",
+            "evictions", "demotions", "promotions", "disk_entries",
+        }
 
     def test_merge_keeps_existing_entries_on_overlap(self):
         live = RunCache()
@@ -247,20 +259,6 @@ class TestRunCache:
 
         assert _code_digest(one.__code__) != _code_digest(two.__code__)
         assert _code_digest(one.__code__) == _code_digest(one.__code__)
-
-    def test_memo_save_load_roundtrip(self, tmp_path):
-        td = transitive_closure_transducer()
-        partition = sample_partitions(GRAPH, line(2), 1)[0]
-        sweep_runs(line(2), td, [partition], (0,), memo=True)
-        memo = td.convergence_memo
-        assert len(memo) > 0
-        path = tmp_path / "memo.pkl"
-        memo.save(path)
-        loaded = ConvergenceMemo.load(path)
-        assert loaded.entries == memo.entries
-        assert (loaded.memo_hits, loaded.memo_misses) == (0, 0)
-        with pytest.raises(ValueError):
-            RunCache.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -733,54 +731,14 @@ class TestRunCacheLRUBound:
         assert len(live) == 2
         assert list(live.entries) == [("k", 2), ("k", 3)]
 
-    def test_pickle_keeps_bound_and_compression(self):
-        cache = RunCache(max_entries=5, compress_traces=True, max_bytes=4096)
+    def test_pickle_keeps_bounds(self):
+        cache = RunCache(max_entries=5, max_bytes=4096)
         cache.record(("k",), "v")
         clone = pickle.loads(pickle.dumps(cache))
         assert clone.max_entries == 5
         assert clone.max_bytes == 4096
-        assert clone.compress_traces is True
         assert clone.get(("k",)) == "v"
         assert clone.bytes == cache.bytes
-
-
-# ---------------------------------------------------------------------------
-# Trace compression: keep_trace results round-trip bit-identically
-# ---------------------------------------------------------------------------
-
-
-class TestTraceCompression:
-    def test_traced_results_compress_and_thaw_identically(self, tmp_path):
-        from repro.net import run_fair
-
-        td = transitive_closure_transducer()
-        partition = sample_partitions(GRAPH, line(2), 1)[0]
-        traced = run_fair(line(2), td, partition, seed=0, keep_trace=True)
-        assert traced.trace  # the workload really carries a trace
-        cache = RunCache(compress_traces=True)
-        cache.record(("traced",), traced)
-        assert isinstance(cache.entries[("traced",)], _CompressedResult)
-        assert cache.get(("traced",)) == traced  # thawed bit-identical
-        # untraced values are stored as-is (nothing to compress)
-        plain = run_fair(line(2), td, partition, seed=0)
-        cache.record(("plain",), plain)
-        assert cache.entries[("plain",)] is plain
-        # compression survives the persistence round-trip
-        path = tmp_path / "compressed.pkl"
-        cache.save(path)
-        loaded = RunCache.load(path)
-        assert loaded.compress_traces is True
-        assert loaded.get(("traced",)) == traced
-        assert loaded.get(("plain",)) == plain
-
-    def test_compressed_sweep_hits_reproduce_observations(self):
-        partitions = sample_partitions(GRAPH, line(3), 3)
-        reference = sweep_runs(line(3), TC, partitions, (0, 1))
-        cache = RunCache(compress_traces=True)
-        first = sweep_runs(line(3), TC, partitions, (0, 1), run_cache=cache)
-        second = sweep_runs(line(3), TC, partitions, (0, 1), run_cache=cache)
-        assert first == reference
-        assert second == reference
 
 
 class _OpaqueValue:
@@ -840,20 +798,6 @@ class TestDigestFallback:
         assert GRAPH._digest is None or isinstance(GRAPH._digest, str)
         d = instance_digest(GRAPH)
         assert GRAPH._digest == d
-
-    def test_merge_freezes_traced_entries(self):
-        from repro.net import run_fair
-        from repro.net.runcache import _CompressedResult
-
-        td = transitive_closure_transducer()
-        partition = sample_partitions(GRAPH, line(2), 1)[0]
-        traced = run_fair(line(2), td, partition, seed=0, keep_trace=True)
-        source = RunCache()  # uncompressed source (a warm-start bundle)
-        source.record(("traced",), traced)
-        target = RunCache(compress_traces=True)
-        target.merge(source)
-        assert isinstance(target.entries[("traced",)], _CompressedResult)
-        assert target.get(("traced",)) == traced
 
 
 # ---------------------------------------------------------------------------
@@ -1138,36 +1082,37 @@ class TestRunCacheByteBound:
         assert unbound.max_bytes is None
         assert len(unbound) == 4
 
+    def test_traced_results_round_trip(self, tmp_path):
+        from repro.net import run_fair
+        from repro.net.runcache import _weigh
+
+        td = transitive_closure_transducer()
+        partition = sample_partitions(GRAPH, line(2), 1)[0]
+        traced = run_fair(line(2), td, partition, seed=0, keep_trace=True)
+        assert traced.trace  # the workload really carries a trace
+        cache = RunCache()
+        cache.record(("traced",), traced)
+        assert cache.get(("traced",)) is traced  # stored as recorded
+        assert cache.bytes == _weigh(traced)
+        path = tmp_path / "traced.pkl"
+        cache.save(path)
+        assert RunCache.load(path).get(("traced",)) == traced
+
     def test_load_rejects_old_version_bundles(self, tmp_path):
         from repro.net.runcache import _CACHE_FORMAT, runtime_token
 
         payload = {
             "format": _CACHE_FORMAT,
-            "version": 2,
+            "version": 3,
             "runtime": runtime_token(),
             "max_entries": None,
-            "compress_traces": False,
             "entries": {},
             "memos": {},
         }
-        path = tmp_path / "v2.pkl"
+        path = tmp_path / "v3.pkl"
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(ValueError, match="version"):
             RunCache.load(path)
-
-    def test_compressed_entries_weigh_their_blob(self):
-        from repro.net import run_fair
-        from repro.net.runcache import _CompressedResult, _weigh
-
-        td = transitive_closure_transducer()
-        partition = sample_partitions(GRAPH, line(2), 1)[0]
-        traced = run_fair(line(2), td, partition, seed=0, keep_trace=True)
-        cache = RunCache(compress_traces=True)
-        cache.record(("traced",), traced)
-        frozen = cache.entries[("traced",)]
-        assert isinstance(frozen, _CompressedResult)
-        assert cache.bytes == len(frozen.blob)
-        assert cache.bytes < _weigh(traced)  # compression pays
 
 
 # ---------------------------------------------------------------------------
@@ -1263,6 +1208,19 @@ class TestDiskTier:
         assert cache.promotions >= 1  # the warm pass was served by disk
         cache.close()
 
+    def test_delete_drops_one_row(self, tmp_path):
+        from repro.net.runcache import _DiskTier
+
+        tier = _DiskTier(tmp_path / "tier.sqlite")
+        tier.put("a", b"1")
+        tier.put("b", b"2")
+        tier.delete("a")
+        assert tier.get("a") is None
+        assert tier.get("b") == b"2"
+        assert len(tier) == 1
+        tier.close()
+        tier.delete("b")  # a closed tier ignores it
+
     def test_close_is_idempotent_and_cache_keeps_working(self, tmp_path):
         cache = RunCache(disk_path=tmp_path / "tier.sqlite")
         cache.record(self._key(1), "one")
@@ -1272,81 +1230,21 @@ class TestDiskTier:
 
 
 # ---------------------------------------------------------------------------
-# The shared worker tier: views, journals, merged deltas
+# One writer: workers never see the cache
 # ---------------------------------------------------------------------------
 
 
-class TestWorkerSharedTier:
-    def test_worker_view_journal_and_merge(self):
-        parent = RunCache()
-        parent.record(("warm",), "w")
-        view = parent.worker_view()
-        hits0 = parent.cache_hits
-        assert view.get(("warm",)) == "w"  # the snapshot serves it...
-        assert parent.cache_hits == hits0  # ...without touching the parent
-        view.record(("fresh",), "f")
-        delta = view.drain_new()
-        assert delta == {("fresh",): "f"}
-        assert view.drain_new() == {}  # drained
-        assert parent.merge_worker_delta(delta) == 1
-        assert parent.entries[("fresh",)] == "f"
-        # existing entries win on overlap
-        assert parent.merge_worker_delta({("fresh",): "other"}) == 0
-        assert parent.entries[("fresh",)] == "f"
-
-    def test_merge_worker_delta_respects_bounds(self):
-        parent = RunCache(max_entries=2)
-        parent.record(("a",), "a")
-        parent.merge_worker_delta({("b",): "b", ("c",): "c"})
-        assert len(parent) == 2
-        assert list(parent.entries) == [("b",), ("c",)]
-
-    def test_view_pickles_memory_only(self, tmp_path):
-        parent = RunCache(
-            max_entries=8, disk_path=tmp_path / "tier.sqlite"
-        )
+class TestParallelSweepCache:
+    def test_pickle_drops_disk_tier(self, tmp_path):
+        parent = RunCache(disk_path=tmp_path / "tier.sqlite")
         parent.record(("k",), "v")
-        view = parent.worker_view()
-        clone = pickle.loads(pickle.dumps(view))
+        clone = pickle.loads(pickle.dumps(parent))
         assert clone.disk_path is None and clone._disk is None
-        assert clone.max_entries is None and clone.max_bytes is None
         assert clone.entries == {("k",): "v"}
-        clone.start_journal()  # what _run_task_mp does per task
-        clone.record(("k2",), "v2")
-        assert clone.drain_new() == {("k2",): "v2"}
         parent.close()
 
-    def test_run_task_mp_ships_cache_delta_and_shared_hits(self):
-        from repro.net.executor import _run_task_mp
-
-        network = line(2)
-        partition = sample_partitions(GRAPH, network, 1)[0]
-        run_kwargs = {
-            "max_steps": 20_000,
-            "batch_delivery": False,
-            "convergence": "incremental",
-        }
-        fp = transducer_fingerprint(TC)
-        cache = RunCache()
-        view = cache.worker_view()
-        context = (network, TC, None, run_kwargs, view, fp)
-        obs, _, _, _, delta, shared = _run_task_mp(context, (partition, 0))
-        assert shared is False
-        assert len(delta) == 1  # the fresh cell travels back
-        cache.merge_worker_delta(delta)
-        # A later task whose view snapshot includes the cell serves it
-        # without re-running — the shared hit.
-        view2 = cache.worker_view()
-        context2 = (network, TC, None, run_kwargs, view2, fp)
-        obs2, _, _, _, delta2, shared2 = _run_task_mp(
-            context2, (partition, 0)
-        )
-        assert shared2 is True
-        assert delta2 == {}
-        assert obs2 == obs
-
     @pytest.mark.parametrize("workers", [2])
-    def test_parallel_sweep_merges_worker_deltas(self, workers):
+    def test_parallel_sweep_records_every_cell(self, workers):
         partitions = sample_partitions(GRAPH, line(3), 3)
         cache = RunCache()
         obs = sweep_runs(
@@ -1357,8 +1255,7 @@ class TestWorkerSharedTier:
             (partition_digest(p), s)
             for p in partitions for s in (0, 1)
         })
-        # Every executed cell landed in the parent cache (splice fill +
-        # merged worker deltas agree).
+        # Every executed cell landed in the parent cache.
         assert len(cache) == distinct
         assert cache.cache_misses == distinct
         warm = sweep_runs(
@@ -1367,6 +1264,80 @@ class TestWorkerSharedTier:
         )
         assert warm == obs
         assert cache.cache_misses == distinct  # no new misses warm
+
+    def test_worker_task_ships_only_the_memo_delta(self):
+        from repro.net.executor import _run_task, _run_task_mp
+
+        network = line(2)
+        partition = sample_partitions(GRAPH, network, 1)[0]
+        run_kwargs = {
+            "max_steps": 20_000,
+            "batch_delivery": False,
+            "convergence": "incremental",
+        }
+        plain = _run_task((network, TC, None, run_kwargs), (partition, 0))
+        assert _run_task_mp(
+            (network, TC, None, run_kwargs), (partition, 0)
+        ) == (plain, None, 0, 0)
+        memo = ConvergenceMemo()
+        obs, delta, hits, misses = _run_task_mp(
+            (network, TC, memo, run_kwargs), (partition, 0)
+        )
+        assert obs == plain
+        assert delta == memo.entries  # a fresh memo: all of it is new
+        assert (hits, misses) == (memo.memo_hits, memo.memo_misses)
+        assert misses > 0
+
+    def test_parallel_memo_sweep_leaves_serial_cache_state(self):
+        partitions = sample_partitions(GRAPH, line(3), 3)
+        serial_cache = RunCache(max_entries=3)
+        serial = sweep_runs(
+            line(3), transitive_closure_transducer(), partitions, (0, 1),
+            memo=True, run_cache=serial_cache,
+        )
+        parallel_cache = RunCache(max_entries=3)
+        with SweepEngine(workers=2, lifetime="fork") as engine:
+            parallel = sweep_runs(
+                line(3), transitive_closure_transducer(), partitions, (0, 1),
+                memo=True, run_cache=parallel_cache, engine=engine,
+            )
+        assert parallel == serial
+        got, want = parallel_cache.stats(), serial_cache.stats()
+        # A weight is a pickled size, which follows object sharing, and
+        # sharing depends on what the building process's caches held.
+        del got["bytes"], want["bytes"]
+        assert got == want
+        assert list(parallel_cache.entries) == list(serial_cache.entries)
+
+    def test_payload_does_not_carry_the_cache(self, monkeypatch):
+        import repro.net.executor as executor
+
+        sizes = []
+        dumps = executor.pickle.dumps
+
+        def recording(obj, *args, **kwargs):
+            blob = dumps(obj, *args, **kwargs)
+            if type(obj) is tuple and obj and obj[0] is executor._run_task_mp:
+                sizes.append(len(blob))
+            return blob
+
+        monkeypatch.setattr(executor.pickle, "dumps", recording)
+        td = transitive_closure_transducer()
+        cache = RunCache()
+        with SweepEngine(workers=2, lifetime="persistent") as engine:
+            sweep_runs(
+                line(2), td, sample_partitions(GRAPH, line(2), 2), (0, 1),
+                run_cache=cache, engine=engine,
+            )
+            for i in range(300):
+                cache.record(("filler", i), "x" * 64)
+            assert len(cache) >= 300
+            sweep_runs(
+                line(2), td, sample_partitions(GRAPH, line(2), 2), (2, 3),
+                run_cache=cache, engine=engine,
+            )
+        assert len(sizes) == 2
+        assert sizes[0] == sizes[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1460,6 +1431,52 @@ class TestCacheDamageDegradation:
                 line(3), TC, partitions, (0, 1),
                 run_cache=cache, engine=SweepEngine(workers=2),
             )
+            assert got == reference
+        finally:
+            cache.close()
+
+    def test_undecodable_disk_row_is_a_dropped_miss(self, tmp_path):
+        import sqlite3
+
+        disk = tmp_path / "tier.sqlite"
+        cache = RunCache(max_entries=1, disk_path=str(disk))
+        try:
+            cache.record(("k", 0), "v0")
+            cache.record(("k", 1), "v1")  # demotes ("k", 0)
+            assert cache.stats()["disk_entries"] == 1
+            conn = sqlite3.connect(str(disk))
+            conn.execute("UPDATE entries SET v = ?", (b"\x80\x05garbage",))
+            conn.commit()
+            conn.close()
+            with pytest.warns(RuntimeWarning, match="undecodable"):
+                assert cache.get(("k", 0)) is None
+            assert cache.cache_misses == 1
+            assert cache.stats()["disk_entries"] == 0  # the row is gone
+            # the tier stays live: the recomputed value takes its place
+            cache.record(("k", 0), "v0")
+            assert cache.get(("k", 1)) == "v1"
+            assert cache.stats()["promotions"] == 1
+        finally:
+            cache.close()
+
+    def test_undecodable_disk_rows_never_crash_a_sweep(self, tmp_path):
+        import sqlite3
+
+        partitions = sample_partitions(GRAPH, line(3), 3)
+        reference = sweep_runs(line(3), TC, partitions, (0, 1))
+        disk = tmp_path / "tier.sqlite"
+        cache = RunCache(max_entries=1, disk_path=str(disk))
+        try:
+            sweep_runs(line(3), TC, partitions, (0, 1), run_cache=cache)
+            assert cache.stats()["disk_entries"] > 0
+            conn = sqlite3.connect(str(disk))
+            conn.execute("UPDATE entries SET v = ?", (b"\x80\x05garbage",))
+            conn.commit()
+            conn.close()
+            with pytest.warns(RuntimeWarning, match="undecodable"):
+                got = sweep_runs(
+                    line(3), TC, partitions, (0, 1), run_cache=cache
+                )
             assert got == reference
         finally:
             cache.close()

@@ -229,23 +229,6 @@ class TestRuntimeTokenRace:
 class TestSharedCacheIsProcessWide:
     """One cache serving several 'clients' (threads) stays coherent."""
 
-    def test_worker_view_merge_from_threads(self):
-        parent = RunCache()
-        for i in range(8):
-            parent.record(_key(i), {"cell": i})
-
-        def work(idx: int):
-            view = parent.worker_view()
-            for i in range(8, 12):
-                key = ("fair-random", "netA", f"sha256:w{idx}", "pd:x", i, ())
-                view.record(key, {"cell": i, "worker": idx})
-            parent.merge_worker_delta(view.drain_new())
-
-        _run_threads(5, work)
-        # 8 shared + 4 per worker (disjoint fingerprints).
-        assert len(parent.entries) == 8 + 4 * 5
-        assert parent.bytes == sum(parent._weights.values())
-
     def test_pickle_snapshot_under_mutation(self):
         import pickle
 
