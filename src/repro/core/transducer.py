@@ -34,9 +34,12 @@ from ..lang.datalog import _program_constants_rules
 from ..lang.engine import engine_override, resolve_engine
 from ..lang.query import EmptyQuery, Query
 from ..lang.ucq import CompiledRules, RuleGroup, UCQNegQuery, compile_rules
+from ..memo import Memo
 from .schema import TransducerSchema
 
 _EMPTY: frozenset = frozenset()
+
+MEMO_LIMIT = 16_384  # entries of each of a transducer's three memos
 
 
 @dataclass(frozen=True)
@@ -166,12 +169,12 @@ class Transducer:
         self.name = name or "transducer"
         # Transitions are pure functions of (state, received); the runtime
         # replays the same pairs constantly (convergence checks re-simulate
-        # every heartbeat and delivery), so memoize them.  Bounded with
-        # least-recently-used eviction.
-        self._transition_cache: dict[tuple[Instance, Instance], LocalTransition] = {}
-        self._transition_cache_limit = 16384
+        # every heartbeat and delivery), so memoize them, and the group
+        # answers and sent instances of a miss (see _evaluate).
+        self._transition_cache = Memo(MEMO_LIMIT)
+        self._group_memo = Memo(MEMO_LIMIT)
         self._empty_received = Instance.empty(schema.messages)
-        self._received_by_fact: dict[Fact, Instance] = {}
+        self._received_by_fact = Memo(MEMO_LIMIT)
         # Cross-run convergence memo (a repro.net.convergence
         # ConvergenceMemo), hung here like the transition cache because
         # its certificates are pure functions of this transducer.  The
@@ -179,26 +182,16 @@ class Transducer:
         self.convergence_memo = None
 
     def __getstate__(self):
-        # The transition caches are pure derived state keyed by objects
-        # that dominate the pickle size; ship the queries and schema
-        # only and let the unpickled copy rewarm.  The convergence memo
-        # *is* shipped: it is the cross-run store workers are seeded
-        # with.
+        # The memos pickle empty and the evaluation plan is rebuilt, so
+        # a used transducer pickles as a fresh one.  The convergence
+        # memo *is* shipped: it is the cross-run store workers start from.
         state = dict(self.__dict__)
-        state["_transition_cache"] = {}
-        state["_received_by_fact"] = {}
-        # Built on the first transition-cache miss, never shipped (see
-        # _evaluate), so a used transducer pickles as a fresh one.
         state.pop("_evaluation_plan", None)
-        state.pop("_group_memo", None)
         # A run cache hung here (repro.net.runcache.shared_run_cache)
         # is parent-side lookup state: workers never consult it, and it
         # can dwarf the rest of the pickle.
         state.pop("run_cache", None)
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
     # -- query plumbing ------------------------------------------------------
 
@@ -263,10 +256,8 @@ class Transducer:
         the same pairs many times.
         """
         cache_key = (state, received)
-        cached = self._transition_cache.pop(cache_key, None)
+        cached = self._transition_cache.get(cache_key)
         if cached is not None:
-            # Re-insert to refresh recency (dicts keep insertion order).
-            self._transition_cache[cache_key] = cached
             return cached
         for rel in received.schema:
             if rel not in self.schema.messages:
@@ -276,8 +267,7 @@ class Transducer:
         else:
             with engine_override(self.engine):
                 result = self._compute(state, received)
-        self._forget_stalest(self._transition_cache)
-        self._transition_cache[cache_key] = result
+        self._transition_cache.put(cache_key, result)
         return result
 
     def _compute(self, state: Instance, received: Instance) -> LocalTransition:
@@ -289,14 +279,12 @@ class Transducer:
         # rows are validated once, like every sent fact.
         answers = tuple(next(results) for _ in self.send_queries)
         sent_key = ("sent", *answers)
-        memo = self._group_memo
-        sent = memo.pop(sent_key, None)
+        sent = self._group_memo.get(sent_key)
         if sent is None:
             sent = Instance.from_relations(
                 self.schema.messages, dict(zip(self.send_queries, answers))
             )
-            self._forget_stalest(memo)
-        memo[sent_key] = sent
+            self._group_memo.put(sent_key, sent)
         output = frozenset(next(results))
         # The update formula per memory relation, as a frozenset (old
         # is the left operand).  With nothing deleted it is old ∪ Qins,
@@ -334,21 +322,17 @@ class Transducer:
 
         A UCQ¬ query runs as rule groups (:func:`group_rules`).  The
         rules of a group read the same relations, so its answer is a
-        function of their extents: it is kept in one bounded LRU keyed
-        by the group and those extents, shared by all groups.  Extents
+        function of their extents: it is kept in one memo keyed by the
+        group and those extents, shared by all groups.  Extents
         are frozensets that cache their hash, and an unchanged extent
         is the same object in the next state, so a lookup costs a few
         hashes.  Rules that may read the active domain, and queries
         that are not UCQ¬, run per transition on the combined
-        instance; an ``EmptyQuery`` does not run.  The groups and the
-        memo are built on the first transition-cache miss and never
-        pickled.
+        instance; an ``EmptyQuery`` does not run.  The groups are
+        built on the first transition-cache miss and never pickled.
         """
         plan = self.__dict__.get("_evaluation_plan")
         if plan is None:
-            # Group answers, and the sent instances built from them
-            # (see transition).  Made before the plan that signals it.
-            self._group_memo: dict[tuple, frozenset | Instance] = {}
             plan = self._evaluation_plan = (self.schema.combined, self._role_plans())
         combined_schema, roles = plan
         memo = self._group_memo
@@ -361,14 +345,12 @@ class Transducer:
             rows = _EMPTY
             for group, reads in groups:
                 key = (group, *map(rels.get, reads))
-                answer = memo.pop(key, None)
+                answer = memo.get(key)
                 if answer is None:
                     if combined is None:
                         combined = Instance._build(combined_schema, rels)
                     answer = group(combined)
-                    self._forget_stalest(memo)
-                # (Re-)inserted last: the dict order is the recency.
-                memo[key] = answer
+                    memo.put(key, answer)
                 if answer:
                     rows = rows | answer if rows else answer
             if direct is not None:
@@ -378,20 +360,6 @@ class Transducer:
                 rows = rows | answer if rows else answer
             out.append(rows)
         return out
-
-    def _forget_stalest(self, cache: dict) -> None:
-        """Make room for one entry in a full LRU *cache*: its stalest
-        entry goes, not the whole cache.
-
-        The memos are unlocked, so a thread sharing this transducer may
-        resize *cache* while its stalest key is read; that eviction is
-        then skipped, and the next insert evicts instead."""
-        if len(cache) >= self._transition_cache_limit:
-            try:
-                stalest = next(iter(cache))
-            except RuntimeError:
-                return
-            cache.pop(stalest, None)
 
     def _role_plans(self) -> list:
         """``(memoized groups, direct query)`` per role.
@@ -435,8 +403,7 @@ class Transducer:
             received = Instance(
                 self.schema.messages.restrict([fact.relation]), (fact,)
             ).expand_schema(self.schema.messages)
-            self._forget_stalest(self._received_by_fact)
-            self._received_by_fact[fact] = received
+            self._received_by_fact.put(fact, received)
         return self.transition(state, received)
 
     def __repr__(self) -> str:

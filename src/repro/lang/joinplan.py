@@ -35,9 +35,12 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 
+from ..memo import Memo
 from .ast import Atom, Const, Eq, Literal, Var
 
 _EMPTY: frozenset = frozenset()
+
+INDEX_MEMO_LIMIT = 512  # entries of an IndexPool
 
 
 class IndexPool:
@@ -49,32 +52,24 @@ class IndexPool:
     tuple (``operator.itemgetter``'s convention).  The
     pool is keyed by the extent *value* (frozensets hash-cache, and the
     common case is an identity hit), so unchanged extents keep their
-    indexes across fixpoint rounds and across rules.  A size cap
-    bounds memory when long fixpoints churn many delta extents.
+    indexes across fixpoint rounds and across rules.  A
+    :class:`~repro.memo.Memo` bounds them, least recently used first out.
     """
 
-    __slots__ = ("_indexes", "max_entries")
+    __slots__ = ("_indexes",)
 
-    def __init__(self, max_entries: int = 512):
-        self._indexes: dict[tuple, dict[tuple, list[tuple]]] = {}
-        self.max_entries = max_entries
+    def __init__(self):
+        self._indexes = Memo(INDEX_MEMO_LIMIT)
 
     def index(
         self, extent: frozenset, positions: tuple[int, ...]
     ) -> dict[tuple, list[tuple]]:
         key = (positions, extent)
-        cached = self._indexes.pop(key, None)
-        if cached is not None:
-            # Re-insert to refresh recency (dicts keep insertion order).
-            self._indexes[key] = cached
-            return cached
-        built = _build_index(extent, positions)
-        if len(self._indexes) >= self.max_entries:
-            # Evict the least recently used entry, keeping hot indexes
-            # (e.g. a large stable EDB) alive past churny deltas.
-            self._indexes.pop(next(iter(self._indexes)))
-        self._indexes[key] = built
-        return built
+        index = self._indexes.get(key)
+        if index is None:
+            index = _build_index(extent, positions)
+            self._indexes.put(key, index)
+        return index
 
 
 class _AtomInfo:

@@ -45,12 +45,16 @@ from functools import lru_cache
 
 from ..db.columnar import HAVE_NUMPY, ValuePool, np, require_numpy
 from ..db.instance import Instance
+from ..memo import Memo
 from .ast import Const, Var
-from .joinplan import plan_for
+from .joinplan import IndexPool, plan_for
 
 _EMPTY: frozenset = frozenset()
 
 _PACK_LIMIT = 2 ** 62  # headroom below int64 overflow for packed keys
+
+MATRIX_MEMO_LIMIT = 512  # entries of a ColumnPool's encoded extents
+SORT_MEMO_LIMIT = 512  # entries of a build-side sort cache
 
 
 # ---------------------------------------------------------------------------
@@ -145,28 +149,18 @@ class ColumnPool:
     an LRU of encoded extent matrices keyed by extent value (unchanged
     extents keep their encoding across rounds and rules, mirroring
     :class:`~repro.lang.joinplan.IndexPool`), a build-side sort cache
-    for join probes, and a lazily created ``IndexPool`` for rules that
-    fall back to the indexed engine.
+    for join probes (both bounded memos), and the
+    ``IndexPool`` of rules that fall back to the indexed engine.
     """
 
-    __slots__ = ("values", "sorts", "_mats", "max_entries", "_index_pool")
+    __slots__ = ("values", "sorts", "_mats", "index_pool")
 
-    def __init__(self, max_entries: int = 512):
+    def __init__(self):
         require_numpy()
         self.values = ValuePool()
-        self.sorts: dict = {}
-        self._mats: dict = {}
-        self.max_entries = max_entries
-        self._index_pool = None
-
-    @property
-    def index_pool(self):
-        """The fallback IndexPool (created on first unvectorizable rule)."""
-        if self._index_pool is None:
-            from .joinplan import IndexPool
-
-            self._index_pool = IndexPool()
-        return self._index_pool
+        self.sorts = Memo(SORT_MEMO_LIMIT)
+        self._mats = Memo(MATRIX_MEMO_LIMIT)
+        self.index_pool = IndexPool()
 
     def matrix(self, extent: frozenset, arity: int):
         """The encoded code matrix of *extent* (cached by value).
@@ -177,12 +171,10 @@ class ColumnPool:
         if not extent:
             return np.empty((0, arity), dtype=np.int64)
         key = (arity, extent)
-        mat = self._mats.pop(key, None)
+        mat = self._mats.get(key)
         if mat is None:
             mat = self.values.encode_rows(extent, arity)
-            if len(self._mats) >= self.max_entries:
-                self._mats.pop(next(iter(self._mats)))
-        self._mats[key] = mat
+            self._mats.put(key, mat)
         return mat
 
 
@@ -309,10 +301,8 @@ def _join_coded(plan, mats, pool: ValuePool, base: int, sort_cache=None):
                 order = np.argsort(bk, kind="stable")
                 sorted_keys = bk[order]
                 if cacheable and packable:
-                    if len(sort_cache) > 512:
-                        sort_cache.clear()
-                    sort_cache[(id(mat), positions, base)] = (
-                        mat, order, sorted_keys,
+                    sort_cache.put(
+                        (id(mat), positions, base), (mat, order, sorted_keys)
                     )
             probe_idx, build_idx = _join_expand(pk, order, sorted_keys)
             if len(probe_idx) == 0:
@@ -638,7 +628,7 @@ def seminaive_fixpoint_columnar(program, instance: Instance):
             table.append(seed[order], keys[order])
         tables[name] = table
 
-    sort_cache: dict = {}
+    sort_cache = Memo(SORT_MEMO_LIMIT)
 
     def mats_for(plan, delta_pos=None, delta_mat=None):
         out = []

@@ -43,8 +43,11 @@ from dataclasses import dataclass
 from ..core.transducer import Transducer
 from ..db.fact import Fact
 from ..db.instance import Instance
+from ..memo import Memo
 from .config import Configuration
 from .network import Network, Node
+
+SUMMARY_MEMO_LIMIT = 8_192  # entries of a tracker's run-local summary memo
 
 
 def is_converged(
@@ -295,15 +298,13 @@ class ConvergenceTracker:
         self,
         network: Network,
         transducer: Transducer,
-        memo_limit: int = 8_192,
         memo: ConvergenceMemo | None = None,
     ):
         self.network = network
         self.transducer = transducer
         self._nodes = network.sorted_nodes()
         self._neighbors = {v: tuple(network.neighbors(v)) for v in self._nodes}
-        self._memo: dict[tuple[Instance, frozenset[Fact]], _Summary | _NonQuiet] = {}
-        self._memo_limit = memo_limit
+        self._memo = Memo(SUMMARY_MEMO_LIMIT)
         self._shared = memo
         self._witnesses: list[_Witness] = []
         self._last_config: Configuration | None = None
@@ -413,9 +414,9 @@ class ConvergenceTracker:
             v = worklist.popleft()
             queued.discard(v)
             key = (states[v], incoming[v])
-            cached = memo.pop(key, None)
+            cached = memo.get(key)
             if cached is None:
-                # Miss in the run-local LRU: consult the cross-run memo
+                # Miss in the run-local memo: consult the cross-run memo
                 # before paying for a fresh proof, and record fresh
                 # proofs into it so later runs in the sweep start warm.
                 if self._shared is not None:
@@ -425,11 +426,7 @@ class ConvergenceTracker:
                         self._shared.record(key, cached)
                 else:
                     cached = self._summarize(key[0], key[1])
-                if len(memo) >= self._memo_limit:
-                    # LRU eviction: drop the least-recently-used entry
-                    # (hits below re-insert, refreshing recency).
-                    memo.pop(next(iter(memo)))
-            memo[key] = cached
+                memo.put(key, cached)
             if isinstance(cached, _NonQuiet):
                 refuted = True
                 # Only buffered-fact (or heartbeat) refutations make

@@ -51,6 +51,7 @@ import pickle
 import time
 from dataclasses import asdict, dataclass
 
+from ..memo import Memo
 from .consistency import RunObservation
 from .convergence import ConvergenceMemo, resolve_memo
 from .network import Network
@@ -103,8 +104,8 @@ def _call_worker(item):
 # forked worker process owns its copy (the parent never populates it),
 # so a payload is unpickled once per worker per map call, not once per
 # task.
-_POOL_PAYLOADS: dict = {}
 _POOL_PAYLOAD_LIMIT = 8
+_POOL_PAYLOADS = Memo(_POOL_PAYLOAD_LIMIT)
 
 
 def _pool_call(task):
@@ -112,9 +113,7 @@ def _pool_call(task):
     payload = _POOL_PAYLOADS.get(token)
     if payload is None:
         payload = pickle.loads(blob)
-        if len(_POOL_PAYLOADS) >= _POOL_PAYLOAD_LIMIT:
-            _POOL_PAYLOADS.pop(next(iter(_POOL_PAYLOADS)))
-        _POOL_PAYLOADS[token] = payload
+        _POOL_PAYLOADS.put(token, payload)
     fn, context = payload
     return fn(context, item)
 

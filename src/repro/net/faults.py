@@ -333,6 +333,11 @@ class FaultyScheduler(Scheduler):
         state = _PlanState()
         inner = self.inner.schedule(ctx)
         send_value: object = None
+        # Hooks that cannot act are skipped; every draw in them is
+        # rate-gated, so skipping never shifts the plan's RNG stream.
+        # This keeps a zero-rate plan's wrapper overhead flat.
+        rolls_partitions = plan.partition_rate > 0.0
+        acts_on_sent = plan.loss > 0.0 or bool(plan.link_loss) or plan.duplication > 0.0
         while True:
             try:
                 action = inner.send(send_value)
@@ -342,7 +347,8 @@ class FaultyScheduler(Scheduler):
                 send_value = yield action
                 continue
             state.step += 1
-            yield from self._housekeeping(ctx, state, rng)
+            if state.crashed or state.cut or state.held or rolls_partitions:
+                yield from self._housekeeping(ctx, state, rng)
             node = action.node
             if self._roll_crash(state, rng, node):
                 yield Action.crash(node)
@@ -359,7 +365,8 @@ class FaultyScheduler(Scheduler):
                 send_value = _suppress(state, action)
                 continue
             transition = yield action
-            yield from self._post_commit(ctx, state, rng, transition)
+            if transition.sent_facts and (acts_on_sent or state.cut):
+                yield from self._post_commit(ctx, state, rng, transition)
             send_value = transition
 
     # -- interception points ------------------------------------------
@@ -450,20 +457,6 @@ class FaultyScheduler(Scheduler):
     def _post_commit(self, ctx, state: _PlanState, rng, transition) -> Schedule:
         """Per-link loss, partition drops and duplication on sent copies."""
         plan = self.plan
-        if not transition.sent_facts:
-            return
-        if (
-            not state.cut
-            and plan.loss <= 0.0
-            and not plan.link_loss
-            and plan.duplication <= 0.0
-        ):
-            # Nothing can act on sent copies and no roll below would
-            # consume a draw (every roll is rate-gated), so skipping
-            # the whole per-(link × fact) walk — and the Fact sort
-            # feeding it — cannot shift the plan's RNG stream.  This
-            # is what keeps a zero-rate plan's wrapper overhead flat.
-            return
         sent = sorted(transition.sent_facts)
         source = transition.node
         for neighbor in sorted(ctx.network.neighbors(source), key=repr):

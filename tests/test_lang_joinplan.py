@@ -179,10 +179,3 @@ class TestPlannerEdgeCases:
         again = pool.index(extent, (0,))
         assert first is again
         assert pool.index(extent, (1,)) is not first
-
-    def test_index_pool_caps_entries(self):
-        pool = IndexPool(max_entries=2)
-        extents = [frozenset({(i, i)}) for i in range(4)]
-        for e in extents:
-            pool.index(e, (0,))
-        assert len(pool._indexes) <= 2

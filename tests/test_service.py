@@ -17,13 +17,16 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.core import build_transducer
+from repro.analysis.lint import load_spec
+from repro.core import build_transducer, transitive_closure_transducer
+from repro.core import transducer as transducer_module
 from repro.db import schema
 from repro.lang import PythonQuery
 from repro.service.app import ServiceConfig, ServiceThread
@@ -72,6 +75,11 @@ def killer_relay_factory():
 
 
 TC_SPEC = "repro.core.examples:transitive_closure_transducer"
+
+#: A Transducer object, not a factory: every job naming
+#: ``SHARED_TC_SPEC`` runs on this one object.  Set by the test using it.
+SHARED_TC = None
+SHARED_TC_SPEC = "test_service:SHARED_TC"
 
 
 def _payload(**overrides) -> dict:
@@ -335,6 +343,49 @@ class TestAllKindsOverHttp:
         assert [[1, 2], [1, 3], [2, 3]] in job.result["distinct_outputs"]
         # Program jobs are linted as programs, not transducers.
         assert job.static_report["kind"] == "stratified-program"
+
+
+class TestSharedTransducerObject:
+    def test_concurrent_jobs_match_serial_verdicts(self, monkeypatch):
+        # Small memo bounds, so the job threads evict while they share
+        # the object's memos.
+        monkeypatch.setattr(transducer_module, "MEMO_LIMIT", 64)
+        monkeypatch.setattr(
+            sys.modules[__name__], "SHARED_TC", transitive_closure_transducer()
+        )
+        assert load_spec(SHARED_TC_SPEC) is SHARED_TC
+        payloads = [
+            _payload(
+                instance={"S": [[i, i + 1] for i in range(1, length + 1)]},
+                seeds=[60 + length, 61 + length],
+            )
+            for length in range(3, 9)
+        ]
+
+        def verdicts(spec, job_workers):
+            st = ServiceThread(ServiceConfig(port=0, job_workers=job_workers)).start()
+            try:
+                if job_workers == 1:
+                    ids = []
+                    for payload in payloads:
+                        _, body = _request(st.base_url, "/jobs", {**payload, "spec": spec})
+                        st.service.orchestrator.wait(body["job_id"], timeout=240)
+                        ids.append(body["job_id"])
+                else:
+                    ids = [
+                        _request(st.base_url, "/jobs", {**p, "spec": spec})[1]["job_id"]
+                        for p in payloads
+                    ]
+                jobs = [st.service.orchestrator.wait(i, timeout=240) for i in ids]
+            finally:
+                st.stop()
+            assert all(job.status == "done" for job in jobs), [j.error for j in jobs]
+            return [_verdict(job.result) for job in jobs]
+
+        serial = verdicts(TC_SPEC, job_workers=1)
+        assert all(v["consistent"] for v in serial)
+        assert verdicts(SHARED_TC_SPEC, job_workers=4) == serial
+        assert "_evaluation_plan" in vars(SHARED_TC)  # the jobs ran on it
 
 
 class TestWorkerDeathMidJob:

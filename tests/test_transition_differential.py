@@ -395,7 +395,7 @@ def _chain_runs(transducer, keep_trace=False):
 
 
 def _built_state(transducer) -> set[str]:
-    return {"_evaluation_plan", "_group_memo"} & set(vars(transducer))
+    return {"_evaluation_plan"} & set(vars(transducer))
 
 
 class TestLazyAndPickleStable:
@@ -403,7 +403,7 @@ class TestLazyAndPickleStable:
         transducer = transitive_closure_transducer()
         assert _built_state(transducer) == set()
         _chain_runs(transducer)
-        assert _built_state(transducer) == {"_evaluation_plan", "_group_memo"}
+        assert _built_state(transducer) == {"_evaluation_plan"}
 
     def test_used_transducer_pickles_as_fresh(self):
         used = transitive_closure_transducer()
