@@ -9,7 +9,9 @@ dominant cost):
    sequence of (configuration, produced-output) check points is judged
    by the exact :func:`is_converged` and by a fresh
    :class:`ConvergenceTracker` (fed the intervening transitions, as the
-   runtime feeds it).  Verdicts must agree point for point; the bar is
+   runtime feeds it).  Both see the transition cache the recorded run
+   warmed; each tracker starts from an empty summary memo, so it proves
+   every summary it uses.  Verdicts must agree point for point; the bar is
    the tracker being ≥ 3× faster overall.  Two check cadences are
    timed — once per round (the round-based schedulers' cadence) and a
    denser every-20-transitions stride — because the tracker's witness
@@ -31,6 +33,7 @@ from conftest import once, write_snapshot
 
 from repro.core import flooding_transducer, multicast_transducer
 from repro.db import instance, schema
+from repro.memo import Memo
 from repro.net import (
     BatchingError,
     ConvergenceTracker,
@@ -86,6 +89,10 @@ def test_e23_incremental_convergence(benchmark, report):
             ]
             t_exact = time.perf_counter() - t0
 
+            # The recorded run and the previous stride's tracker proved
+            # summaries on this transducer; drop them so the tracker is
+            # timed proving its own.
+            flood.summary_memo = Memo(flood.summary_memo.limit)
             tracker = ConvergenceTracker(net, flood)
             pointer = 0
             t0 = time.perf_counter()

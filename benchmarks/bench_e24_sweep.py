@@ -2,29 +2,28 @@
 
 Consistency checking executes a partitions × seeds grid of fair runs;
 PR 3 made the grid a parallel sweep — now the ``fork`` lifetime of the
-unified :class:`~repro.net.executor.SweepEngine` — with two cross-run
-stores: the transducer's transition cache (shared by fork inheritance)
-and the :class:`~repro.net.convergence.ConvergenceMemo` of quiescence
-certificates, pre-seeded into every run's tracker and merged back
-afterwards.
+unified :class:`~repro.net.executor.SweepEngine`.  Every run of a
+transducer shares its memos: the transition cache and the convergence
+tracker's quiescence summaries (``transducer.summary_memo``), and
+forked workers inherit them.
 
 The measurement, on the E17 chain workload (the transitive-closure
 flooder on a chain graph — the shape where every transition pays real
 query evaluation):
 
-1. **serial cold** — a fresh transducer, no memo: every run pays
-   first-time query evaluations and summary proofs;
-2. **warming** — the same sweep once more, serially, recording into the
-   memo (this is what any earlier sweep in a session does);
-3. **warm-memo sweeps at 2 and 4 workers** — the multiprocessing
-   backend with the memo pre-seeded; workers fork-inherit the warm
-   caches and ship memo deltas back.
+1. **serial cold** — a fresh transducer: every run pays first-time
+   query evaluations and summary proofs (later runs of the sweep reuse
+   what earlier ones proved);
+2. **warming** — the same sweep once more, serially, on the now warm
+   transducer (this is what any earlier sweep in a session does);
+3. **warm-transducer sweeps at 2 and 4 workers** — the fork lifetime
+   on the warm transducer; workers fork-inherit its memos.
 
-The bar: the 4-worker warm-memo sweep must be ≥ 2.5× faster than the
-serial cold sweep, with an *identical* observation list (the executor's
-determinism contract — same seeds, same runs, same evidence).  Memo
-effectiveness (hits/misses, entries) is reported per sweep and
-snapshotted in ``BENCH_sweep.json``.
+The bar: the 4-worker warm-transducer sweep must be ≥ 2.5× faster than
+the serial cold sweep, with an *identical* observation list (the
+executor's determinism contract — same seeds, same runs, same
+evidence).  The summary memo's entry count after each sweep is
+reported and snapshotted in ``BENCH_sweep.json``.
 """
 
 import os
@@ -35,7 +34,7 @@ from conftest import once, write_snapshot
 
 from repro.core import transitive_closure_transducer
 from repro.db import instance, schema
-from repro.net import RunCache, SweepEngine, check_consistency, line
+from repro.net import SweepEngine, check_consistency, line
 
 S2 = schema(S=2)
 CHAIN_FACTS = 20
@@ -49,27 +48,6 @@ WORKER_COUNTS = tuple(
 )
 REQUIRED_SPEEDUP = 2.5
 SNAPSHOT = pathlib.Path(__file__).with_name("BENCH_sweep.json")
-# A persisted RunCache bundle (the CI warm-start artifact, see E25):
-# when present, its convergence-memo snapshot pre-seeds the warming
-# sweep so CI jobs start warm across runs.  The cold measurement is
-# untouched — the bar stays honest.
-WARMSTART = os.environ.get("REPRO_RUNCACHE")
-
-
-def _preseed_memo(transducer) -> None:
-    if not WARMSTART or not os.path.exists(WARMSTART):
-        return
-    try:
-        saved = RunCache.load(WARMSTART)
-    except Exception:
-        # Warm-starting is pure opportunism: a truncated, cross-version
-        # or otherwise unreadable bundle means a cold start, never a
-        # failed bench (pickle alone can raise UnpicklingError,
-        # EOFError, AttributeError, ImportError ...).
-        return
-    memo = saved.memo_for(transducer)
-    if memo is not None:
-        transducer.convergence_memo = memo
 
 
 def _signature(observations):
@@ -96,34 +74,32 @@ def test_e24_parallel_warm_sweep(benchmark, report):
         cold = check_consistency(net, transducer, chain, **kwargs)
         t_cold = time.perf_counter() - t0
         ok &= cold.consistent and cold.unconverged == 0
-        rows.append(["serial cold", 1, f"{t_cold:.2f}s", "-", "-", "-", "-"])
+        summaries = len(transducer.summary_memo)
+        rows.append(["serial cold", 1, f"{t_cold:.2f}s", "-", summaries, "-"])
         snapshot.append({"sweep": "serial-cold", "workers": 1,
-                         "seconds": round(t_cold, 3)})
+                         "seconds": round(t_cold, 3),
+                         "summary_entries": summaries})
 
-        _preseed_memo(transducer)
         t0 = time.perf_counter()
-        warming = check_consistency(net, transducer, chain, memo=True, **kwargs)
+        warming = check_consistency(net, transducer, chain, **kwargs)
         t_warming = time.perf_counter() - t0
-        memo = transducer.convergence_memo
+        summaries = len(transducer.summary_memo)
         ok &= warming.consistent
         ok &= _signature(warming.observations) == _signature(cold.observations)
         rows.append([
             "serial warming", 1, f"{t_warming:.2f}s",
-            f"{t_cold / max(t_warming, 1e-9):.1f}x",
-            warming.memo_hits, warming.memo_misses, len(memo),
+            f"{t_cold / max(t_warming, 1e-9):.1f}x", summaries, "-",
         ])
         snapshot.append({
             "sweep": "serial-warming", "workers": 1,
             "seconds": round(t_warming, 3),
-            "memo_hits": warming.memo_hits,
-            "memo_misses": warming.memo_misses,
-            "memo_entries": len(memo),
+            "summary_entries": summaries,
         })
 
         for workers in WORKER_COUNTS:
             t0 = time.perf_counter()
             warm = check_consistency(
-                net, transducer, chain, memo=True,
+                net, transducer, chain,
                 engine=SweepEngine(
                     workers=workers, lifetime="fork" if workers > 1 else None
                 ),
@@ -135,28 +111,23 @@ def test_e24_parallel_warm_sweep(benchmark, report):
             # — observation for observation, at any worker count.
             identical = warm.observations == cold.observations
             ok &= identical and warm.consistent
-            # The warm sweep must be running on certificates, not proofs.
-            ok &= warm.memo_hits > 0 and warm.memo_misses == 0
             if workers == WORKER_COUNTS[-1]:
                 bar_speedup = speedup
             rows.append([
-                "warm memo", workers, f"{t_warm:.2f}s", f"{speedup:.1f}x",
-                warm.memo_hits, warm.memo_misses,
-                "yes" if identical else "NO",
+                "warm transducer", workers, f"{t_warm:.2f}s",
+                f"{speedup:.1f}x", summaries, "yes" if identical else "NO",
             ])
             snapshot.append({
-                "sweep": "warm-memo", "workers": workers,
+                "sweep": "warm-transducer", "workers": workers,
                 "seconds": round(t_warm, 3),
                 "speedup_vs_cold": round(speedup, 2),
-                "memo_hits": warm.memo_hits,
-                "memo_misses": warm.memo_misses,
                 "observations_identical": identical,
             })
 
         ok &= bar_speedup >= REQUIRED_SPEEDUP
         write_snapshot(SNAPSHOT, {
             "experiment": "E24",
-            "claim": f"{WORKER_COUNTS[-1]}-worker warm-memo consistency "
+            "claim": f"{WORKER_COUNTS[-1]}-worker warm-transducer consistency "
                      "sweep >= 2.5x over the serial cold sweep on the E17 "
                      f"chain workload "
                      f"(TC flooding, chain n={CHAIN_FACTS}, line({N_NODES}))",
@@ -169,14 +140,15 @@ def test_e24_parallel_warm_sweep(benchmark, report):
     once(benchmark, run_all)
     report(
         "E24",
-        "Parallel sweep executor with cross-run convergence memoization "
+        "Parallel sweep executor on a warm transducer "
         f"(TC flooding on chain n={CHAIN_FACTS}, line({N_NODES}), "
         f"{PARTITIONS * len(SEEDS)} runs per sweep)",
-        ["sweep", "workers", "time", "speedup", "memo hits", "memo misses",
+        ["sweep", "workers", "time", "speedup", "summary entries",
          "identical"],
         rows,
         ok,
-        f"({WORKER_COUNTS[-1]}-worker warm-memo speedup {bar_speedup:.1f}x, "
+        f"({WORKER_COUNTS[-1]}-worker warm-transducer speedup "
+        f"{bar_speedup:.1f}x, "
         f"bar {REQUIRED_SPEEDUP}x; parallel observations == serial "
         "observations)",
     )

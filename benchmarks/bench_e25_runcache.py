@@ -6,17 +6,16 @@ consistency re-check, all replay ``(network, transducer, partition,
 seed, kwargs)`` tuples a previous harness already executed.  PR 4's
 :class:`~repro.net.runcache.RunCache` memoizes whole
 :class:`~repro.net.run.RunResult`s under those keys (guarded by a
-canonical transducer fingerprint), bundles the cross-run
-:class:`~repro.net.convergence.ConvergenceMemo` per fingerprint, and
-persists both to disk so CI jobs start warm.
+canonical transducer fingerprint) and persists them to disk so CI
+jobs start warm.
 
 The measurement, a *cross-harness* pass on the E17 chain workload (the
 transitive-closure flooder): one consistency sweep plus the full CALM
 diagnostic (coordination witness search, NTI probes, 30 monotonicity
 trials — every corner of the harness stack):
 
-1. **cold** — a fresh transducer, no cache, no memo;
-2. **recording** — a fresh transducer writing into a RunCache + memo
+1. **cold** — a fresh transducer, no cache;
+2. **recording** — a fresh transducer writing into a RunCache
    (the pass any earlier CI job or session would have run);
 3. **save / load** — the cache round-trips through the persistence
    format, exactly as the CI artifact does;
@@ -103,17 +102,14 @@ DISK_PATH = pathlib.Path(
 BOUNDED_COLUMNS = (64, 8)
 
 
-def _workload(transducer, run_cache=None, memo=None):
+def _workload(transducer, run_cache=None):
     """One cross-harness pass: consistency sweep + full CALM diagnostic."""
     chain = instance(S2, S=[(i, i + 1) for i in range(CHAIN_FACTS)])
     consistency = check_consistency(
         line(N_NODES), transducer, chain,
-        partition_count=PARTITIONS, seeds=SEEDS,
-        run_cache=run_cache, memo=memo,
+        partition_count=PARTITIONS, seeds=SEEDS, run_cache=run_cache,
     )
-    verdict = calm_verdict(
-        transducer, chain, run_cache=run_cache, memo=memo,
-    )
+    verdict = calm_verdict(transducer, chain, run_cache=run_cache)
     return consistency, verdict
 
 
@@ -138,11 +134,8 @@ def test_e25_run_cache_warm_pass(benchmark, report):
         cache = RunCache()
         recorder = transitive_closure_transducer()
         t0 = time.perf_counter()
-        rec_consistency, rec_verdict = _workload(
-            recorder, run_cache=cache, memo=True
-        )
+        rec_consistency, rec_verdict = _workload(recorder, run_cache=cache)
         t_rec = time.perf_counter() - t0
-        cache.store_memo(recorder, recorder.convergence_memo)
         ok &= rec_consistency.observations == cold_consistency.observations
         ok &= rec_verdict == cold_verdict
         rows.append([
@@ -176,12 +169,9 @@ def test_e25_run_cache_warm_pass(benchmark, report):
         if CACHE_BYTES is not None:
             ok &= loaded.max_bytes == CACHE_BYTES
 
-        warm_td = transitive_closure_transducer()
-        warm_memo = loaded.memo_for(warm_td)
-        ok &= warm_memo is not None and len(warm_memo) > 0
         t0 = time.perf_counter()
         warm_consistency, warm_verdict = _workload(
-            warm_td, run_cache=loaded, memo=warm_memo
+            transitive_closure_transducer(), run_cache=loaded
         )
         t_warm = time.perf_counter() - t0
         speedup = t_cold / max(t_warm, 1e-9)
@@ -215,14 +205,10 @@ def test_e25_run_cache_warm_pass(benchmark, report):
         # Bounded-cache columns: the same warm pass through LRU-bounded
         # caches.  Evicted cells recompute; evidence must not change.
         for bound in BOUNDED_COLUMNS:
-            bounded = RunCache(
-                loaded.entries, loaded.memos, max_entries=bound
-            )
-            bounded_td = transitive_closure_transducer()
+            bounded = RunCache(loaded.entries, max_entries=bound)
             t0 = time.perf_counter()
             b_consistency, b_verdict = _workload(
-                bounded_td, run_cache=bounded,
-                memo=loaded.memo_for(bounded_td),
+                transitive_closure_transducer(), run_cache=bounded
             )
             t_bounded = time.perf_counter() - t0
             b_identical = (
@@ -251,14 +237,10 @@ def test_e25_run_cache_warm_pass(benchmark, report):
         # byte-weighted LRU at half the loaded working set — eviction
         # churn is guaranteed, the evidence must not change.
         byte_budget = max(loaded.bytes // 2, 1)
-        weighted = RunCache(
-            loaded.entries, loaded.memos, max_bytes=byte_budget
-        )
-        weighted_td = transitive_closure_transducer()
+        weighted = RunCache(loaded.entries, max_bytes=byte_budget)
         t0 = time.perf_counter()
         w_consistency, w_verdict = _workload(
-            weighted_td, run_cache=weighted,
-            memo=loaded.memo_for(weighted_td),
+            transitive_closure_transducer(), run_cache=weighted
         )
         t_weighted = time.perf_counter() - t0
         w_identical = (
@@ -291,14 +273,11 @@ def test_e25_run_cache_warm_pass(benchmark, report):
         # recomputes, so zero misses despite the tight budget.
         tight_budget = max(loaded.bytes // 8, 1)
         tiered = RunCache(
-            loaded.entries, loaded.memos,
-            max_bytes=tight_budget, disk_path=DISK_PATH,
+            loaded.entries, max_bytes=tight_budget, disk_path=DISK_PATH,
         )
-        tiered_td = transitive_closure_transducer()
         t0 = time.perf_counter()
         d_consistency, d_verdict = _workload(
-            tiered_td, run_cache=tiered,
-            memo=loaded.memo_for(tiered_td),
+            transitive_closure_transducer(), run_cache=tiered
         )
         t_tiered = time.perf_counter() - t0
         d_identical = (

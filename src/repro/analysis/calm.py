@@ -49,7 +49,6 @@ class ComputedQuery(Query):
         max_steps: int = 20_000,
         batch_delivery: bool = False,
         convergence: str = "incremental",
-        memo=None,
         run_cache=None,
         faults=None,
     ):
@@ -59,10 +58,6 @@ class ComputedQuery(Query):
         self.max_steps = max_steps
         self.batch_delivery = batch_delivery
         self.convergence = convergence
-        # Cross-run convergence memo: the monotonicity probes evaluate
-        # this query on dozens of instances of the same transducer, so
-        # certificates proven in one evaluation warm the next.
-        self.memo = memo
         # Run-level cache: evaluations on an instance an earlier call
         # already ran (CI re-derives Q(I) per job) skip the reference
         # run entirely.  Within one calm_verdict an answer table serves
@@ -87,7 +82,6 @@ class ComputedQuery(Query):
             max_steps=self.max_steps,
             batch_delivery=self.batch_delivery,
             convergence=self.convergence,
-            memo=self.memo,
             run_cache=self.run_cache,
             faults=self.faults,
         )
@@ -167,7 +161,6 @@ def calm_verdict(
     check_coordination: bool = True,
     seed: int = 0,
     batch_delivery: bool = False,
-    memo=None,
     run_cache=None,
     engine=None,
     faults=None,
@@ -186,9 +179,7 @@ def calm_verdict(
 
     *engine* (a :class:`~repro.net.executor.SweepEngine`; ``None`` is
     serial) parallelizes the run sweeps underneath
-    (coordination witness search, NTI consistency probes); *memo*
-    shares one cross-run convergence memo across every fair run the
-    diagnostic performs — one transducer, hence one sound scope.
+    (coordination witness search, NTI consistency probes).
     *run_cache* skips whole runs the cache has seen (the coordination
     and NTI sweeps re-execute identical cells — and so do separate
     *diagnostics*, since the cache is fingerprint-keyed; repeated
@@ -217,19 +208,17 @@ def calm_verdict(
     diagnostics.
     """
     from ..net.consistency import check_topology_independence
-    from ..net.convergence import resolve_memo
     from ..net.network import single
     from ..net.runcache import resolve_run_cache
 
     network = network if network is not None else line(2)
     flags = property_report(transducer)
-    memo = resolve_memo(memo, transducer)
     run_cache = resolve_run_cache(run_cache, transducer)
     # The coordination and monotonicity probes share one answer table,
     # so each distinct probe instance runs once per verdict.
     query = cast(Query, _AnswerTable(ComputedQuery(
         transducer, network, seed=seed, batch_delivery=batch_delivery,
-        memo=memo, run_cache=run_cache, faults=faults,
+        run_cache=run_cache, faults=faults,
     )))
 
     static_report: StaticReport | None = None
@@ -249,7 +238,6 @@ def calm_verdict(
         networks=[single(), network],
         partition_count=2,
         seeds=(seed,),
-        memo=memo,
         run_cache=run_cache,
         engine=engine,
         faults=faults,

@@ -39,7 +39,7 @@ from .schema import TransducerSchema
 
 _EMPTY: frozenset = frozenset()
 
-MEMO_LIMIT = 16_384  # entries of each of a transducer's three memos
+MEMO_LIMIT = 16_384  # entries of each of a transducer's four memos
 
 
 @dataclass(frozen=True)
@@ -175,16 +175,15 @@ class Transducer:
         self._group_memo = Memo(MEMO_LIMIT)
         self._empty_received = Instance.empty(schema.messages)
         self._received_by_fact = Memo(MEMO_LIMIT)
-        # Cross-run convergence memo (a repro.net.convergence
-        # ConvergenceMemo), hung here like the transition cache because
-        # its certificates are pure functions of this transducer.  The
-        # sweep executor attaches and shares it; None until then.
-        self.convergence_memo = None
+        # The convergence tracker's node summaries (repro.net.convergence):
+        # (state, incoming facts) -> quiet with outputs O and sends J, or
+        # refuted.  Pure functions of this transducer, so every run of
+        # it shares them.
+        self.summary_memo = Memo(MEMO_LIMIT)
 
     def __getstate__(self):
         # The memos pickle empty and the evaluation plan is rebuilt, so
-        # a used transducer pickles as a fresh one.  The convergence
-        # memo *is* shipped: it is the cross-run store workers start from.
+        # a used transducer pickles as a fresh one.
         state = dict(self.__dict__)
         state.pop("_evaluation_plan", None)
         # A run cache hung here (repro.net.runcache.shared_run_cache)

@@ -77,17 +77,19 @@ class UCQNegQuery(Query):
         self.arity = arity
         self.input_schema = input_schema
         self.engine = engine
-        # Transducers evaluate the same UCQ once per transition; a
-        # per-query, per-engine pool keeps indexes (or, columnar,
-        # extent encodings) for extents that did not change between
-        # calls (value-keyed, size-capped).
-        self._pools: dict = {}
+        # Transducers evaluate the same UCQ once per transition; under
+        # the columnar engine a per-query pool keeps extent encodings
+        # for extents that did not change between calls (value-keyed,
+        # size-capped).  The indexed engine keeps no pool here: its
+        # indexes are keyed by whole extents, which a transducer's
+        # state changes on every transition miss, so a pool never hit.
+        self._column_pool = None
 
     def __getstate__(self):
-        # Pools are caches; rebuild them after unpickling (workers of
+        # The pool is a cache; rebuild it after unpickling (workers of
         # the sweep executor pickle transducers holding these queries).
         state = self.__dict__.copy()
-        state["_pools"] = {}
+        state["_column_pool"] = None
         return state
 
     @classmethod
@@ -115,19 +117,22 @@ class UCQNegQuery(Query):
         *compiled* is :func:`compile_rules` of this query's rules or of
         a subset of them (a transducer fires its rules in groups that
         read the same relations); absent relations read as empty.  The
-        engine and index pools are this query's, as in ``__call__``.
+        engine and column pool are this query's, as in ``__call__``.
         """
         engine = resolve_engine(self.engine)
-        pool = self._pools.get(engine)
-        if pool is None and engine != "nested":
-            pool = self._pools[engine] = make_pool(engine)
+        pool = None
+        if engine == "columnar":
+            pool = self._column_pool
+            if pool is None:
+                pool = self._column_pool = make_pool(engine)
         out: set[tuple] = set()
         for rule, plan, names in compiled:
             sources = [relations.get(name, _EMPTY) for name in names]
             if engine == "indexed":
                 # fire_rule's indexed path without its plan_for lookup,
-                # which hashes the whole body on every call.
-                out |= plan.kernel(sources).fire(rule, sources, relations, domain, pool)
+                # which hashes the whole body on every call; no pool, so
+                # the kernel builds each index directly.
+                out |= plan.kernel(sources).fire(rule, sources, relations, domain)
             else:
                 out |= fire_rule(rule, sources, relations, domain,
                                  engine=engine, pool=pool)
@@ -162,7 +167,7 @@ class RuleGroup(Query):
     A transducer evaluates each UCQ¬ query as groups of rules that
     read the same relations, and keeps each group's answer per extents
     of those relations (:meth:`repro.core.transducer.Transducer.transition`);
-    each group runs with its query's engine and index pools.
+    each group runs with its query's engine and column pool.
     *constants* are the whole query's constants, added to the active
     domain, or ``None`` when no rule of the group reads the active
     domain — then it is not computed.

@@ -38,13 +38,12 @@ class RunObservation:
 class ConsistencyReport:
     """Evidence gathered by :func:`check_consistency`.
 
-    ``memo_hits``/``memo_misses`` report cross-run convergence-memo
-    effectiveness when the sweep ran with one (both stay 0 otherwise);
-    ``cache_hits``/``cache_misses``/``cache_dedup`` do the same for the
-    run-level :class:`~repro.net.runcache.RunCache`: hits served from
-    the cache, misses actually executed, and in-grid duplicate cells
-    resolved without consulting the store (they never execute, so they
-    are neither hits nor misses — ``hits + misses + dedup`` covers the
+    ``cache_hits``/``cache_misses``/``cache_dedup`` report the
+    run-level :class:`~repro.net.runcache.RunCache` when the sweep ran
+    with one (all stay 0 otherwise): hits served from the cache,
+    misses actually executed, and in-grid duplicate cells resolved
+    without consulting the store (they never execute, so they are
+    neither hits nor misses — ``hits + misses + dedup`` covers the
     grid).
     """
 
@@ -52,8 +51,6 @@ class ConsistencyReport:
     outputs: list[frozenset] = field(default_factory=list)
     observations: list[RunObservation] = field(default_factory=list)
     unconverged: int = 0
-    memo_hits: int = 0
-    memo_misses: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_dedup: int = 0
@@ -106,7 +103,6 @@ def observe_runs(
     max_steps: int = 20_000,
     batch_delivery: bool = False,
     convergence: str = "incremental",
-    memo=None,
     run_cache=None,
     engine=None,
     faults=None,
@@ -123,11 +119,7 @@ def observe_runs(
     serial) executes the sweep: runs are independent, so they execute
     concurrently without changing a single observation — the returned
     list is identical to the serial one for every worker count.
-    *memo* opts into cross-run convergence memoization (``True`` for
-    the memo hung off the transducer, or an explicit
-    :class:`~repro.net.convergence.ConvergenceMemo`); it accelerates
-    checks without affecting verdicts.  *run_cache* short-circuits
-    whole runs already known to the
+    *run_cache* short-circuits whole runs already known to the
     :class:`~repro.net.runcache.RunCache`, and a ``persistent``-lifetime
     *engine* reuses one live fork pool across consecutive sweeps; both
     also leave every observation unchanged.  *faults* (a
@@ -148,7 +140,6 @@ def observe_runs(
         max_steps=max_steps,
         batch_delivery=batch_delivery,
         convergence=convergence,
-        memo=memo,
         run_cache=run_cache,
         engine=engine,
         faults=faults,
@@ -165,7 +156,6 @@ def check_consistency(
     max_steps: int = 20_000,
     batch_delivery: bool = False,
     convergence: str = "incremental",
-    memo=None,
     run_cache=None,
     engine=None,
     faults=None,
@@ -174,21 +164,17 @@ def check_consistency(
 
     Consistency fails definitively if two fair runs produced different
     outputs; it is supported (not proved) when all sampled runs agree.
-    *engine*/*memo*/*run_cache* parallelize, memoize and cache the
-    underlying sweep (see :func:`observe_runs`) without
-    changing the report's evidence; memo and run-cache effectiveness
-    are surfaced on the report.  *faults* injects a seeded
-    :class:`~repro.net.faults.FaultPlan` into every run; the aggregate
-    fault counters are read through :meth:`ConsistencyReport.fault_counts`.
+    *engine*/*run_cache* parallelize and cache the underlying sweep
+    (see :func:`observe_runs`) without changing the report's evidence;
+    run-cache effectiveness is surfaced on the report.  *faults*
+    injects a seeded :class:`~repro.net.faults.FaultPlan` into every
+    run; the aggregate fault counters are read through
+    :meth:`ConsistencyReport.fault_counts`.
     """
-    from .convergence import resolve_memo
     from .runcache import resolve_run_cache
 
-    memo = resolve_memo(memo, transducer)
     cache = resolve_run_cache(run_cache, transducer)
-    hits0 = misses0 = chits0 = cmisses0 = cdedup0 = 0
-    if memo is not None:
-        hits0, misses0 = memo.memo_hits, memo.memo_misses
+    chits0 = cmisses0 = cdedup0 = 0
     if cache is not None:
         chits0, cmisses0 = cache.cache_hits, cache.cache_misses
         cdedup0 = cache.cache_dedup
@@ -202,7 +188,6 @@ def check_consistency(
         max_steps,
         batch_delivery=batch_delivery,
         convergence=convergence,
-        memo=memo,
         run_cache=cache,
         engine=engine,
         faults=faults,
@@ -215,8 +200,6 @@ def check_consistency(
         outputs=outputs,
         observations=observations,
         unconverged=unconverged,
-        memo_hits=memo.memo_hits - hits0 if memo is not None else 0,
-        memo_misses=memo.memo_misses - misses0 if memo is not None else 0,
         cache_hits=cache.cache_hits - chits0 if cache is not None else 0,
         cache_misses=cache.cache_misses - cmisses0 if cache is not None else 0,
         cache_dedup=cache.cache_dedup - cdedup0 if cache is not None else 0,
@@ -231,21 +214,17 @@ def computed_output(
     max_steps: int = 20_000,
     batch_delivery: bool = False,
     convergence: str = "incremental",
-    memo=None,
     run_cache=None,
     faults=None,
 ) -> frozenset:
     """The output of one canonical fair run (full replication, given seed).
 
     For a consistent network this *is* the computed query's answer.
-    *memo* shares convergence certificates with other runs of the same
-    transducer (the CALM monotonicity probes call this in a loop);
     *run_cache* skips the run entirely when this exact cell was
     executed before — it shares keys with :func:`sweep_runs`, so a
     consistency sweep can warm the CALM reference evaluation and vice
     versa.
     """
-    from .convergence import resolve_memo
     from .runcache import resolve_run_cache, run_key, transducer_fingerprint
 
     cache = resolve_run_cache(run_cache, transducer)
@@ -278,7 +257,6 @@ def computed_output(
         max_steps=max_steps,
         batch_delivery=batch_delivery,
         convergence=convergence,
-        memo=resolve_memo(memo, transducer),
         faults=faults,
     )
     if cache is not None:
@@ -305,7 +283,6 @@ def check_topology_independence(
     partition_count: int = 3,
     seeds: tuple[int, ...] = (0, 1),
     max_steps: int = 20_000,
-    memo=None,
     run_cache=None,
     engine=None,
     faults=None,
@@ -316,22 +293,17 @@ def check_topology_independence(
     networks must agree on the output.  The single-node network is
     always included — Example 4 fails exactly there.
 
-    A single *memo* is sound across all the networks probed here: the
-    memoized certificates depend only on the transducer, not on the
-    topology (see :class:`~repro.net.convergence.ConvergenceMemo`).
-    The same holds for *run_cache* (the network is part of the cache
-    key) and a persistent *engine* — one live pool serves every
-    per-network sweep, which is the fork-amortization this probe grid
-    exists for.
+    A single *run_cache* is sound across all the networks probed here
+    (the network is part of the cache key), and so is a persistent
+    *engine*: one live pool serves every per-network sweep, which is
+    the fork-amortization this probe grid exists for.
     """
-    from .convergence import resolve_memo
     from .runcache import resolve_run_cache
 
     if networks is None:
         networks = standard_topologies(4)
     if not any(len(net) == 1 for net in networks):
         networks = [single()] + list(networks)
-    memo = resolve_memo(memo, transducer)
     run_cache = resolve_run_cache(run_cache, transducer)
     per_network: dict[str, frozenset] = {}
     inconsistent: list[str] = []
@@ -343,7 +315,6 @@ def check_topology_independence(
             partition_count=partition_count,
             seeds=seeds,
             max_steps=max_steps,
-            memo=memo,
             run_cache=run_cache,
             engine=engine,
             faults=faults,

@@ -43,11 +43,8 @@ from dataclasses import dataclass
 from ..core.transducer import Transducer
 from ..db.fact import Fact
 from ..db.instance import Instance
-from ..memo import Memo
 from .config import Configuration
 from .network import Network, Node
-
-SUMMARY_MEMO_LIMIT = 8_192  # entries of a tracker's run-local summary memo
 
 
 def is_converged(
@@ -143,141 +140,6 @@ class _Witness:
     outputs: frozenset | None  # set when only the output bound failed
 
 
-class ConvergenceMemo:
-    """A cross-run store of (state, incoming-facts) → node summaries.
-
-    The tracker's certificates are pure functions of the *transducer*
-    (not of the run, the partition, the seed, or even the network —
-    :meth:`ConvergenceTracker._summarize` only consults
-    ``transducer.heartbeat``/``deliver``), so a sweep over many runs of
-    the same transducer can share them: hang one memo off the
-    transducer (``transducer.convergence_memo``), pass it to each run's
-    :class:`ConvergenceTracker`, and later runs start warm.  Never
-    share a memo between different transducers — entries would be
-    wrong, and nothing can detect it.
-
-    The memo is picklable (entries are Instances, Facts and
-    frozensets, all with cheap ``__reduce__`` hooks) and *mergeable*:
-    parallel sweep workers return the entries they built
-    (:meth:`drain_new`) and the parent folds them back in with
-    :meth:`merge`.  Merging is conflict-free — values are deterministic
-    in their key, so last-write-wins is a no-op on overlaps.
-
-    ``memo_hits``/``memo_misses`` count tracker lookups that were
-    served from / had to be computed despite the memo; they are
-    surfaced in :class:`~repro.net.consistency.ConsistencyReport` and
-    the E24 bench output.
-    """
-
-    def __init__(self, entries: dict | None = None):
-        self.entries: dict[tuple[Instance, frozenset[Fact]], _Summary | _NonQuiet] = (
-            dict(entries) if entries else {}
-        )
-        # Delta journal for parallel merge-back; None (off) until a
-        # worker calls start_journal(), so the serial path — where the
-        # tracker records straight into the shared store — never
-        # accumulates an unbounded second copy.
-        self._new: dict | None = None
-        self.memo_hits = 0
-        self.memo_misses = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def get(self, key):
-        """A memoized summary for *key*, counting the hit or miss."""
-        value = self.entries.get(key)
-        if value is None:
-            self.memo_misses += 1
-        else:
-            self.memo_hits += 1
-        return value
-
-    def record(self, key, value) -> None:
-        """Store a freshly built summary (journalled when enabled)."""
-        self.entries[key] = value
-        if self._new is not None:
-            self._new[key] = value
-
-    def start_journal(self) -> None:
-        """Begin journalling fresh entries for :meth:`drain_new`."""
-        if self._new is None:
-            self._new = {}
-
-    def drain_new(self) -> dict:
-        """Entries recorded since the last drain (a worker's delta)."""
-        delta = self._new or {}
-        self._new = {}
-        return delta
-
-    def merge(self, other: "ConvergenceMemo | dict") -> int:
-        """Fold another memo (or a drained delta) in; returns #added."""
-        if isinstance(other, ConvergenceMemo):
-            entries = other.entries
-        else:
-            entries = other
-        before = len(self.entries)
-        self.entries.update(entries)
-        return len(self.entries) - before
-
-    def add_counts(self, hits: int, misses: int) -> None:
-        """Aggregate hit/miss counters reported back by a worker."""
-        self.memo_hits += hits
-        self.memo_misses += misses
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self.entries),
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-        }
-
-    def __reduce__(self):
-        return (_unpickle_memo, (self.entries, self.memo_hits, self.memo_misses))
-
-    def __repr__(self) -> str:
-        return (
-            f"ConvergenceMemo({len(self.entries)} entries, "
-            f"hits={self.memo_hits}, misses={self.memo_misses})"
-        )
-
-
-def _unpickle_memo(entries: dict, hits: int, misses: int) -> ConvergenceMemo:
-    memo = ConvergenceMemo(entries)
-    memo.memo_hits = hits
-    memo.memo_misses = misses
-    return memo
-
-
-def shared_memo(transducer: Transducer) -> ConvergenceMemo:
-    """Get-or-create the memo hung off *transducer* (like its
-    transition cache; see :class:`ConvergenceMemo` for why the
-    transducer is the right scope)."""
-    memo = getattr(transducer, "convergence_memo", None)
-    if memo is None:
-        memo = ConvergenceMemo()
-        transducer.convergence_memo = memo
-    return memo
-
-
-def resolve_memo(
-    memo: "ConvergenceMemo | bool | None", transducer: Transducer
-) -> ConvergenceMemo | None:
-    """Normalize the ``memo=`` knob the sweep entry points accept.
-
-    ``None``/``False`` → no cross-run memo; ``True`` → the memo hung
-    off the transducer (created on first use, like the transition
-    cache); a :class:`ConvergenceMemo` → itself.
-    """
-    if memo is None or memo is False:
-        return None
-    if memo is True:
-        return shared_memo(transducer)
-    if not isinstance(memo, ConvergenceMemo):
-        raise TypeError(f"memo must be a ConvergenceMemo or bool, got {memo!r}")
-    return memo
-
-
 class ConvergenceTracker:
     """Incremental convergence checking with delta invalidation.
 
@@ -287,25 +149,19 @@ class ConvergenceTracker:
     cheap-path bookkeeping exact; :meth:`check` is self-contained and
     correct without it.
 
-    *memo* plugs in a cross-run :class:`ConvergenceMemo`: summaries it
-    already holds are used instead of being re-proven, and summaries
-    built here are recorded into it.  Verdicts are unaffected — the
-    memoized certificates equal what :meth:`_summarize` would compute
-    (the Hypothesis suite pins warm == fresh).
+    Node summaries are memoized on the transducer
+    (``transducer.summary_memo``), since they are pure functions of it,
+    so every run of a transducer reuses the summaries earlier runs
+    proved.  Verdicts are unaffected: a memoized certificate equals
+    what :meth:`_summarize` would compute (the tests pin warm == fresh).
     """
 
-    def __init__(
-        self,
-        network: Network,
-        transducer: Transducer,
-        memo: ConvergenceMemo | None = None,
-    ):
+    def __init__(self, network: Network, transducer: Transducer):
         self.network = network
         self.transducer = transducer
         self._nodes = network.sorted_nodes()
         self._neighbors = {v: tuple(network.neighbors(v)) for v in self._nodes}
-        self._memo = Memo(SUMMARY_MEMO_LIMIT)
-        self._shared = memo
+        self._memo = transducer.summary_memo
         self._witnesses: list[_Witness] = []
         self._last_config: Configuration | None = None
         self._last_produced: frozenset | None = None
@@ -416,16 +272,7 @@ class ConvergenceTracker:
             key = (states[v], incoming[v])
             cached = memo.get(key)
             if cached is None:
-                # Miss in the run-local memo: consult the cross-run memo
-                # before paying for a fresh proof, and record fresh
-                # proofs into it so later runs in the sweep start warm.
-                if self._shared is not None:
-                    cached = self._shared.get(key)
-                    if cached is None:
-                        cached = self._summarize(key[0], key[1])
-                        self._shared.record(key, cached)
-                else:
-                    cached = self._summarize(key[0], key[1])
+                cached = self._summarize(key[0], key[1])
                 memo.put(key, cached)
             if isinstance(cached, _NonQuiet):
                 refuted = True

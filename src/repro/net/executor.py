@@ -53,7 +53,6 @@ from dataclasses import asdict, dataclass
 
 from ..memo import Memo
 from .consistency import RunObservation
-from .convergence import ConvergenceMemo, resolve_memo
 from .network import Network
 from .partition import HorizontalPartition
 from .run import run_fair
@@ -393,10 +392,7 @@ class SweepEngine:
         The ``(fn, context)`` payload is pickled exactly once into a
         blob that every task carries (re-pickling a ``bytes`` object is
         a memcpy, not an object-graph walk) and each worker unpickles
-        at most once.  Single-item maps run in-process; callers whose
-        task function carries worker-side bookkeeping (journalling memo
-        deltas, say) must branch on :attr:`parallel` and item count
-        themselves, exactly like :func:`sweep_runs` does.
+        at most once.  Single-item maps run in-process.
         """
         if not self.parallel or len(items) <= 1:
             return [fn(context, item) for item in items]
@@ -457,8 +453,9 @@ class SweepEngine:
 class EngineSession:
     """A live mapping session of a :class:`SweepEngine`.
 
-    Serial sessions apply the function inline; ``fork`` sessions hold
-    one fork pool, created lazily on the first non-trivial :meth:`map`
+    Serial sessions, and maps of at most one item, apply the function
+    inline; ``fork`` sessions hold one fork pool, created lazily on the
+    first map of two or more items
     (the payload crosses by fork inheritance) and reused until
     :meth:`close` (or the ``with`` block) tears it down; ``persistent``
     sessions delegate to the engine's shared pool, which outlives them.
@@ -476,7 +473,7 @@ class EngineSession:
         engine = self._engine
         if engine.lifetime == "persistent":
             return engine._persistent_map(self._fn, self._context, items)
-        if engine.lifetime == "serial" or not items:
+        if engine.lifetime == "serial" or len(items) <= 1:
             return [self._fn(self._context, item) for item in items]
 
         def get_pool():
@@ -634,36 +631,11 @@ class CacheSplice:
 
 
 def _run_task(context, task):
-    """One unit of work: a full seeded fair run (in-process path)."""
-    network, transducer, memo, run_kwargs = context
+    """One unit of work: a full seeded fair run."""
+    network, transducer, run_kwargs = context
     partition, seed = task
-    result = run_fair(
-        network, transducer, partition, seed=seed, memo=memo, **run_kwargs
-    )
+    result = run_fair(network, transducer, partition, seed=seed, **run_kwargs)
     return RunObservation(network, partition, seed, result)
-
-
-def _run_task_mp(context, task):
-    """One unit of work in a forked worker: run, then ship the deltas.
-
-    The worker's memo is the fork-inherited copy of the parent's — warm
-    with everything known at pool creation, plus whatever this worker
-    has proven since (per-worker warmth accumulates across its tasks).
-    The freshly proven entries and the hit/miss counter deltas travel
-    back with the observation for the parent to merge.
-    """
-    memo = context[2]
-    if memo is None:
-        return _run_task(context, task), None, 0, 0
-    memo.start_journal()
-    hits0, misses0 = memo.memo_hits, memo.memo_misses
-    observation = _run_task(context, task)
-    return (
-        observation,
-        memo.drain_new(),
-        memo.memo_hits - hits0,
-        memo.memo_misses - misses0,
-    )
 
 
 def sweep_runs(
@@ -674,7 +646,6 @@ def sweep_runs(
     max_steps: int = 20_000,
     batch_delivery: bool = False,
     convergence: str = "incremental",
-    memo: "ConvergenceMemo | bool | None" = None,
     run_cache=None,
     engine: "SweepEngine | None" = None,
     faults=None,
@@ -683,11 +654,7 @@ def sweep_runs(
 
     Returns the observations in grid order (partitions outer, seeds
     inner) — identical to the serial loop for every worker count and
-    lifetime: same seeds, same runs, just executed concurrently.  With
-    *memo*, every run's :class:`~repro.net.convergence.ConvergenceTracker`
-    is pre-seeded with the accumulated cross-run certificates and its
-    new ones are folded back, warming later runs; verdicts (and hence
-    observations) are unaffected.
+    lifetime: same seeds, same runs, just executed concurrently.
 
     *engine* (a :class:`SweepEngine`; ``None`` is serial) executes
     the grid.  *run_cache* (a
@@ -708,7 +675,6 @@ def sweep_runs(
     """
     from .runcache import resolve_run_cache, run_key, transducer_fingerprint
 
-    memo = resolve_memo(memo, transducer)
     cache = resolve_run_cache(run_cache, transducer)
     run_kwargs = {
         "max_steps": max_steps,
@@ -744,24 +710,7 @@ def sweep_runs(
     pending_tasks = splice.pending_tasks
 
     eng = engine if engine is not None else SweepEngine()
-    context = (network, transducer, memo, run_kwargs)
-    if not (eng.parallel and len(pending_tasks) > 1):
-        # In-process execution (including the nothing-to-fan-out case):
-        # the tracker records straight into the parent memo — runs warm
-        # each other directly, nothing to merge.  _run_task_mp must not
-        # run in-parent: its journal/counter bookkeeping assumes a
-        # worker-side memo copy and would double-count on the shared
-        # one.
-        fresh = [_run_task(context, task) for task in pending_tasks]
-    else:
-        fresh = []
-        for observation, delta, hits, misses in eng.map(
-            _run_task_mp, context, pending_tasks
-        ):
-            fresh.append(observation)
-            if delta is not None:
-                memo.merge(delta)
-                memo.add_counts(hits, misses)
+    fresh = eng.map(_run_task, (network, transducer, run_kwargs), pending_tasks)
     # The parent is the cache's only writer: fill records every pending
     # result in grid order, exactly as the serial sweep does.
     return splice.fill(fresh, store=lambda obs: obs.result)

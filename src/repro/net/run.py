@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from ..core.transducer import Transducer
 from ..db.instance import Instance
 from .config import Configuration, initial_configuration
-from .convergence import ConvergenceMemo, ConvergenceTracker, is_converged
+from .convergence import ConvergenceTracker, is_converged
 from .faults import (
     FAULT_ACTION_KINDS,
     FaultPlan,
@@ -235,7 +235,6 @@ def run_schedule(
     max_steps: int | None = 20_000,
     keep_trace: bool = False,
     convergence: str = "incremental",
-    memo: "ConvergenceMemo | None" = None,
     faults: FaultPlan | None = None,
 ) -> RunResult:
     """Execute *scheduler*'s schedule, truncated at convergence.
@@ -244,11 +243,6 @@ def run_schedule(
     default — a per-run :class:`ConvergenceTracker`) or ``"exact"``
     (the from-scratch reference test).  Both produce the same verdicts;
     the Hypothesis suite pins the equality.
-
-    *memo* plugs a cross-run :class:`ConvergenceMemo` into the
-    incremental tracker, so quiescence certificates proven by earlier
-    runs of the same transducer are reused (and new ones recorded).
-    Verdicts — and hence the run — are unaffected; only check speed is.
 
     *max_steps* bounds the number of committed transitions (``None``
     for no bound — round-based schedulers carry their own round
@@ -277,7 +271,7 @@ def run_schedule(
     ctx = RunContext(network, transducer, config, stats, outputs)
 
     tracker = (
-        ConvergenceTracker(network, transducer, memo=memo)
+        ConvergenceTracker(network, transducer)
         if convergence == "incremental"
         else None
     )
@@ -364,7 +358,6 @@ def run_fair(
     batch_delivery: bool = False,
     convergence: str = "incremental",
     scheduler: Scheduler | None = None,
-    memo: ConvergenceMemo | None = None,
     faults: FaultPlan | None = None,
 ) -> RunResult:
     """A seeded random fair run, truncated at convergence.
@@ -396,7 +389,6 @@ def run_fair(
         max_steps=max_steps,
         keep_trace=keep_trace,
         convergence=convergence,
-        memo=memo,
         faults=faults,
     )
 
@@ -435,7 +427,6 @@ def run_fifo_rounds(
     keep_trace: bool = False,
     batch_delivery: bool = False,
     convergence: str = "incremental",
-    memo: ConvergenceMemo | None = None,
     faults: FaultPlan | None = None,
 ) -> RunResult:
     """The deterministic fifo round schedule of Theorem 16's proof.
@@ -459,7 +450,6 @@ def run_fifo_rounds(
         max_steps=None,
         keep_trace=keep_trace,
         convergence=convergence,
-        memo=memo,
         faults=faults,
     )
 
@@ -472,7 +462,6 @@ def run_round_robin_batch(
     keep_trace: bool = False,
     batch_delivery: bool = True,
     convergence: str = "incremental",
-    memo: ConvergenceMemo | None = None,
     faults: FaultPlan | None = None,
 ) -> RunResult:
     """The round-robin batched-delivery schedule (new in the scheduler
@@ -493,7 +482,6 @@ def run_round_robin_batch(
         max_steps=None,
         keep_trace=keep_trace,
         convergence=convergence,
-        memo=memo,
         faults=faults,
     )
 
@@ -505,7 +493,6 @@ def run_witness_guided(
     max_rounds: int = 2_000,
     keep_trace: bool = False,
     batch_delivery: bool = False,
-    memo: ConvergenceMemo | None = None,
     faults: FaultPlan | None = None,
 ) -> RunResult:
     """A round-based run that delivers the convergence tracker's cached
@@ -529,6 +516,5 @@ def run_witness_guided(
         max_steps=None,
         keep_trace=keep_trace,
         convergence="incremental",
-        memo=memo,
         faults=faults,
     )

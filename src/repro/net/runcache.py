@@ -14,13 +14,11 @@ also makes whole runs memoizable.
 on ``(kind, network, transducer-fingerprint, partition-digest, seed,
 run-kwargs)``.  :func:`repro.net.executor.sweep_runs` (and through it
 every checker) short-circuits cached cells with the stored result —
-property-tested bit-identical to a fresh run.  The cache also bundles
-:class:`~repro.net.convergence.ConvergenceMemo` snapshots per
-transducer fingerprint, so one :meth:`save` file warms both stores of
-a later session.  For long-running services the cache is a small
-storage *hierarchy*: ``max_entries=`` and ``max_bytes=`` turn the
-in-memory store into an LRU keyed by last hit (the transition cache's
-pattern — hits promote, inserts evict the stalest entry), where
+property-tested bit-identical to a fresh run.  For long-running
+services the cache is a small storage *hierarchy*: ``max_entries=``
+and ``max_bytes=`` turn the in-memory store into an LRU keyed by last
+hit (the transition cache's pattern — hits promote, inserts evict the
+stalest entry), where
 ``max_bytes`` weighs each entry by its pickled size — the honest unit,
 since a heartbeat-probe frozenset and a traced ``RunResult`` differ by
 orders of magnitude; and ``disk_path=`` adds a sqlite tier *below*
@@ -29,7 +27,7 @@ discarding them and a memory miss promotes them back.  The parent
 sweep is the cache's only writer: workers never see the cache, so a
 parallel sweep leaves the serial sweep's entries, LRU order and
 counters.  The bounds survive :meth:`save`/:meth:`load` round-trips
-(bundle format v4), and an evict-then-recompute cycle is
+(bundle format v5), and an evict-then-recompute cycle is
 property-tested bit-identical to an unbounded cache (results are pure
 functions of their keys, so an eviction costs time, never
 correctness).
@@ -66,7 +64,6 @@ import warnings
 
 from ..lang.query import EmptyQuery, FOQuery, PythonQuery, Query
 from ..lang.ucq import UCQNegQuery
-from .convergence import ConvergenceMemo
 from .faults import FaultPlan
 from .network import Network
 from .partition import HorizontalPartition
@@ -83,7 +80,7 @@ __all__ = [
 ]
 
 _CACHE_FORMAT = "repro-runcache"
-_CACHE_VERSION = 4
+_CACHE_VERSION = 5
 
 _RUNTIME_TOKEN = None
 _RUNTIME_TOKEN_LOCK = threading.Lock()
@@ -645,8 +642,7 @@ class RunCache:
     """A store of finished run results, keyed by :func:`run_key`.
 
     One cache may serve many transducers — the fingerprint in the key
-    is the isolation boundary, unlike :class:`ConvergenceMemo` which
-    is scoped to a single transducer.  Values are whatever the
+    is the isolation boundary.  Values are whatever the
     recording harness produced for the cell (a
     :class:`~repro.net.run.RunResult` for fair-run sweeps, an output
     frozenset for heartbeat probes, a ``DedalusTrace`` for distributed
@@ -676,11 +672,8 @@ class RunCache:
     copy is memory-only) and :meth:`save` bundles only the memory
     tier.
 
-    The cache also bundles per-fingerprint convergence-memo snapshots
-    (:meth:`store_memo` / :meth:`memo_for`), so one :meth:`save` file
-    restores both the run results *and* the quiescence certificates a
-    warm CI job needs; the bounds and the LRU recency order both
-    survive the round-trip (bundle format v4).
+    The bounds and the LRU recency order both survive a
+    :meth:`save`/:meth:`load` round-trip (bundle format v5).
 
     The cache is **thread-safe**: one reentrant lock guards every
     mutation path — :meth:`get` (LRU promotion + counters),
@@ -700,7 +693,6 @@ class RunCache:
     def __init__(
         self,
         entries: dict | None = None,
-        memos: dict | None = None,
         max_entries: int | None = None,
         max_bytes: int | None = None,
         disk_path=None,
@@ -723,8 +715,6 @@ class RunCache:
         #: key -> pickled size; ``bytes`` is the running total.
         self._weights: dict[tuple, int] = {}
         self.bytes = 0
-        #: fingerprint -> ConvergenceMemo entry dict
-        self.memos: dict[str, dict] = dict(memos) if memos else {}
         self.cache_hits = 0
         self.cache_misses = 0
         #: In-grid duplicate cells resolved without consulting the
@@ -863,18 +853,11 @@ class RunCache:
         # concurrently cannot deadlock.
         with other._lock:
             other_entries = dict(other.entries)
-            other_memos = {
-                fp: dict(entries) for fp, entries in other.memos.items()
-            }
         with self._lock:
             before = len(self.entries)
             for key, value in other_entries.items():
                 if key not in self.entries:
                     self._insert(key, value)
-            for fingerprint, memo_entries in other_memos.items():
-                mine = self.memos.setdefault(fingerprint, {})
-                for key, value in memo_entries.items():
-                    mine.setdefault(key, value)
             added = len(self.entries) - before
             self._evict_over_bound()
         return added
@@ -908,29 +891,10 @@ class RunCache:
                 self._disk.close()
                 self._disk = None
 
-    # -- bundled convergence memos --------------------------------------
-
-    def store_memo(self, transducer, memo: ConvergenceMemo) -> None:
-        """Snapshot *memo*'s certificates under *transducer*'s fingerprint."""
-        fingerprint = transducer_fingerprint(transducer)
-        with self._lock:
-            self.memos.setdefault(fingerprint, {}).update(memo.entries)
-
-    def memo_for(self, transducer) -> ConvergenceMemo | None:
-        """A fresh :class:`ConvergenceMemo` seeded with the snapshot
-        stored for *transducer*, or None when nothing was stored.
-        Sound by the fingerprint contract: entries only come back for a
-        structurally identical transducer."""
-        with self._lock:
-            entries = self.memos.get(transducer_fingerprint(transducer))
-            if entries is None:
-                return None
-            return ConvergenceMemo(dict(entries))
-
     # -- persistence -----------------------------------------------------
 
     def save(self, path) -> None:
-        """Persist run entries and memo snapshots to *path* (pickle).
+        """Persist run entries to *path* (pickle).
 
         Session-local ``mem:`` fingerprints are dropped on the way out:
         they can never match in another process, so persisting them
@@ -957,11 +921,6 @@ class RunCache:
                     for key, value in self.entries.items()
                     if persistable(key)
                 },
-                "memos": {
-                    fingerprint: dict(entries)
-                    for fingerprint, entries in self.memos.items()
-                    if not fingerprint.startswith("mem:")
-                },
             }
         with open(path, "wb") as handle:
             pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
@@ -970,7 +929,7 @@ class RunCache:
     def load(
         cls, path, max_entries=_KEEP, max_bytes=_KEEP, disk_path=None
     ) -> "RunCache":
-        """Load a cache persisted by :meth:`save` (format v4).
+        """Load a cache persisted by :meth:`save` (format v5).
 
         *max_entries* / *max_bytes* override the persisted bounds when
         given (``None`` unbinds, an integer re-binds — oldest entries
@@ -1032,7 +991,6 @@ class RunCache:
             max_bytes = payload.get("max_bytes")
         return cls(
             payload["entries"],
-            payload["memos"],
             max_entries=max_entries,
             max_bytes=max_bytes,
             disk_path=disk_path,
@@ -1043,7 +1001,6 @@ class RunCache:
             return {
                 "entries": len(self.entries),
                 "bytes": self.bytes,
-                "memo_fingerprints": len(self.memos),
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
                 "cache_dedup": self.cache_dedup,
@@ -1064,7 +1021,6 @@ class RunCache:
                 RunCache,
                 (
                     dict(self.entries),
-                    {fp: dict(e) for fp, e in self.memos.items()},
                     self.max_entries,
                     self.max_bytes,
                 ),
@@ -1077,16 +1033,15 @@ class RunCache:
         return (
             f"RunCache({len(self.entries)}/{bound} runs, "
             f"{self.bytes}/{byte_bound} bytes, "
-            f"{len(self.memos)} memos, hits={self.cache_hits}, "
+            f"hits={self.cache_hits}, "
             f"misses={self.cache_misses}, evictions={self.evictions}{disk})"
         )
 
 
 def shared_run_cache(transducer) -> RunCache:
-    """Get-or-create the run cache hung off *transducer* (mirrors
-    :func:`repro.net.convergence.shared_memo`; unlike the memo, a
-    RunCache is fingerprint-keyed and could be shared wider — the
-    transducer is simply the convenient per-harness scope)."""
+    """Get-or-create the run cache hung off *transducer* (a RunCache is
+    fingerprint-keyed and could be shared wider — the transducer is
+    simply the convenient per-harness scope)."""
     cache = getattr(transducer, "run_cache", None)
     if cache is None:
         cache = RunCache()

@@ -274,10 +274,20 @@ class ServiceThread:
     def stop(self) -> None:
         loop, thread = self._loop, self._thread
         if loop is not None and thread is not None:
-            for task in asyncio.all_tasks(loop):
-                loop.call_soon_threadsafe(task.cancel)
+            # Cancel from inside the loop, all at once: cancelling
+            # ``serve_forever`` lets the loop close, after which another
+            # ``call_soon_threadsafe`` from here would raise.
+            try:
+                loop.call_soon_threadsafe(_cancel_all_tasks)
+            except RuntimeError:  # the loop has already closed
+                pass
             thread.join(10.0)
         self.service.close()
+
+
+def _cancel_all_tasks() -> None:
+    for task in asyncio.all_tasks():
+        task.cancel()
 
 
 def create_app(config: ServiceConfig | None = None) -> VerificationService:

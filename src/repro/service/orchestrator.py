@@ -278,6 +278,12 @@ class JobOrchestrator:
     # -- execution ---------------------------------------------------------
 
     def _set_status(self, job: Job, status: str) -> None:
+        if status in _TERMINAL:
+            # Leave the active set before waiters see the terminal
+            # status, so a resubmission after wait() queues a new job.
+            with self._lock:
+                if self._active.get(job.fingerprint) == job.id:
+                    del self._active[job.fingerprint]
         with job._cond:
             job.status = status
             job._cond.notify_all()
@@ -308,9 +314,6 @@ class JobOrchestrator:
             job.add_event(f"failed: {job.error}")
             self.metrics.count("jobs_failed")
         finally:
-            with self._lock:
-                if self._active.get(job.fingerprint) == job.id:
-                    del self._active[job.fingerprint]
             if self._store is not None:
                 self._store.put(job)
 

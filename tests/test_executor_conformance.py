@@ -247,8 +247,6 @@ class TestFullMatrix:
         assert got.outputs == reference.outputs
         assert got.observations == reference.observations
         assert got.unconverged == reference.unconverged
-        assert got.memo_hits == reference.memo_hits == 0
-        assert got.memo_misses == reference.memo_misses == 0
         cells = len(reference.observations)
         if cache is None:
             assert (got.cache_hits, got.cache_misses) == (0, 0)

@@ -36,7 +36,6 @@ from repro.core.transducer import Transducer
 from repro.db import Fact, Instance, schema
 from repro.lang.query import PythonQuery
 from repro.net import (
-    ConvergenceMemo,
     RunCache,
     SweepEngine,
     check_consistency,
@@ -167,18 +166,12 @@ class TestRunCache:
         td = transitive_closure_transducer()
         cache = RunCache()
         partition = sample_partitions(GRAPH, line(2), 1)[0]
-        sweep_runs(line(2), td, [partition], (0,), run_cache=cache, memo=True)
-        cache.store_memo(td, td.convergence_memo)
+        sweep_runs(line(2), td, [partition], (0,), run_cache=cache)
         path = tmp_path / "cache.pkl"
         cache.save(path)
         loaded = RunCache.load(path)
+        assert len(loaded) == 1
         assert loaded.entries == cache.entries
-        fresh = transitive_closure_transducer()
-        memo = loaded.memo_for(fresh)
-        assert isinstance(memo, ConvergenceMemo)
-        assert len(memo) == len(td.convergence_memo)
-        # a different transducer gets nothing back
-        assert loaded.memo_for(relay_identity_transducer()) is None
 
     def test_save_drops_session_local_fingerprints(self, tmp_path):
         cache = RunCache()
@@ -190,12 +183,10 @@ class TestRunCache:
         cache.record(
             run_key("fair-random", net, "sha256:abc", partition, 0, {}), "y"
         )
-        cache.memos["mem:1:2"] = {"k": "v"}
         path = tmp_path / "cache.pkl"
         cache.save(path)
         loaded = RunCache.load(path)
         assert len(loaded) == 1
-        assert loaded.memos == {}
 
     def test_load_rejects_junk(self, tmp_path):
         path = tmp_path / "junk.pkl"
@@ -215,22 +206,22 @@ class TestRunCache:
         with pytest.raises(ValueError, match="different runtime"):
             RunCache.load(cache_path)
 
-    def test_saved_bundle_is_format_v4(self, tmp_path):
+    def test_saved_bundle_is_format_v5(self, tmp_path):
         cache = RunCache(max_entries=4, max_bytes=1 << 16)
         cache.record(("k",), "v")
         path = tmp_path / "cache.pkl"
         cache.save(path)
         payload = pickle.loads(path.read_bytes())
-        assert payload["version"] == 4
+        assert payload["version"] == 5
         assert set(payload) == {
             "format", "version", "runtime", "max_entries", "max_bytes",
-            "entries", "memos",
+            "entries",
         }
 
     def test_stats_fields(self):
         # The service's /metrics endpoint reports stats() verbatim.
         assert set(RunCache().stats()) == {
-            "entries", "bytes", "memo_fingerprints", "cache_hits",
+            "entries", "bytes", "cache_hits",
             "cache_misses", "cache_dedup", "max_entries", "max_bytes",
             "evictions", "demotions", "promotions", "disk_entries",
         }
@@ -238,15 +229,12 @@ class TestRunCache:
     def test_merge_keeps_existing_entries_on_overlap(self):
         live = RunCache()
         live.record(("k",), "fresh")
-        live.memos["fp"] = {"m": "fresh"}
         stale = RunCache()
         stale.record(("k",), "stale")
         stale.record(("k2",), "new")
-        stale.memos["fp"] = {"m": "stale", "m2": "new"}
         assert live.merge(stale) == 1
         assert live.entries[("k",)] == "fresh"
         assert live.entries[("k2",)] == "new"
-        assert live.memos["fp"] == {"m": "fresh", "m2": "new"}
 
     def test_python_query_fingerprint_tracks_function_body(self):
         from repro.net.runcache import _code_digest
@@ -420,16 +408,6 @@ class TestPersistentEngine:
                 network, TC, partitions, (seed, seed + 1), engine=pool
             )
         assert pooled == serial
-
-    def test_pool_memo_merge_back(self):
-        partitions = sample_partitions(GRAPH, line(3), 3)
-        baseline = ConvergenceMemo()
-        sweep_runs(line(3), TC, partitions, (0, 1), memo=baseline)
-        memo = ConvergenceMemo()
-        with _persistent_engine(2) as pool:
-            sweep_runs(line(3), TC, partitions, (0, 1), memo=memo, engine=pool)
-        assert len(memo) == len(baseline)
-        assert memo._new is None  # journal never enabled in-parent
 
     def test_map_preserves_order_and_reuses_pool(self):
         with _persistent_engine(2) as pool:
@@ -1103,13 +1081,14 @@ class TestRunCacheByteBound:
 
         payload = {
             "format": _CACHE_FORMAT,
-            "version": 3,
+            "version": 4,
             "runtime": runtime_token(),
             "max_entries": None,
+            "max_bytes": None,
             "entries": {},
             "memos": {},
         }
-        path = tmp_path / "v3.pkl"
+        path = tmp_path / "v4.pkl"
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(ValueError, match="version"):
             RunCache.load(path)
@@ -1265,41 +1244,18 @@ class TestParallelSweepCache:
         assert warm == obs
         assert cache.cache_misses == distinct  # no new misses warm
 
-    def test_worker_task_ships_only_the_memo_delta(self):
-        from repro.net.executor import _run_task, _run_task_mp
-
-        network = line(2)
-        partition = sample_partitions(GRAPH, network, 1)[0]
-        run_kwargs = {
-            "max_steps": 20_000,
-            "batch_delivery": False,
-            "convergence": "incremental",
-        }
-        plain = _run_task((network, TC, None, run_kwargs), (partition, 0))
-        assert _run_task_mp(
-            (network, TC, None, run_kwargs), (partition, 0)
-        ) == (plain, None, 0, 0)
-        memo = ConvergenceMemo()
-        obs, delta, hits, misses = _run_task_mp(
-            (network, TC, memo, run_kwargs), (partition, 0)
-        )
-        assert obs == plain
-        assert delta == memo.entries  # a fresh memo: all of it is new
-        assert (hits, misses) == (memo.memo_hits, memo.memo_misses)
-        assert misses > 0
-
-    def test_parallel_memo_sweep_leaves_serial_cache_state(self):
+    def test_parallel_sweep_leaves_serial_cache_state(self):
         partitions = sample_partitions(GRAPH, line(3), 3)
         serial_cache = RunCache(max_entries=3)
         serial = sweep_runs(
             line(3), transitive_closure_transducer(), partitions, (0, 1),
-            memo=True, run_cache=serial_cache,
+            run_cache=serial_cache,
         )
         parallel_cache = RunCache(max_entries=3)
         with SweepEngine(workers=2, lifetime="fork") as engine:
             parallel = sweep_runs(
                 line(3), transitive_closure_transducer(), partitions, (0, 1),
-                memo=True, run_cache=parallel_cache, engine=engine,
+                run_cache=parallel_cache, engine=engine,
             )
         assert parallel == serial
         got, want = parallel_cache.stats(), serial_cache.stats()
@@ -1317,7 +1273,7 @@ class TestParallelSweepCache:
 
         def recording(obj, *args, **kwargs):
             blob = dumps(obj, *args, **kwargs)
-            if type(obj) is tuple and obj and obj[0] is executor._run_task_mp:
+            if type(obj) is tuple and obj and obj[0] is executor._run_task:
                 sizes.append(len(blob))
             return blob
 

@@ -1,51 +1,57 @@
-"""The parallel sweep executor, cross-run memo, and witness guidance.
+"""The parallel sweep executor, warm transducers, and witness guidance.
 
-Three property suites pin the PR 3 guarantees:
+Three property suites pin the executor's guarantees:
 
 * **determinism** — the parallel sweep returns an observation list
   identical, observation for observation, to the serial sweep for
   workers ∈ {1, 2, 4} (same seeds, same runs, just concurrent);
-* **memo transparency** — a tracker pre-seeded with a warm
-  :class:`~repro.net.convergence.ConvergenceMemo` produces verdicts
-  equal to a fresh tracker's at every checkpoint of a random schedule
-  prefix (certificates are pure functions of the transducer);
+* **warm == fresh** — a tracker on a transducer whose summary memo
+  earlier runs warmed produces verdicts equal to a tracker on a fresh
+  copy at every checkpoint of a random schedule prefix (certificates
+  are pure functions of the transducer), and sweeps on a warm
+  transducer, serial or forked, observe what a fresh one does;
 * **witness guidance soundness** — witness-guided runs reach the same
   fixpoint output as fair runs on batchable transducers (it is just
   another fair schedule).
 """
 
+import inspect
+import pickle
 import random
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis import calm_verdict
+from repro.analysis import ComputedQuery, calm_verdict
 from repro.core import (
     relay_identity_transducer,
     transitive_closure_transducer,
 )
 from repro.db import Fact, Instance, schema
 from repro.net import (
-    ConvergenceMemo,
     ConvergenceTracker,
     SweepEngine,
     check_consistency,
     check_coordination_free_on,
+    check_topology_independence,
     computed_output,
     deliver,
     heartbeat,
     initial_configuration,
     line,
+    observe_runs,
     random_partition,
     ring,
     run_fair,
+    run_fifo_rounds,
+    run_round_robin_batch,
+    run_schedule,
     run_witness_guided,
     sample_partitions,
     star,
     sweep_runs,
 )
-from repro.net.convergence import resolve_memo
 
 S2 = schema(S=2)
 S1 = schema(S=1)
@@ -111,63 +117,36 @@ class TestSweepEngine:
                 ("ctx", i * 2) for i in items
             ]
 
+    @pytest.mark.parametrize("lifetime", ["fork", "persistent"])
+    def test_single_item_maps_run_in_process(self, lifetime, monkeypatch):
+        # A pool for one task costs a fork and buys nothing.
+        from repro.net import executor as executor_module
 
-class TestConvergenceMemo:
-    def test_resolve_memo(self):
-        td = relay_identity_transducer()
-        assert resolve_memo(None, td) is None
-        assert resolve_memo(False, td) is None
-        memo = ConvergenceMemo()
-        assert resolve_memo(memo, td) is memo
-        created = resolve_memo(True, td)
-        assert isinstance(created, ConvergenceMemo)
-        assert td.convergence_memo is created
-        assert resolve_memo(True, td) is created  # stable across calls
-        with pytest.raises(TypeError):
-            resolve_memo(42, td)
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single-item map reached the pool")
 
-    def test_merge_and_counters(self):
-        a = ConvergenceMemo()
-        a.record("k1", "v1")
-        b = ConvergenceMemo()
-        b.record("k1", "v1")
-        b.record("k2", "v2")
-        assert a.merge(b) == 1
-        assert len(a) == 2
-        assert a.get("k2") == "v2"
-        assert a.get("missing") is None
-        assert (a.memo_hits, a.memo_misses) == (1, 1)
-        a.add_counts(5, 7)
-        assert (a.memo_hits, a.memo_misses) == (6, 8)
-        assert a.stats()["entries"] == 2
+        monkeypatch.setattr(executor_module, "_supervised_map", no_pool)
+        with SweepEngine(workers=2, lifetime=lifetime) as engine:
+            assert engine.map(_double, "ctx", [3]) == [("ctx", 6)]
+            assert engine.map(_double, "ctx", []) == []
 
-    def test_journal(self):
-        memo = ConvergenceMemo()
-        memo.record("before", 1)
-        memo.start_journal()
-        memo.record("after", 2)
-        assert memo.drain_new() == {"after": 2}
-        assert memo.drain_new() == {}
-        assert len(memo) == 2  # entries keep everything
 
-    def test_single_task_mp_sweep_keeps_parent_memo_clean(self):
-        # Regression: a one-task sweep under the multiprocessing backend
-        # must take the in-process path with the *serial* bookkeeping —
-        # the worker-side journal/counter shipping would double-count
-        # on the shared memo and leave its journal enabled forever.
-        partition = sample_partitions(GRAPH, line(2), 1)[0]
-        baseline = ConvergenceMemo()
-        sweep_runs(line(2), TC, [partition], (0,), memo=baseline)
-        memo = ConvergenceMemo()
-        sweep_runs(
-            line(2), TC, [partition], (0,),
-            engine=SweepEngine(workers=2, lifetime="fork"), memo=memo,
-        )
-        assert memo._new is None  # journal never enabled in-parent
-        assert (memo.memo_hits, memo.memo_misses) == (
-            baseline.memo_hits, baseline.memo_misses
-        )
-        assert len(memo) == len(baseline)
+# Summaries live on the transducer, so no entry point takes a memo knob.
+_RUN_ENTRY_POINTS = [
+    run_schedule, run_fair, run_fifo_rounds, run_round_robin_batch,
+    run_witness_guided, sweep_runs, observe_runs, check_consistency,
+    computed_output, check_topology_independence, calm_verdict,
+    ComputedQuery, ConvergenceTracker,
+]
+
+
+@pytest.mark.parametrize(
+    "entry", _RUN_ENTRY_POINTS, ids=lambda entry: entry.__name__
+)
+def test_entry_point_takes_no_memo(entry):
+    params = inspect.signature(entry).parameters
+    assert "memo" not in params
+    assert all(p.kind is not p.VAR_KEYWORD for p in params.values())
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +181,15 @@ class TestParallelSweepDeterminism:
 
     @settings(max_examples=4, deadline=None)
     @given(sweep_cases(), st.sampled_from([2, 4]))
-    def test_parallel_with_memo_equals_serial(self, case, workers):
+    def test_parallel_on_warm_transducer_equals_serial(self, case, workers):
+        # Forked workers inherit the parent's warm memos.
         inst, network, seed = case
         partitions = sample_partitions(inst, network, 3)
-        serial = sweep_runs(network, TC, partitions, (seed,))
-        memo = ConvergenceMemo()
+        fresh = pickle.loads(pickle.dumps(TC))
+        serial = sweep_runs(network, fresh, partitions, (seed,))
         parallel = sweep_runs(
-            network, TC, partitions, (seed,),
-            engine=SweepEngine(workers=workers, lifetime="fork"), memo=memo,
+            network, fresh, partitions, (seed,),
+            engine=SweepEngine(workers=workers, lifetime="fork"),
         )
         assert serial == parallel
 
@@ -218,7 +198,7 @@ class TestParallelSweepDeterminism:
                                    seeds=(0, 1))
         parallel = check_consistency(
             line(3), TC, GRAPH, partition_count=3, seeds=(0, 1),
-            engine=SweepEngine(workers=2, lifetime="fork"), memo=True,
+            engine=SweepEngine(workers=2, lifetime="fork"),
         )
         assert serial.consistent == parallel.consistent
         assert serial.outputs == parallel.outputs
@@ -240,7 +220,7 @@ class TestParallelSweepDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Memo transparency: warmed verdicts == fresh verdicts
+# Warm transducers: warmed verdicts == fresh verdicts
 # ---------------------------------------------------------------------------
 
 
@@ -286,42 +266,51 @@ class TestMemoWarmedVerdicts:
     @given(walk_cases())
     def test_warm_tracker_equals_fresh_tracker(self, case):
         transducer, network, partition, seed, steps = case
-        # Warm a memo with one full run plus the walk itself.
-        memo = ConvergenceMemo()
-        run_fair(network, transducer, partition, seed=seed, memo=memo)
-        warmup = ConvergenceTracker(network, transducer, memo=memo)
+        # The pickle copy's memos are empty; warm the original with one
+        # full run plus the walk itself.
+        cold = pickle.loads(pickle.dumps(transducer))
+        run_fair(network, transducer, partition, seed=seed)
+        warmup = ConvergenceTracker(network, transducer)
         for config, produced in _fair_walk(
             network, transducer, partition, seed, steps
         ):
             warmup.check(config, produced)
-        # Fresh tracker vs memo-warmed tracker, same checkpoints.
-        fresh = ConvergenceTracker(network, transducer)
-        warmed = ConvergenceTracker(network, transducer, memo=memo)
+        # Fresh tracker on the cold copy vs a tracker on the warm
+        # transducer, same checkpoints.
+        fresh = ConvergenceTracker(network, cold)
+        warmed = ConvergenceTracker(network, transducer)
         for config, produced in _fair_walk(
             network, transducer, partition, seed, steps
         ):
             assert warmed.check(config, produced) == fresh.check(
                 config, produced
             )
+        # Every summary the walk needs was proven by the warm-up.
+        assert warmed.summaries_built == 0
 
-    def test_memo_counts_hits_on_second_sweep(self):
+    def test_warm_transducer_sweeps_equal_fresh(self):
+        def sweep(transducer, engine=None):
+            return check_consistency(
+                line(3), transducer, GRAPH, partition_count=3, seeds=(0, 1),
+                engine=engine,
+            ).observations
+
+        expected = sweep(transitive_closure_transducer())
         td = transitive_closure_transducer()
-        first = check_consistency(line(3), td, GRAPH, partition_count=3,
-                                  seeds=(0, 1), memo=True)
-        second = check_consistency(line(3), td, GRAPH, partition_count=3,
-                                   seeds=(0, 1), memo=True)
-        assert first.memo_misses > 0
-        assert second.memo_misses == 0
-        assert second.memo_hits > 0
-        assert first.outputs == second.outputs
+        assert sweep(td) == expected
+        proven = len(td.summary_memo)
+        assert proven > 0
+        assert sweep(td, SweepEngine(workers=2, lifetime="fork")) == expected
+        assert sweep(td) == expected
+        # The repeated serial sweep proved nothing new.
+        assert len(td.summary_memo) == proven
 
-    def test_memo_shared_across_calm_probes(self):
+    def test_warm_transducer_calm_verdict_equals_fresh(self):
         td = relay_identity_transducer()
-        with_memo = calm_verdict(td, ELEMENTS, memo=True)
-        assert isinstance(td.convergence_memo, ConvergenceMemo)
-        assert td.convergence_memo.memo_hits > 0
-        plain = calm_verdict(relay_identity_transducer(), ELEMENTS)
-        assert with_memo == plain
+        first = calm_verdict(td, ELEMENTS)
+        assert len(td.summary_memo) > 0
+        assert calm_verdict(td, ELEMENTS) == first
+        assert first == calm_verdict(relay_identity_transducer(), ELEMENTS)
 
 
 # ---------------------------------------------------------------------------

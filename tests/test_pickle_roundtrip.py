@@ -1,7 +1,7 @@
 """Pickle round-trips for the runtime's immutable core types.
 
 The multiprocessing sweep backend ships tasks (partitions), results
-(observations with configurations and run stats) and memo deltas
+(observations with configurations and run stats) and transducers
 between processes.  The frozen-slots layout of the core types breaks
 *default* pickling (unpickling would go through the raising
 ``__setattr__`` guards), so each type carries an explicit
@@ -15,14 +15,10 @@ import pickle
 import hypothesis.strategies as st
 from hypothesis import given
 
-from repro.core import (
-    relay_identity_transducer,
-    transitive_closure_transducer,
-)
+from repro.core import transitive_closure_transducer
 from repro.db import Fact, FactMultiset, Instance, schema
 from repro.db.instance import instance
 from repro.net import (
-    ConvergenceMemo,
     initial_configuration,
     line,
     ring,
@@ -99,10 +95,13 @@ class TestRuntimeObjects:
     def test_transducer_drops_caches(self):
         td = transitive_closure_transducer()
         run_fair(line(2), td, round_robin(GRAPH, line(2)), seed=0)
-        memos = ("_transition_cache", "_group_memo", "_received_by_fact")
+        memos = (
+            "_transition_cache", "_group_memo", "_received_by_fact",
+            "summary_memo",
+        )
         assert all(len(getattr(td, m)) for m in memos)  # warmed by the run
         td2 = roundtrip(td)
-        assert [len(getattr(td2, m)) for m in memos] == [0, 0, 0]
+        assert [len(getattr(td2, m)) for m in memos] == [0, 0, 0, 0]
         assert [getattr(td2, m).limit for m in memos] == [
             getattr(td, m).limit for m in memos
         ]
@@ -115,20 +114,6 @@ class TestRuntimeObjects:
         result = run_fair(line(3), TC, round_robin(GRAPH, line(3)), seed=0)
         result2 = roundtrip(result)
         assert result2 == result
-
-    def test_convergence_memo(self):
-        td = relay_identity_transducer()
-        from repro.net import check_consistency
-
-        I = instance(schema(S=1), S=[(1,), (2,)])
-        memo = ConvergenceMemo()
-        check_consistency(line(2), td, I, partition_count=2, seeds=(0,), memo=memo)
-        assert len(memo) > 0
-        memo2 = roundtrip(memo)
-        assert len(memo2) == len(memo)
-        assert memo2.memo_hits == memo.memo_hits
-        assert memo2.memo_misses == memo.memo_misses
-        assert memo2.entries == memo.entries
 
 
 class TestPropertyRoundTrips:

@@ -3,7 +3,7 @@
 The verification service hands one ``Transducer`` object to every job
 thread when a ``module:attr`` spec names an object rather than a
 factory.  Its memos (the transition cache, the group memo, the
-received-instance cache and each UCQ¬ query's ``IndexPool``) are
+received-instance cache and the convergence summaries) are
 :class:`repro.memo.Memo` s.  The hammer below lowers their bounds so
 every memo evicts, interleaves the threads finely (a 1 µs switch
 interval), then checks that every thread saw exactly the serial run's
@@ -18,15 +18,12 @@ import threading
 from repro.core import transducer as transducer_module
 from repro.core import transitive_closure_transducer
 from repro.db import instance, schema
-from repro.lang import joinplan
-from repro.lang.ucq import UCQNegQuery
 from repro.net import check_consistency, line
 
 THREADS = 4
 ROUNDS = 3
 CHAIN = 6
 MEMO_BOUND = 64
-INDEX_BOUND = 4
 
 
 def _check(transducer):
@@ -41,22 +38,19 @@ def _check(transducer):
 def _memo_sizes(transducer) -> list[tuple[str, int, int]]:
     """``(memo, entries, bound)`` for every memo of *transducer*, as the
     calling thread sees them."""
-    sizes = [
+    return [
         (name, len(getattr(transducer, name)), MEMO_BOUND)
-        for name in ("_transition_cache", "_group_memo", "_received_by_fact")
+        for name in (
+            "_transition_cache", "_group_memo", "_received_by_fact",
+            "summary_memo",
+        )
     ]
-    for role, query in transducer.all_queries():
-        pool = getattr(query, "_pools", {}).get("indexed")
-        if isinstance(query, UCQNegQuery) and pool is not None:
-            sizes.append((role, len(pool._indexes), INDEX_BOUND))
-    return sizes
 
 
 def test_shared_transducer_matches_serial_under_eviction(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "indexed")
     expected = _check(transitive_closure_transducer())
     monkeypatch.setattr(transducer_module, "MEMO_LIMIT", MEMO_BOUND)
-    monkeypatch.setattr(joinplan, "INDEX_MEMO_LIMIT", INDEX_BOUND)
     shared = transitive_closure_transducer()
     barrier = threading.Barrier(THREADS)
     results: list[list] = [[] for _ in range(THREADS)]
@@ -92,9 +86,7 @@ def test_shared_transducer_matches_serial_under_eviction(monkeypatch):
         assert outputs == [expected] * ROUNDS
     for seen in sizes:
         assert all(entries <= bound for _, entries, bound in seen), seen
-        # The transition cache, the group memo and a UCQ¬ query's
-        # IndexPool filled up, so each of them evicted.
+        # The transition cache and the group memo filled up, so each
+        # of them evicted.
         full = {name for name, entries, bound in seen if entries == bound}
         assert {"_transition_cache", "_group_memo"} <= full, seen
-        assert any(name in full for name, _, bound in seen
-                   if bound == INDEX_BOUND), seen
