@@ -213,7 +213,7 @@ def calm_verdict(
 
     network = network if network is not None else line(2)
     flags = property_report(transducer)
-    run_cache = resolve_run_cache(run_cache, transducer)
+    run_cache = resolve_run_cache(run_cache)
     # The coordination and monotonicity probes share one answer table,
     # so each distinct probe instance runs once per verdict.
     query = cast(Query, _AnswerTable(ComputedQuery(

@@ -186,10 +186,6 @@ class Transducer:
         # a used transducer pickles as a fresh one.
         state = dict(self.__dict__)
         state.pop("_evaluation_plan", None)
-        # A run cache hung here (repro.net.runcache.shared_run_cache)
-        # is parent-side lookup state: workers never consult it, and it
-        # can dwarf the rest of the pickle.
-        state.pop("run_cache", None)
         return state
 
     # -- query plumbing ------------------------------------------------------

@@ -203,11 +203,11 @@ def run_distributed(
     consistency over fair runs: every arrival schedule must stabilize
     to the same state.
 
-    *run_cache* (a :class:`~repro.net.runcache.RunCache`, or ``True``
-    for the one hung off *program*) memoizes whole traces — a seeded
-    localized run is a pure function of ``(program, network,
-    partition, seed, kwargs)``, and Dedalus programs always
-    fingerprint canonically (their rules are plain ASTs).  *engine* (a
+    *run_cache* (a :class:`~repro.net.runcache.RunCache`) memoizes
+    whole traces — a seeded localized run is a pure function of
+    ``(program, network, partition, seed, kwargs)``, and Dedalus
+    programs always fingerprint canonically (their rules are plain
+    ASTs).  *engine* (a
     :class:`~repro.net.executor.SweepEngine`, e.g. a
     ``persistent``-lifetime one; ``None`` is serial) fans a seeds
     sweep over its workers.
@@ -229,7 +229,7 @@ def run_distributed(
     from ..net.runcache import resolve_run_cache
     from .interp import run_program
 
-    run_cache = resolve_run_cache(run_cache, program)
+    run_cache = resolve_run_cache(run_cache)
     if faults is not None:
         run_kwargs["faults"] = faults
     if seeds is not None:
@@ -317,10 +317,9 @@ def sweep_distributed(
     (keys include the localized program's fingerprint, the network,
     the partition, the seed and the kwargs) — the shared
     :class:`~repro.net.executor.CacheSplice` bookkeeping, so equal
-    cells inside one grid also collapse to a single run; ``True``
-    selects the cache hung off *program*.  *engine* selects the
-    executor (``None`` is serial).  *lang_engine*
-    picks the local evaluation engine inside every cell, as in
+    cells inside one grid also collapse to a single run.  *engine*
+    selects the executor (``None`` is serial).  *lang_engine* picks
+    the local evaluation engine inside every cell, as in
     :func:`run_distributed`.  *faults* injects the same seeded
     :class:`~repro.net.faults.FaultPlan` into every cell (and into
     every cell's cache key).
@@ -329,7 +328,7 @@ def sweep_distributed(
     from ..net.runcache import resolve_run_cache
     from ..lang.engine import resolve_engine as resolve_lang_engine
 
-    run_cache = resolve_run_cache(run_cache, program)
+    run_cache = resolve_run_cache(run_cache)
     if lang_engine is not None:
         resolve_lang_engine(lang_engine)  # validate before fan-out
     if faults is not None:

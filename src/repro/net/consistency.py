@@ -173,7 +173,7 @@ def check_consistency(
     """
     from .runcache import resolve_run_cache
 
-    cache = resolve_run_cache(run_cache, transducer)
+    cache = resolve_run_cache(run_cache)
     chits0 = cmisses0 = cdedup0 = 0
     if cache is not None:
         chits0, cmisses0 = cache.cache_hits, cache.cache_misses
@@ -227,7 +227,7 @@ def computed_output(
     """
     from .runcache import resolve_run_cache, run_key, transducer_fingerprint
 
-    cache = resolve_run_cache(run_cache, transducer)
+    cache = resolve_run_cache(run_cache)
     partitions = sample_partitions(instance, network, 1)
     key = None
     if cache is not None:
@@ -304,7 +304,7 @@ def check_topology_independence(
         networks = standard_topologies(4)
     if not any(len(net) == 1 for net in networks):
         networks = [single()] + list(networks)
-    run_cache = resolve_run_cache(run_cache, transducer)
+    run_cache = resolve_run_cache(run_cache)
     per_network: dict[str, frozenset] = {}
     inconsistent: list[str] = []
     for network in networks:

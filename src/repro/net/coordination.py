@@ -145,7 +145,7 @@ def check_coordination_free_on(
             sample_partitions(instance, network, sample_count)
         )
 
-    cache = resolve_run_cache(run_cache, transducer)
+    cache = resolve_run_cache(run_cache)
     fingerprint = (
         transducer_fingerprint(transducer) if cache is not None else None
     )

@@ -295,8 +295,8 @@ class SweepEngine:
     ``lifetime`` is one of :data:`LIFETIMES` (default: ``fork`` exactly
     when ``workers > 1`` and the platform has the fork start method,
     else ``serial``).  The lifetime is resolved once at construction —
-    a quietly degraded engine *is* serial from then on, so callers can
-    branch on ``engine.parallel`` to decide merge-back bookkeeping.
+    a quietly degraded engine *is* serial from then on, and
+    ``engine.parallel`` reports which it is.
     An *explicitly* requested parallel lifetime that cannot actually
     parallelize (``workers == 1``, or no fork) is a misconfiguration
     and raises ``ValueError`` — honoring it silently used to hide wrong
@@ -657,9 +657,8 @@ def sweep_runs(
     lifetime: same seeds, same runs, just executed concurrently.
 
     *engine* (a :class:`SweepEngine`; ``None`` is serial) executes
-    the grid.  *run_cache* (a
-    :class:`~repro.net.runcache.RunCache`, or ``True`` for the one
-    hung off the transducer) short-circuits grid cells whose
+    the grid.  *run_cache* (a :class:`~repro.net.runcache.RunCache`)
+    short-circuits grid cells whose
     :class:`~repro.net.run.RunResult` is already known — each cell is
     a pure function of ``(network, transducer, partition, seed,
     kwargs)``, so a cached result is bit-identical to a fresh one, and
@@ -675,7 +674,7 @@ def sweep_runs(
     """
     from .runcache import resolve_run_cache, run_key, transducer_fingerprint
 
-    cache = resolve_run_cache(run_cache, transducer)
+    cache = resolve_run_cache(run_cache)
     run_kwargs = {
         "max_steps": max_steps,
         "batch_delivery": batch_delivery,

@@ -10,8 +10,8 @@ and a CI job re-runs yesterday's whole suite.  A seeded
 the same independence observation that made the PR 3 sweeps parallel
 also makes whole runs memoizable.
 
-:class:`RunCache` is a picklable store of finished run results keyed
-on ``(kind, network, transducer-fingerprint, partition-digest, seed,
+:class:`RunCache` is a store of finished run results keyed on
+``(kind, network, transducer-fingerprint, partition-digest, seed,
 run-kwargs)``.  :func:`repro.net.executor.sweep_runs` (and through it
 every checker) short-circuits cached cells with the stored result —
 property-tested bit-identical to a fresh run.  For long-running
@@ -23,13 +23,14 @@ stalest entry), where
 since a heartbeat-probe frozenset and a traced ``RunResult`` differ by
 orders of magnitude; and ``disk_path=`` adds a sqlite tier *below*
 the in-memory bound, so eviction demotes entries to disk instead of
-discarding them and a memory miss promotes them back.  The parent
-sweep is the cache's only writer: workers never see the cache, so a
-parallel sweep leaves the serial sweep's entries, LRU order and
-counters.  The bounds survive :meth:`save`/:meth:`load` round-trips
-(bundle format v5), and an evict-then-recompute cycle is
-property-tested bit-identical to an unbounded cache (results are pure
-functions of their keys, so an eviction costs time, never
+discarding them and a memory miss promotes them back.  The sqlite
+file is the cache's only persistence: :meth:`RunCache.close` spills
+memory down to it, and a later ``RunCache(disk_path=…)`` over the
+same file starts warm.  The parent sweep is the cache's only writer:
+workers never see the cache, so a parallel sweep leaves the serial
+sweep's entries, LRU order and counters.  An evict-then-recompute
+cycle is property-tested bit-identical to an unbounded cache (results
+are pure functions of their keys, so an eviction costs time, never
 correctness).
 
 Fingerprints are the soundness boundary: a cache entry recorded for
@@ -38,7 +39,7 @@ one transducer must never be served to a different one.
 schema and every query (rules, formulas, arities), so two structurally
 identical transducers — e.g. ``transitive_closure_transducer()`` built
 in two different processes — share entries, which is exactly what lets
-CI start warm from a saved cache.  Query objects that cannot be
+a reopened disk tier start warm.  Query objects that cannot be
 described canonically (closures, ad-hoc ``Query`` subclasses) fall
 back to a session-local fingerprint: caching still works within the
 process, and persisted entries are conservatively never matched by a
@@ -47,7 +48,7 @@ merely slow).  Partitions are keyed by :func:`partition_digest` —
 canonical sorted-fact digests — so differently-ordered but equal
 instances (the monotonicity probes regenerate theirs per diagnostic)
 land on the same cell, and keys stay compact strings instead of
-pinning whole partition object graphs in every persisted bundle.
+pinning whole partition object graphs.
 """
 
 from __future__ import annotations
@@ -75,12 +76,8 @@ __all__ = [
     "resolve_run_cache",
     "run_key",
     "runtime_token",
-    "shared_run_cache",
     "transducer_fingerprint",
 ]
-
-_CACHE_FORMAT = "repro-runcache"
-_CACHE_VERSION = 5
 
 _RUNTIME_TOKEN = None
 _RUNTIME_TOKEN_LOCK = threading.Lock()
@@ -92,10 +89,12 @@ def runtime_token() -> str:
     A ``RunResult`` is a pure function of its key *under one runtime*:
     change the scheduler's RNG draws, the delivery semantics, or the
     query evaluator, and the same key maps to a different result.
-    Persisted bundles therefore carry this token and :meth:`RunCache.load`
-    rejects files written by different code — a stale CI bundle after
-    any source change is discarded (cold start), never served.
-    In-memory caching is unaffected.
+    The disk tier therefore stamps its file with this token and purges
+    every row when it is opened under different code — a stale file
+    after any source change is a cold start, never a wrong hit.  The
+    token digests this module too, so a change to the cache's own
+    storage format also purges old files.  In-memory caching is
+    unaffected.
 
     First-call initialization is double-checked under a lock: two
     service handler threads racing here used to both walk the source
@@ -352,10 +351,10 @@ def partition_digest(partition: HorizontalPartition) -> str:
     it identifies *which facts sit where* and nothing else — the
     partition's identity for run-cache purposes.  Using digests
     instead of the partition objects themselves keeps cache keys
-    compact (persisted bundles no longer pin whole partition object
-    graphs) and makes the cross-harness key-reuse canonical: the CALM
-    monotonicity probes regenerate their instances per diagnostic, and
-    differently-ordered but equal instances land on the same cell.
+    compact (no key pins a whole partition object graph) and makes the
+    cross-harness key-reuse canonical: the CALM monotonicity probes
+    regenerate their instances per diagnostic, and differently-ordered
+    but equal instances land on the same cell.
     Raises ``ValueError`` when a node or dom value has no canonical
     rendering (see :func:`instance_digest`); cached on the partition.
     """
@@ -468,10 +467,9 @@ class _DiskTier:
 
     Rows are ``(canonical run_key text, pickled frozen value)``.  The
     file carries the :func:`runtime_token` of the code that wrote it;
-    opening it under different library source purges every row — the
-    same results-are-pure-only-under-one-runtime argument that guards
-    :meth:`RunCache.load`, enforced at open instead of read so a stale
-    file degrades to a cold tier, never a wrong hit.
+    opening it under different library source purges every row
+    (results are pure functions of their keys only under one runtime),
+    so a stale file degrades to a cold tier, never a wrong hit.
 
     Damage degrades, never crashes: a corrupt or truncated file at
     open is warned about, deleted and recreated fresh, and a row that
@@ -529,7 +527,7 @@ class _DiskTier:
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS entries (k TEXT PRIMARY KEY, v BLOB)"
             )
-            stamp = f"{_CACHE_FORMAT}/{_CACHE_VERSION}/{runtime_token()}"
+            stamp = runtime_token()
             row = conn.execute(
                 "SELECT v FROM meta WHERE k = 'runtime'"
             ).fetchone()
@@ -654,31 +652,31 @@ class RunCache:
     :meth:`record` past the bound evicts the least-recently-used entry
     first (``evictions`` counts them).  *max_bytes* bounds the same
     LRU by **weight** instead of count: every entry is weighed by its
-    pickled size, eviction pops the stalest entries until the total
-    fits, and an entry larger than the whole budget is simply not kept
-    in memory.  Both bounds may be active at once; ``None`` (the default) keeps the historical unbounded
-    behaviour.  Because every value is a pure function of its key,
-    eviction is always safe — a later miss on an evicted key
-    recomputes the identical value (property-tested).
+    pickled size, and eviction pops the stalest entries until the
+    total fits.  An entry heavier than the whole budget never enters
+    memory — making room for it would evict every other entry and then
+    the entry itself — so it counts as one eviction and goes straight
+    to disk.  Both bounds may be active at once; ``None`` (the
+    default) leaves the store unbounded.  Because every value is a
+    pure function of its key, eviction is always safe — a later miss
+    on an evicted key recomputes the identical value (property-tested).
 
     *disk_path* opens a sqlite tier **below** the in-memory bound:
     eviction *demotes* the entry to disk (``demotions``) when its key
     has a canonical cross-process rendering, and a memory miss checks
     disk before giving up — a disk hit *promotes* the entry back into
-    memory (``promotions``) and counts as a cache hit.  The file is
-    guarded by :func:`runtime_token`, so a long-lived server restarts
-    warm while a stale file degrades to a cold tier.  The tier is
-    process-local plumbing: it is dropped by pickling (an unpickled
-    copy is memory-only) and :meth:`save` bundles only the memory
-    tier.
-
-    The bounds and the LRU recency order both survive a
-    :meth:`save`/:meth:`load` round-trip (bundle format v5).
+    memory (``promotions``) and counts as a cache hit.  The tier is the
+    cache's only persistence: :meth:`close` spills memory down to it,
+    and a new cache opened over the same file starts warm, in this
+    process or another.  The file is guarded by :func:`runtime_token`,
+    so a stale file degrades to a cold tier.  The bounds and the LRU
+    order are not persisted: a reopened cache takes the bounds it is
+    given and starts with an empty memory tier.
 
     The cache is **thread-safe**: one reentrant lock guards every
     mutation path — :meth:`get` (LRU promotion + counters),
-    :meth:`record`, eviction/demotion, merges and :meth:`save`'s
-    snapshot.  Unlocked, two orchestrator workers interleaving
+    :meth:`record`, eviction/demotion and :meth:`close`'s spill.
+    Unlocked, two orchestrator workers interleaving
     ``get``/``record`` could corrupt the recency dict
     mid-promotion (``del`` then re-insert is two steps), double-evict
     one key (both pop the same front entry, the ``bytes`` ledger
@@ -686,13 +684,13 @@ class RunCache:
     — exactly what a verification service sharing one cache across
     concurrent jobs flushed out.  Counter arithmetic from outside the
     class goes through :meth:`bump` so it lands under the same lock.
+    The lock also makes the cache unpicklable, which is deliberate:
+    a cache lives in the process that opened it, and workers never
+    receive one.
     """
-
-    _KEEP = object()  # load() sentinel: use the persisted bound
 
     def __init__(
         self,
-        entries: dict | None = None,
         max_entries: int | None = None,
         max_bytes: int | None = None,
         disk_path=None,
@@ -707,9 +705,8 @@ class RunCache:
                 raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        # Reentrant: record() -> _evict_over_bound() -> _disk demotion
-        # all run under one acquisition; dropped by __reduce__ (an
-        # unpickled copy builds its own).
+        # Reentrant: get() -> _disk_get() -> _store() -> demotion all
+        # run under one acquisition.
         self._lock = threading.RLock()
         self.entries: dict[tuple, object] = {}
         #: key -> pickled size; ``bytes`` is the running total.
@@ -725,10 +722,6 @@ class RunCache:
         self.promotions = 0
         self.disk_path = str(disk_path) if disk_path is not None else None
         self._disk = _DiskTier(disk_path) if disk_path is not None else None
-        if entries:
-            for key, value in entries.items():
-                self._insert(key, value)
-        self._evict_over_bound()
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -791,33 +784,39 @@ class RunCache:
             return None
         self.cache_hits += 1
         self.promotions += 1
-        self._insert(key, value)
-        self._evict_over_bound()
+        self._store(key, value, demote=False)  # the row stays on disk
         return value
 
     def record(self, key: tuple, value) -> None:
         with self._lock:
-            self._insert(key, value)
-            self._evict_over_bound()
+            self._store(key, value)
 
-    def _insert(self, key: tuple, value) -> None:
-        """Insert *value* as most-recent, keeping the weight ledger
-        exact on re-insert."""
+    def _store(self, key: tuple, value, demote: bool = True) -> None:
+        """Insert *value* as most-recent and evict down to the bounds,
+        keeping the weight ledger exact on re-insert.
+
+        An entry heavier than the whole byte budget is evicted on the
+        spot (demoted too, unless *demote* is false) instead of
+        flushing every resident entry on its way out.
+        """
         old = self._weights.pop(key, None)
         if old is not None:
             del self.entries[key]
             self.bytes -= old
         weight = _weigh(value)
+        if self.max_bytes is not None and weight > self.max_bytes:
+            self.evictions += 1
+            if demote:
+                self._demote(key, value)
+            return
         self.entries[key] = value
         self._weights[key] = weight
         self.bytes += weight
-
-    def _evict_over_bound(self) -> None:
         if self.max_entries is not None:
             while len(self.entries) > self.max_entries:
                 self._evict_one()
         if self.max_bytes is not None:
-            while self.bytes > self.max_bytes and self.entries:
+            while self.bytes > self.max_bytes:
                 self._evict_one()
 
     def _evict_one(self) -> None:
@@ -825,176 +824,42 @@ class RunCache:
         value = self.entries.pop(key)
         self.bytes -= self._weights.pop(key)
         self.evictions += 1
-        if self._disk is not None:
-            text = _disk_key_text(key)
-            if text is not None:
-                try:
-                    blob = pickle.dumps(
-                        value, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                except Exception:
-                    return  # unpicklable value: discard, as without disk
-                self._disk.put(text, blob)
-                self.demotions += 1
+        self._demote(key, value)
 
-    def merge(self, other: "RunCache") -> int:
-        """Fold another cache in; returns the number of new run entries.
-
-        Under one runtime, overlaps are identical (values are
-        deterministic functions of their key) and the direction is
-        moot; existing entries still win on overlap, so folding an
-        older snapshot into a live cache can never shadow freshly
-        computed results.  A bound on the live cache is enforced after
-        the fold (merged-in entries count as most recent, in the other
-        cache's recency order).
-        """
-        # Snapshot the other cache under its own lock, then fold under
-        # ours — never both at once, so two caches merging each other
-        # concurrently cannot deadlock.
-        with other._lock:
-            other_entries = dict(other.entries)
-        with self._lock:
-            before = len(self.entries)
-            for key, value in other_entries.items():
-                if key not in self.entries:
-                    self._insert(key, value)
-            added = len(self.entries) - before
-            self._evict_over_bound()
-        return added
+    def _demote(self, key: tuple, value) -> None:
+        """Write one entry down to the disk tier, if there is one and
+        the entry has a cross-process rendering (``mem:`` fingerprints,
+        object keys and unpicklable values are simply dropped)."""
+        if self._disk is None:
+            return
+        text = _disk_key_text(key)
+        if text is None:
+            return
+        try:
+            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            return
+        self._disk.put(text, blob)
+        self.demotions += 1
 
     def close(self) -> None:
         """Spill memory entries down to the disk tier (when present)
         and close its sqlite handle (idempotent; the cache keeps
         working memory-only afterwards).
 
-        The shutdown spill is what makes a restarted service fully
-        warm: eviction-time demotion only covers cells that *left*
-        memory, so without it the most recently used cells — exactly
-        the ones a client is most likely to resubmit — would die with
-        the process.  Counted as demotions; the usual restrictions
-        apply (``mem:`` fingerprints and object keys never spill).
+        The spill is what makes the file a complete warm start:
+        eviction-time demotion only covers cells that *left* memory,
+        so without it the most recently used cells — exactly the ones
+        a client is most likely to resubmit — would die with the
+        process.  Counted as demotions; the usual restrictions apply
+        (``mem:`` fingerprints and object keys never spill).
         """
         with self._lock:
             if self._disk is not None:
                 for key, value in self.entries.items():
-                    text = _disk_key_text(key)
-                    if text is None:
-                        continue
-                    try:
-                        blob = pickle.dumps(
-                            value, protocol=pickle.HIGHEST_PROTOCOL
-                        )
-                    except Exception:
-                        continue
-                    self._disk.put(text, blob)
-                    self.demotions += 1
+                    self._demote(key, value)
                 self._disk.close()
                 self._disk = None
-
-    # -- persistence -----------------------------------------------------
-
-    def save(self, path) -> None:
-        """Persist run entries to *path* (pickle).
-
-        Session-local ``mem:`` fingerprints are dropped on the way out:
-        they can never match in another process, so persisting them
-        would only bloat the file.  Entries are written in LRU recency
-        order and the bounds ride along, so a :meth:`load` resumes the
-        exact cache state (minus counters).
-        """
-        def persistable(key) -> bool:
-            fingerprint = key[2] if len(key) > 2 else ""
-            return not (
-                isinstance(fingerprint, str)
-                and fingerprint.startswith("mem:")
-            )
-
-        with self._lock:
-            payload = {
-                "format": _CACHE_FORMAT,
-                "version": _CACHE_VERSION,
-                "runtime": runtime_token(),
-                "max_entries": self.max_entries,
-                "max_bytes": self.max_bytes,
-                "entries": {
-                    key: value
-                    for key, value in self.entries.items()
-                    if persistable(key)
-                },
-            }
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def load(
-        cls, path, max_entries=_KEEP, max_bytes=_KEEP, disk_path=None
-    ) -> "RunCache":
-        """Load a cache persisted by :meth:`save` (format v5).
-
-        *max_entries* / *max_bytes* override the persisted bounds when
-        given (``None`` unbinds, an integer re-binds — oldest entries
-        are evicted on the way in when the snapshot exceeds the new
-        bound); by default the persisted bounds are kept.  *disk_path*
-        attaches a disk tier to the loaded cache, so a bounded restore
-        demotes its overflow instead of discarding it.
-
-        A *damaged* bundle — truncated, byte-flipped, any file whose
-        bytes no longer decode as a pickle — degrades to a cold cache
-        with a :class:`RuntimeWarning` instead of crashing the sweep
-        that wanted a warm start.  Bundles that decode fine but are the
-        wrong *thing* (not a saved RunCache, a different format
-        version, a different runtime) still raise ``ValueError``:
-        those are caller mistakes worth surfacing loudly, not disk rot.
-        A missing file raises ``FileNotFoundError`` as ever.
-        """
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except OSError:
-            raise
-        except Exception as exc:
-            # Corrupt bytes surface as UnpicklingError, EOFError (a
-            # truncated stream) or whatever half-decoded garbage the
-            # pickle VM tripped over — none of which the caller can
-            # act on beyond starting cold, so do that for them.
-            warnings.warn(
-                f"run-cache bundle {str(path)!r} is damaged ({exc!r}); "
-                "starting with a cold cache",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return cls(
-                max_entries=None if max_entries is cls._KEEP else max_entries,
-                max_bytes=None if max_bytes is cls._KEEP else max_bytes,
-                disk_path=disk_path,
-            )
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != _CACHE_FORMAT
-        ):
-            raise ValueError(f"{path!r} is not a saved RunCache")
-        if payload.get("version") != _CACHE_VERSION:
-            raise ValueError(
-                f"unsupported RunCache version {payload.get('version')!r}"
-            )
-        if payload.get("runtime") != runtime_token():
-            # Results are pure functions of their key only under the
-            # code that produced them; a bundle from different source
-            # is a cold start, never a wrong hit.
-            raise ValueError(
-                f"{path!r} was saved by a different runtime version; "
-                "discard it and start cold"
-            )
-        if max_entries is cls._KEEP:
-            max_entries = payload.get("max_entries")
-        if max_bytes is cls._KEEP:
-            max_bytes = payload.get("max_bytes")
-        return cls(
-            payload["entries"],
-            max_entries=max_entries,
-            max_bytes=max_bytes,
-            disk_path=disk_path,
-        )
 
     def stats(self) -> dict:
         with self._lock:
@@ -1012,20 +877,6 @@ class RunCache:
                 "disk_entries": len(self._disk) if self._disk is not None else 0,
             }
 
-    def __reduce__(self):
-        # Counters, the lock and the disk tier are process-local
-        # plumbing and deliberately dropped: an unpickled copy is
-        # memory-only and builds its own lock.
-        with self._lock:
-            return (
-                RunCache,
-                (
-                    dict(self.entries),
-                    self.max_entries,
-                    self.max_bytes,
-                ),
-            )
-
     def __repr__(self) -> str:
         bound = "∞" if self.max_entries is None else self.max_entries
         byte_bound = "∞" if self.max_bytes is None else self.max_bytes
@@ -1038,29 +889,11 @@ class RunCache:
         )
 
 
-def shared_run_cache(transducer) -> RunCache:
-    """Get-or-create the run cache hung off *transducer* (a RunCache is
-    fingerprint-keyed and could be shared wider — the transducer is
-    simply the convenient per-harness scope)."""
-    cache = getattr(transducer, "run_cache", None)
-    if cache is None:
-        cache = RunCache()
-        transducer.run_cache = cache
-    return cache
-
-
-def resolve_run_cache(run_cache, transducer) -> RunCache | None:
-    """Normalize the ``run_cache=`` knob the harness entry points accept.
-
-    ``None``/``False`` → no caching; ``True`` → the cache hung off the
-    transducer (created on first use); a :class:`RunCache` → itself.
-    """
+def resolve_run_cache(run_cache) -> RunCache | None:
+    """Normalize the ``run_cache=`` knob the harness entry points accept:
+    ``None``/``False`` → no caching; a :class:`RunCache` → itself."""
     if run_cache is None or run_cache is False:
         return None
-    if run_cache is True:
-        return shared_run_cache(transducer)
     if not isinstance(run_cache, RunCache):
-        raise TypeError(
-            f"run_cache must be a RunCache or bool, got {run_cache!r}"
-        )
+        raise TypeError(f"run_cache must be a RunCache, got {run_cache!r}")
     return run_cache

@@ -13,7 +13,14 @@ from repro.dedalus import (
     run_program,
     sweep_distributed,
 )
-from repro.net import SweepEngine, full_replication, line, ring, round_robin
+from repro.net import (
+    RunCache,
+    SweepEngine,
+    full_replication,
+    line,
+    ring,
+    round_robin,
+)
 
 S2 = schema(S=2)
 
@@ -186,26 +193,26 @@ class TestDistributedSweep:
             assert a.steps == b.steps
             assert a.final() == b.final()
 
-    def test_run_cache_true_uses_the_program_scoped_cache(self, chain):
-        # ``run_cache=True`` means "the cache hung off the subject", as
-        # for a transducer: here the subject is the Dedalus program.
+    def test_run_cache_serves_distributed_runs(self, chain):
+        # A RunCache memoizes whole traces, as for a transducer: the
+        # subject fingerprinted into every key is the Dedalus program.
         net = line(2)
         prog = DedalusProgram.parse(TC_LOCAL, S2)
         partition = round_robin(chain, net)
         plain = run_distributed(prog, net, partition, max_steps=300)
+        cache = RunCache()
         first = run_distributed(
-            prog, net, partition, max_steps=300, run_cache=True
+            prog, net, partition, max_steps=300, run_cache=cache
         )
-        cache = prog.run_cache
         misses = cache.cache_misses
         second = run_distributed(
-            prog, net, partition, max_steps=300, run_cache=True
+            prog, net, partition, max_steps=300, run_cache=cache
         )
         assert cache.cache_hits == 1 and cache.cache_misses == misses
         assert first == second == plain
         swept = sweep_distributed(
             prog, net, [partition], seeds=(0,), max_steps=300,
-            run_cache=True,
+            run_cache=cache,
         )
         assert swept == [plain]
         assert cache.cache_hits == 2  # same cell as the seed-0 run

@@ -13,8 +13,8 @@ and canonical partition digests):
 * **fingerprint soundness** — structurally identical transducers share
   a canonical fingerprint (what makes persisted entries reusable
   across processes), different transducers never do, and transducers
-  with non-canonical queries get session-local fingerprints that a
-  save file refuses to carry;
+  with non-canonical queries get session-local fingerprints that the
+  disk tier refuses to carry;
 * **shutdown discipline** — clean exits drain worker pools
   (``close``+``join``), only exceptional exits terminate them.
 """
@@ -52,7 +52,6 @@ from repro.net.runcache import (
     partition_digest,
     resolve_run_cache,
     run_key,
-    shared_run_cache,
 )
 
 S2 = schema(S=2)
@@ -124,99 +123,109 @@ class TestTransducerFingerprint:
 
 
 # ---------------------------------------------------------------------------
-# RunCache mechanics and persistence
+# RunCache mechanics
 # ---------------------------------------------------------------------------
 
 
 class TestRunCache:
-    def test_get_record_merge_counters(self):
+    def test_get_record_counters(self):
         cache = RunCache()
         key = ("k",)
         assert cache.get(key) is None
         cache.record(key, "value")
         assert cache.get(key) == "value"
         assert (cache.cache_hits, cache.cache_misses) == (1, 1)
-        other = RunCache()
-        other.record(("k2",), "v2")
-        assert cache.merge(other) == 1
+        cache.record(("k2",), "v2")
         assert len(cache) == 2
         assert cache.stats()["entries"] == 2
 
     def test_resolve_run_cache(self):
-        td = relay_identity_transducer()
-        assert resolve_run_cache(None, td) is None
-        assert resolve_run_cache(False, td) is None
+        assert resolve_run_cache(None) is None
+        assert resolve_run_cache(False) is None
         cache = RunCache()
-        assert resolve_run_cache(cache, td) is cache
-        created = resolve_run_cache(True, td)
-        assert isinstance(created, RunCache)
-        assert td.run_cache is created
-        assert resolve_run_cache(True, td) is created
-        assert shared_run_cache(td) is created
-        with pytest.raises(TypeError):
-            resolve_run_cache(42, td)
+        assert resolve_run_cache(cache) is cache
+        for knob in (True, 42):
+            with pytest.raises(TypeError):
+                resolve_run_cache(knob)
 
-    def test_transducer_pickle_drops_hung_cache(self):
+    def test_runcache_refuses_to_pickle(self):
+        with pytest.raises(TypeError):
+            pickle.dumps(RunCache())
+
+    def test_cached_sweep_leaves_transducer_picklable(self):
+        # The cache is passed to a sweep, never hung on the transducer,
+        # so a transducer that served cached sweeps still pickles.
         td = relay_identity_transducer()
-        shared_run_cache(td).record(("k",), "v")
+        cache = RunCache()
+        partitions = sample_partitions(ELEMENTS, line(2), 2)
+        sweep_runs(line(2), td, partitions, (0,), run_cache=cache)
+        assert len(cache) > 0
         clone = pickle.loads(pickle.dumps(td))
         assert getattr(clone, "run_cache", None) is None
+        assert transducer_fingerprint(clone) == transducer_fingerprint(td)
 
-    def test_save_load_roundtrip(self, tmp_path):
+    def test_reopened_file_serves_a_recorded_sweep(self, tmp_path):
         td = transitive_closure_transducer()
-        cache = RunCache()
-        partition = sample_partitions(GRAPH, line(2), 1)[0]
-        sweep_runs(line(2), td, [partition], (0,), run_cache=cache)
-        path = tmp_path / "cache.pkl"
-        cache.save(path)
-        loaded = RunCache.load(path)
-        assert len(loaded) == 1
-        assert loaded.entries == cache.entries
+        partitions = sample_partitions(GRAPH, line(2), 2)
+        path = tmp_path / "tier.sqlite"
+        cache = RunCache(disk_path=path)
+        sweep_runs(line(2), td, partitions, (0, 1), run_cache=cache)
+        recorded = dict(cache.entries)
+        assert recorded
+        cache.close()
+        reopened = RunCache(disk_path=path)
+        assert reopened.stats()["disk_entries"] == len(recorded)
+        for key, value in recorded.items():
+            assert reopened.get(key) == value
+        assert reopened.cache_misses == 0
+        assert reopened.promotions == len(recorded)
+        reopened.close()
 
-    def test_save_drops_session_local_fingerprints(self, tmp_path):
-        cache = RunCache()
-        net = line(2)
-        partition = sample_partitions(GRAPH, net, 1)[0]
-        cache.record(
-            run_key("fair-random", net, "mem:1:2", partition, 0, {}), "x"
-        )
-        cache.record(
-            run_key("fair-random", net, "sha256:abc", partition, 0, {}), "y"
-        )
-        path = tmp_path / "cache.pkl"
-        cache.save(path)
-        loaded = RunCache.load(path)
-        assert len(loaded) == 1
+    def test_disk_stamp_is_the_runtime_token(self, tmp_path):
+        import sqlite3
 
-    def test_load_rejects_junk(self, tmp_path):
-        path = tmp_path / "junk.pkl"
-        path.write_bytes(pickle.dumps({"hello": "world"}))
-        with pytest.raises(ValueError):
-            RunCache.load(path)
+        from repro.net.runcache import runtime_token
 
-    def test_load_rejects_cross_runtime_bundles(self, tmp_path, monkeypatch):
-        from repro.net import runcache as runcache_module
-
-        cache = RunCache()
+        path = tmp_path / "tier.sqlite"
+        cache = RunCache(max_entries=4, max_bytes=1 << 16, disk_path=path)
         cache.record(("k",), "v")
-        cache_path = tmp_path / "cache.pkl"
-        cache.save(cache_path)
-        # Same file, "next release": the library's source changed.
-        monkeypatch.setattr(runcache_module, "_RUNTIME_TOKEN", "changed")
-        with pytest.raises(ValueError, match="different runtime"):
-            RunCache.load(cache_path)
+        cache.close()
+        conn = sqlite3.connect(str(path))
+        try:
+            meta = dict(conn.execute("SELECT k, v FROM meta").fetchall())
+            rows = conn.execute("SELECT k FROM entries").fetchall()
+        finally:
+            conn.close()
+        # Only the runtime is stamped: bounds belong to whoever opens
+        # the file, not to the file.
+        assert meta == {"runtime": runtime_token()}
+        assert len(rows) == 1
 
-    def test_saved_bundle_is_format_v5(self, tmp_path):
-        cache = RunCache(max_entries=4, max_bytes=1 << 16)
-        cache.record(("k",), "v")
-        path = tmp_path / "cache.pkl"
-        cache.save(path)
-        payload = pickle.loads(path.read_bytes())
-        assert payload["version"] == 5
-        assert set(payload) == {
-            "format", "version", "runtime", "max_entries", "max_bytes",
-            "entries",
-        }
+    def test_live_value_replaces_the_row_at_close(self, tmp_path):
+        path = tmp_path / "tier.sqlite"
+        first = RunCache(disk_path=path)
+        first.record(("k",), "stale")
+        first.close()
+        second = RunCache(disk_path=path)
+        second.record(("k",), "fresh")
+        assert second.get(("k",)) == "fresh"  # memory shadows disk
+        assert second.promotions == 0
+        second.close()
+        third = RunCache(disk_path=path)
+        assert third.get(("k",)) == "fresh"
+        assert third.stats()["disk_entries"] == 1
+        third.close()
+
+    def test_sessions_accumulate_in_one_file(self, tmp_path):
+        path = tmp_path / "tier.sqlite"
+        for session in range(3):
+            cache = RunCache(disk_path=path)
+            cache.record(("k", session), session)
+            cache.close()
+        reopened = RunCache(disk_path=path)
+        assert reopened.stats()["disk_entries"] == 3
+        assert [reopened.get(("k", s)) for s in range(3)] == [0, 1, 2]
+        reopened.close()
 
     def test_stats_fields(self):
         # The service's /metrics endpoint reports stats() verbatim.
@@ -225,16 +234,6 @@ class TestRunCache:
             "cache_misses", "cache_dedup", "max_entries", "max_bytes",
             "evictions", "demotions", "promotions", "disk_entries",
         }
-
-    def test_merge_keeps_existing_entries_on_overlap(self):
-        live = RunCache()
-        live.record(("k",), "fresh")
-        stale = RunCache()
-        stale.record(("k",), "stale")
-        stale.record(("k2",), "new")
-        assert live.merge(stale) == 1
-        assert live.entries[("k",)] == "fresh"
-        assert live.entries[("k2",)] == "new"
 
     def test_python_query_fingerprint_tracks_function_body(self):
         from repro.net.runcache import _code_digest
@@ -604,12 +603,47 @@ class TestRunCacheLRUBound:
             RunCache(max_entries=0)
         RunCache(max_entries=1)  # smallest legal bound
 
-    def test_construction_trims_to_bound(self):
-        entries = {("k", i): i for i in range(6)}
-        cache = RunCache(entries, max_entries=4)
+    def test_recording_trims_to_bound(self):
+        cache = RunCache(max_entries=4)
+        for i in range(6):
+            cache.record(("k", i), i)
         assert len(cache) == 4
         assert list(cache.entries) == [("k", i) for i in range(2, 6)]
         assert cache.evictions == 2
+
+    def test_reopen_takes_the_bounds_it_is_given(self, tmp_path):
+        path = tmp_path / "tier.sqlite"
+        cache = RunCache(max_entries=3, disk_path=path)
+        for i in range(5):
+            cache.record(("k", i), i)
+        cache.close()  # 2 demoted by eviction + 3 spilled
+        rebound = RunCache(max_entries=2, disk_path=path)
+        assert rebound.max_entries == 2
+        assert [rebound.get(("k", i)) for i in range(5)] == list(range(5))
+        assert list(rebound.entries) == [("k", 3), ("k", 4)]
+        assert rebound.stats()["disk_entries"] == 5
+        rebound.close()
+        unbound = RunCache(disk_path=path)
+        assert unbound.max_entries is None
+        assert [unbound.get(("k", i)) for i in range(5)] == list(range(5))
+        assert len(unbound) == 5
+        unbound.close()
+
+    def test_promotion_order_is_recency_after_reopen(self, tmp_path):
+        path = tmp_path / "tier.sqlite"
+        cache = RunCache(disk_path=path)
+        for i in range(3):
+            cache.record(("k", i), i)
+        cache.close()
+        reopened = RunCache(max_entries=3, disk_path=path)
+        for i in (2, 0, 1):
+            reopened.get(("k", i))
+        assert list(reopened.entries) == [("k", 2), ("k", 0), ("k", 1)]
+        reopened.get(("k", 2))  # a memory hit: ("k", 0) is now stalest
+        reopened.record(("k", 9), 9)
+        assert list(reopened.entries) == [("k", 1), ("k", 2), ("k", 9)]
+        assert reopened.evictions == 1
+        reopened.close()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -668,56 +702,6 @@ class TestRunCacheLRUBound:
             )
             assert churned == reference
             assert len(bounded) <= 2
-
-    def test_bound_and_recency_survive_save_load(self, tmp_path):
-        cache = RunCache(max_entries=3)
-        for i in range(5):
-            cache.record(("k", i), i)
-        assert list(cache.entries) == [("k", 2), ("k", 3), ("k", 4)]
-        cache.get(("k", 2))  # promote: ("k", 3) becomes the LRU entry
-        path = tmp_path / "bounded.pkl"
-        cache.save(path)
-        loaded = RunCache.load(path)
-        assert loaded.max_entries == 3
-        assert list(loaded.entries) == [("k", 3), ("k", 4), ("k", 2)]
-        loaded.record(("k", 9), 9)  # evicts the pre-save LRU entry
-        assert list(loaded.entries) == [("k", 4), ("k", 2), ("k", 9)]
-
-    def test_load_can_rebind_or_unbind(self, tmp_path):
-        cache = RunCache(max_entries=3)
-        for i in range(3):
-            cache.record(("k", i), i)
-        path = tmp_path / "bounded.pkl"
-        cache.save(path)
-        rebound = RunCache.load(path, max_entries=2)
-        assert rebound.max_entries == 2
-        assert list(rebound.entries) == [("k", 1), ("k", 2)]
-        unbound = RunCache.load(path, max_entries=None)
-        assert unbound.max_entries is None
-        assert len(unbound) == 3
-        # an unbounded save can be bounded on the way in
-        RunCache().save(path)
-        assert RunCache.load(path, max_entries=8).max_entries == 8
-
-    def test_merge_respects_bound(self):
-        live = RunCache(max_entries=2)
-        live.record(("k", 0), 0)
-        other = RunCache()
-        for i in range(1, 4):
-            other.record(("k", i), i)
-        live.merge(other)
-        assert len(live) == 2
-        assert list(live.entries) == [("k", 2), ("k", 3)]
-
-    def test_pickle_keeps_bounds(self):
-        cache = RunCache(max_entries=5, max_bytes=4096)
-        cache.record(("k",), "v")
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.max_entries == 5
-        assert clone.max_bytes == 4096
-        assert clone.get(("k",)) == "v"
-        assert clone.bytes == cache.bytes
-
 
 class _OpaqueValue:
     """A hashable dom value with a non-injective repr (all instances
@@ -979,15 +963,70 @@ class TestRunCacheByteBound:
         assert cache.bytes == 0
         assert cache.evictions == 1
 
-    def test_construction_trims_to_byte_budget(self):
+    def test_oversized_entry_leaves_resident_entries(self):
+        # Making room for an entry heavier than the whole budget used
+        # to evict every resident entry before the heavy one itself.
         from repro.net.runcache import _weigh
 
         w = _weigh("x" * 50)
-        entries = {("k", i): "x" * 50 for i in range(6)}
-        cache = RunCache(entries, max_bytes=3 * w)
+        cache = RunCache(max_bytes=3 * w)
+        for name in ("a", "b", "c"):
+            cache.record((name,), "x" * 50)
+        cache.record(("big",), "x" * 1000)
+        assert list(cache.entries) == [("a",), ("b",), ("c",)]
+        assert cache.bytes == 3 * w
+        assert cache.evictions == 1
+
+    def test_recording_trims_to_byte_budget(self):
+        from repro.net.runcache import _weigh
+
+        w = _weigh("x" * 50)
+        cache = RunCache(max_bytes=3 * w)
+        for i in range(6):
+            cache.record(("k", i), "x" * 50)
         assert list(cache.entries) == [("k", i) for i in range(3, 6)]
         assert cache.bytes == 3 * w
         assert cache.evictions == 3
+
+    def test_reopen_under_a_byte_budget(self, tmp_path):
+        from repro.net.runcache import _weigh
+
+        path = tmp_path / "tier.sqlite"
+        cache = RunCache(max_bytes=1 << 16, disk_path=path)
+        for i in range(4):
+            cache.record(("k", i), "x" * 32)
+        recorded_bytes = cache.bytes
+        cache.close()
+        w = _weigh("x" * 32)
+        rebound = RunCache(max_bytes=2 * w, disk_path=path)
+        for i in range(4):
+            assert rebound.get(("k", i)) == "x" * 32
+        assert list(rebound.entries) == [("k", 2), ("k", 3)]
+        assert rebound.bytes <= 2 * w
+        rebound.close()
+        unbound = RunCache(disk_path=path)
+        for i in range(4):
+            unbound.get(("k", i))
+        assert unbound.max_bytes is None
+        assert len(unbound) == 4
+        assert unbound.bytes == recorded_bytes
+        unbound.close()
+
+    def test_promoted_entries_are_weighed_like_records(self, tmp_path):
+        from repro.net.runcache import _weigh
+
+        path = tmp_path / "tier.sqlite"
+        payloads = {("a",): "x" * 10, ("b",): "y" * 500, ("c",): 7}
+        cache = RunCache(disk_path=path)
+        for key, value in payloads.items():
+            cache.record(key, value)
+        cache.close()
+        reopened = RunCache(max_bytes=1 << 16, disk_path=path)
+        for key in payloads:
+            reopened.get(key)
+        assert reopened.bytes == sum(_weigh(v) for v in payloads.values())
+        assert reopened.bytes == sum(reopened._weights.values())
+        reopened.close()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1041,25 +1080,6 @@ class TestRunCacheByteBound:
             assert bounded.bytes <= budget
             assert bounded.bytes == sum(bounded._weights.values())
 
-    def test_byte_bound_survives_save_load_and_rebinds(self, tmp_path):
-        from repro.net.runcache import _weigh
-
-        cache = RunCache(max_bytes=1 << 16)
-        for i in range(4):
-            cache.record(("k", i), "x" * 32)
-        path = tmp_path / "bytes.pkl"
-        cache.save(path)
-        loaded = RunCache.load(path)
-        assert loaded.max_bytes == 1 << 16
-        assert loaded.bytes == cache.bytes
-        w = _weigh("x" * 32)
-        rebound = RunCache.load(path, max_bytes=2 * w)
-        assert list(rebound.entries) == [("k", 2), ("k", 3)]
-        assert rebound.bytes <= 2 * w
-        unbound = RunCache.load(path, max_bytes=None)
-        assert unbound.max_bytes is None
-        assert len(unbound) == 4
-
     def test_traced_results_round_trip(self, tmp_path):
         from repro.net import run_fair
         from repro.net.runcache import _weigh
@@ -1072,26 +1092,16 @@ class TestRunCacheByteBound:
         cache.record(("traced",), traced)
         assert cache.get(("traced",)) is traced  # stored as recorded
         assert cache.bytes == _weigh(traced)
-        path = tmp_path / "traced.pkl"
-        cache.save(path)
-        assert RunCache.load(path).get(("traced",)) == traced
-
-    def test_load_rejects_old_version_bundles(self, tmp_path):
-        from repro.net.runcache import _CACHE_FORMAT, runtime_token
-
-        payload = {
-            "format": _CACHE_FORMAT,
-            "version": 4,
-            "runtime": runtime_token(),
-            "max_entries": None,
-            "max_bytes": None,
-            "entries": {},
-            "memos": {},
-        }
-        path = tmp_path / "v4.pkl"
-        path.write_bytes(pickle.dumps(payload))
-        with pytest.raises(ValueError, match="version"):
-            RunCache.load(path)
+        # ...and through the disk tier: spilled at close, promoted back
+        # by a cache reopened over the same file.
+        path = tmp_path / "traced.sqlite"
+        disk = RunCache(disk_path=path)
+        key = run_key("fair-random", line(2), "sha256:abc", "hp:t", 0, {})
+        disk.record(key, traced)
+        disk.close()
+        reopened = RunCache(disk_path=path)
+        assert reopened.get(key) == traced
+        reopened.close()
 
 
 # ---------------------------------------------------------------------------
@@ -1168,6 +1178,48 @@ class TestDiskTier:
         assert _disk_key_text(obj_key) is None
         cache.close()
 
+    def test_close_spills_only_cross_process_keys(self, tmp_path):
+        path = tmp_path / "tier.sqlite"
+        cache = RunCache(disk_path=path)
+        mem_key = run_key("fair-random", line(2), "mem:1:2", "hp:x", 0, {})
+        cache.record(mem_key, "local")
+        cache.record(self._key(1), "one")
+        cache.close()
+        assert cache.demotions == 1  # the mem: entry stayed behind
+        reopened = RunCache(disk_path=path)
+        assert reopened.stats()["disk_entries"] == 1
+        assert reopened.get(self._key(1)) == "one"
+        assert reopened.get(mem_key) is None
+        reopened.close()
+
+    def test_stale_file_stamp_purges_rows(self, tmp_path):
+        # The mirror of the token test above: the *file* was written by
+        # other code (here: its stamp rewritten), the process is current.
+        import sqlite3
+
+        from repro.net.runcache import runtime_token
+
+        path = tmp_path / "tier.sqlite"
+        cache = RunCache(disk_path=path)
+        cache.record(self._key(1), "one")
+        cache.close()
+        conn = sqlite3.connect(str(path))
+        conn.execute("UPDATE meta SET v = 'older-release' WHERE k = 'runtime'")
+        conn.commit()
+        conn.close()
+        reopened = RunCache(disk_path=path)
+        assert reopened.stats()["disk_entries"] == 0
+        assert reopened.get(self._key(1)) is None
+        reopened.close()
+        conn = sqlite3.connect(str(path))
+        try:
+            stamp = conn.execute(
+                "SELECT v FROM meta WHERE k = 'runtime'"
+            ).fetchone()[0]
+        finally:
+            conn.close()
+        assert stamp == runtime_token()  # restamped for the next open
+
     def test_demote_promote_roundtrip_preserves_run_results(self, tmp_path):
         # Real RunResults through the whole cycle: record → evict →
         # sqlite → promote must be bit-identical to a fresh run.
@@ -1186,6 +1238,73 @@ class TestDiskTier:
         assert warm == reference
         assert cache.promotions >= 1  # the warm pass was served by disk
         cache.close()
+
+    def test_oversized_disk_row_promotion_keeps_memory(self, tmp_path):
+        # A row heavier than the memory budget is served from disk
+        # without flushing the resident entries on its way through.
+        from repro.net.runcache import _weigh
+
+        w = _weigh("x" * 50)
+        cache = RunCache(max_bytes=3 * w, disk_path=tmp_path / "tier.sqlite")
+        cache.record(self._key(0), "x" * 1000)  # straight to disk
+        assert (cache.evictions, cache.demotions) == (1, 1)
+        assert len(cache) == 0
+        for i in (1, 2, 3):
+            cache.record(self._key(i), "x" * 50)
+        assert cache.get(self._key(0)) == "x" * 1000
+        assert cache.promotions == 1
+        assert list(cache.entries) == [self._key(i) for i in (1, 2, 3)]
+        assert cache.bytes == 3 * w
+        assert cache.demotions == 1  # the row was already on disk
+        cache.close()
+
+    def test_warm_start_across_processes(self, tmp_path):
+        # A check run in another process (with another hash seed) into
+        # a disk-backed cache, then closed, leaves a file that a cache
+        # reopened here serves every cell from, with an equal report.
+        import dataclasses
+        import os
+        import subprocess
+        import sys
+
+        path = tmp_path / "warm.sqlite"
+        cold_path = tmp_path / "cold.pkl"
+        script = f"""
+import pickle
+from repro.core import transitive_closure_transducer
+from repro.db import Fact, Instance, schema
+from repro.net import RunCache, check_consistency, line
+graph = Instance(schema(S=2), [Fact("S", p) for p in ((1, 2), (2, 3), (3, 1))])
+cache = RunCache(disk_path={str(path)!r})
+report = check_consistency(line(3), transitive_closure_transducer(), graph,
+                           partition_count=3, seeds=(0, 1), run_cache=cache)
+cache.close()
+with open({str(cold_path)!r}, "wb") as handle:
+    pickle.dump(report, handle)
+"""
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, timeout=120
+        )
+        cold = pickle.loads(cold_path.read_bytes())
+        assert cold.cache_misses > 0
+
+        cache = RunCache(disk_path=path)
+        warm = check_consistency(
+            line(3), transitive_closure_transducer(), GRAPH,
+            partition_count=3, seeds=(0, 1), run_cache=cache,
+        )
+        cache.close()
+        assert warm.cache_misses == 0
+        assert warm.cache_hits == cold.cache_misses
+        assert cache.promotions == warm.cache_hits
+        counters = {"cache_hits": 0, "cache_misses": 0, "cache_dedup": 0}
+        assert dataclasses.replace(warm, **counters) == dataclasses.replace(
+            cold, **counters
+        )
 
     def test_delete_drops_one_row(self, tmp_path):
         from repro.net.runcache import _DiskTier
@@ -1214,14 +1333,6 @@ class TestDiskTier:
 
 
 class TestParallelSweepCache:
-    def test_pickle_drops_disk_tier(self, tmp_path):
-        parent = RunCache(disk_path=tmp_path / "tier.sqlite")
-        parent.record(("k",), "v")
-        clone = pickle.loads(pickle.dumps(parent))
-        assert clone.disk_path is None and clone._disk is None
-        assert clone.entries == {("k",): "v"}
-        parent.close()
-
     @pytest.mark.parametrize("workers", [2])
     def test_parallel_sweep_records_every_cell(self, workers):
         partitions = sample_partitions(GRAPH, line(3), 3)
@@ -1297,68 +1408,18 @@ class TestParallelSweepCache:
 
 
 # ---------------------------------------------------------------------------
-# Damage degradation: corrupt bundles and disk tiers never crash a sweep
+# Damage degradation: a corrupt disk tier never crashes a sweep
 # ---------------------------------------------------------------------------
 
 
 class TestCacheDamageDegradation:
     """A damaged persistence layer degrades, it does not crash.
 
-    An undecodable bundle (truncated write, flipped bytes) loads as a
-    cold cache with a :class:`RuntimeWarning`; a corrupt sqlite disk
-    tier is purged and recreated at open, or disabled mid-session —
-    and in every case the sweep on top runs to completion.  Decodable
-    bundles with the *wrong contents* still raise ``ValueError``: that
-    is a caller error (wrong file, wrong runtime), not storage damage.
+    A corrupt sqlite disk tier is purged and recreated at open, an
+    undecodable row is a dropped miss, and a tier that fails
+    mid-session is disabled with a :class:`RuntimeWarning` — and in
+    every case the sweep on top runs to completion.
     """
-
-    def _saved_bundle(self, tmp_path):
-        cache = RunCache()
-        partition = sample_partitions(GRAPH, line(2), 1)[0]
-        sweep_runs(line(2), TC, [partition], (0,), run_cache=cache)
-        path = tmp_path / "cache.pkl"
-        cache.save(path)
-        return path
-
-    def test_truncated_bundle_loads_cold_with_a_warning(self, tmp_path):
-        path = self._saved_bundle(tmp_path)
-        blob = path.read_bytes()
-        assert len(blob) > 16
-        path.write_bytes(blob[: len(blob) // 2])
-        with pytest.warns(RuntimeWarning, match="damaged"):
-            loaded = RunCache.load(path)
-        assert len(loaded) == 0
-        loaded.record(("k",), "v")  # cold but fully usable
-        assert loaded.get(("k",)) == "v"
-
-    def test_byte_flipped_bundle_never_propagates_decoder_errors(
-        self, tmp_path
-    ):
-        # Flip one byte at a time across the stream: every position
-        # either still decodes (and validates or ValueErrors) or
-        # degrades with the warning — no pickle/EOF error ever escapes.
-        path = self._saved_bundle(tmp_path)
-        blob = bytearray(path.read_bytes())
-        step = max(1, len(blob) // 40)
-        for pos in range(0, len(blob), step):
-            flipped = bytearray(blob)
-            flipped[pos] ^= 0xFF
-            path.write_bytes(bytes(flipped))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                try:
-                    loaded = RunCache.load(path)
-                except ValueError:
-                    continue  # decoded to the wrong shape: caller error
-                assert isinstance(loaded, RunCache)
-
-    def test_wrong_content_bundles_still_raise_not_warn(self, tmp_path):
-        path = tmp_path / "junk.pkl"
-        path.write_bytes(pickle.dumps({"hello": "world"}))
-        with pytest.raises(ValueError, match="not a saved RunCache"):
-            RunCache.load(path)
-        with pytest.raises(FileNotFoundError):
-            RunCache.load(tmp_path / "missing.pkl")
 
     def test_corrupt_disk_tier_is_purged_at_open(self, tmp_path):
         disk = tmp_path / "tier.sqlite"
@@ -1374,6 +1435,60 @@ class TestCacheDamageDegradation:
             assert cache.stats()["promotions"] > 0
         finally:
             cache.close()
+
+    def _closed_tier(self, tmp_path, n=40):
+        disk = tmp_path / "tier.sqlite"
+        cache = RunCache(disk_path=str(disk))
+        for i in range(n):
+            cache.record(("k", i), f"v{i}" * 40)
+        cache.close()
+        return disk
+
+    def test_truncated_disk_tier_opens_cold_with_a_warning(self, tmp_path):
+        disk = self._closed_tier(tmp_path)
+        blob = disk.read_bytes()
+        disk.write_bytes(blob[: len(blob) // 2])
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            cache = RunCache(disk_path=str(disk))
+        try:
+            assert cache.stats()["disk_entries"] == 0
+            assert cache.get(("k", 0)) is None
+            cache.record(("k", 0), "v0")  # cold but fully usable
+            assert cache.get(("k", 0)) == "v0"
+        finally:
+            cache.close()
+
+    def test_byte_flipped_disk_tier_never_raises(self, tmp_path):
+        # Flip one byte at a time across the file: every position
+        # opens (warm, partly warm or purged) and serves gets, records
+        # and a close — no sqlite or decoder error ever escapes.
+        disk = self._closed_tier(tmp_path)
+        blob = disk.read_bytes()
+        step = max(1, len(blob) // 40)
+        for pos in range(0, len(blob), step):
+            flipped = bytearray(blob)
+            flipped[pos] ^= 0xFF
+            disk.write_bytes(bytes(flipped))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                cache = RunCache(max_entries=4, disk_path=str(disk))
+                for i in range(40):
+                    cache.get(("k", i))
+                cache.record(("k", 99), "fresh")
+                cache.close()
+
+    def test_unopenable_disk_path_runs_memory_only(self, tmp_path):
+        disk = tmp_path / "missing-dir" / "tier.sqlite"
+        with pytest.warns(RuntimeWarning) as caught:
+            cache = RunCache(max_entries=1, disk_path=str(disk))
+        assert "disabling the tier" in str(caught[-1].message)
+        cache.record(("k", 0), "v0")
+        cache.record(("k", 1), "v1")  # the eviction has nowhere to go
+        assert cache.get(("k", 1)) == "v1"
+        assert cache.get(("k", 0)) is None
+        assert cache.stats()["disk_entries"] == 0
+        cache.close()
+        assert not disk.exists()
 
     def test_corrupted_cache_start_never_crashes_a_sweep(self, tmp_path):
         partitions = sample_partitions(GRAPH, line(3), 3)
