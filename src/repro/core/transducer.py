@@ -267,19 +267,24 @@ class Transducer:
 
     def _compute(self, state: Instance, received: Instance) -> LocalTransition:
         """The transition, evaluated (a transition-cache miss)."""
-        results = iter(self._evaluate(state, received))
+        # The group memo's entries for this thread, fetched once for
+        # every lookup of the miss (Memo.get's LRU discipline, inline).
+        groups = self._group_memo.local()
+        results = iter(self._evaluate(state, received, groups))
         # Equal send answers give one sent instance, kept in the group
         # memo: its facts are then the same objects in every buffer
         # they reach, and dict lookups match them by identity.  Its
         # rows are validated once, like every sent fact.
         answers = tuple(next(results) for _ in self.send_queries)
         sent_key = ("sent", *answers)
-        sent = self._group_memo.get(sent_key)
+        sent = groups.pop(sent_key, None)
         if sent is None:
             sent = Instance.from_relations(
                 self.schema.messages, dict(zip(self.send_queries, answers))
             )
-            self._group_memo.put(sent_key, sent)
+            if len(groups) >= self._group_memo.limit:
+                del groups[next(iter(groups))]
+        groups[sent_key] = sent  # inserted last: the dict order is the recency
         output = frozenset(next(results))
         # The update formula per memory relation, as a frozenset (old
         # is the left operand).  With nothing deleted it is old ∪ Qins,
@@ -310,7 +315,9 @@ class Transducer:
             output=output,
         )
 
-    def _evaluate(self, state: Instance, received: Instance) -> list[frozenset]:
+    def _evaluate(
+        self, state: Instance, received: Instance, groups: dict
+    ) -> list[frozenset]:
         """Every query's answer on ``state ∪ received``, in role order:
         the send queries, the output query, then insert and delete per
         memory relation.
@@ -325,27 +332,31 @@ class Transducer:
         that are not UCQ¬, run per transition on the combined
         instance; an ``EmptyQuery`` does not run.  The groups are
         built on the first transition-cache miss and never pickled.
+        *groups* is the calling thread's group-memo dict
+        (:meth:`Memo.local <repro.memo.Memo.local>`).
         """
         plan = self.__dict__.get("_evaluation_plan")
         if plan is None:
             plan = self._evaluation_plan = (self.schema.combined, self._role_plans())
         combined_schema, roles = plan
-        memo = self._group_memo
+        limit = self._group_memo.limit
         # State and message relations are disjoint: merge the extents.
         # Absent relations are empty (instances keep no empty extent).
         rels = {**state._rels, **received._rels}
         combined = None
         out = []
-        for groups, direct in roles:
+        for role_groups, direct in roles:
             rows = _EMPTY
-            for group, reads in groups:
+            for group, reads in role_groups:
                 key = (group, *map(rels.get, reads))
-                answer = memo.get(key)
+                answer = groups.pop(key, None)
                 if answer is None:
                     if combined is None:
                         combined = Instance._build(combined_schema, rels)
                     answer = group(combined)
-                    memo.put(key, answer)
+                    if len(groups) >= limit:
+                        del groups[next(iter(groups))]
+                groups[key] = answer  # inserted last: the dict order is the recency
                 if answer:
                     rows = rows | answer if rows else answer
             if direct is not None:

@@ -5,12 +5,13 @@ every node to a finite multiset of facts over Smsg", delivery removes one
 occurrence ("multiset difference"), and sending is "multiset union".
 
 :class:`FactMultiset` is immutable, like :class:`~repro.db.instance.Instance`,
-so configurations can share buffers.
+so configurations can share buffers.  A run edits its buffers in
+place in a :class:`~repro.net.config.WorkingConfiguration` and
+freezes them into multisets only where a configuration is observed.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
 from .fact import Fact
@@ -19,9 +20,9 @@ from .fact import Fact
 class FactMultiset:
     """An immutable finite multiset of facts.
 
-    Stored as a plain ``fact → count`` dict with no zero counts: copying
-    one is a single C-level call, which matters because every step of a
-    run derives new buffers from old ones.
+    Stored as a plain ``fact → count`` dict with no zero counts, the
+    layout of a working configuration's buffers, so freezing one is a
+    single C-level copy.
     """
 
     __slots__ = ("_counts", "_hash", "_distinct", "_sorted")
@@ -75,10 +76,9 @@ class FactMultiset:
     def distinct(self) -> tuple[Fact, ...]:
         """The distinct facts present, sorted (computed once, cached).
 
-        The scheduler asks for it on every delivery, and buffers are
-        shared between configurations; sorting by the precomputed key
-        gives the ``Fact.__lt__`` order without building two keys per
-        comparison.
+        Buffers are shared between configurations; sorting by the
+        precomputed key gives the ``Fact.__lt__`` order without building
+        two keys per comparison.
         """
         if self._sorted is None:
             object.__setattr__(
@@ -92,7 +92,7 @@ class FactMultiset:
         Buffers are shared between configurations (immutability), so
         the incremental convergence tracker — which keys node summaries
         on buffered-fact sets — amortizes this frozenset (and its
-        hash) across every check that sees the buffer unchanged.
+        hash) across every check of a configuration that holds it.
         """
         if self._distinct is None:
             object.__setattr__(self, "_distinct", frozenset(self._counts))
@@ -112,8 +112,6 @@ class FactMultiset:
             return self
         new = dict(self._counts)
         new[f] = new.get(f, 0) + times
-        if len(new) == len(self._counts):  # f was present
-            return _from_counts(new, self._distinct, self._sorted)
         return _from_counts(new)
 
     def union(self, other: "FactMultiset | Iterable[Fact]") -> "FactMultiset":
@@ -127,8 +125,6 @@ class FactMultiset:
                 if not isinstance(f, Fact):
                     raise TypeError(f"multiset elements must be Facts, got {f!r}")
                 new[f] = new.get(f, 0) + 1
-        if len(new) == len(self._counts):  # no new distinct fact
-            return _from_counts(new, self._distinct, self._sorted)
         return _from_counts(new)
 
     def remove(self, f: Fact, times: int = 1) -> "FactMultiset":
@@ -139,14 +135,9 @@ class FactMultiset:
         left = new.get(f, 0) - times
         if left:
             new[f] = left
-            return _from_counts(new, self._distinct, self._sorted)
-        new.pop(f, None)
-        kept = self._sorted
-        if kept is not None and f in self._counts:
-            # The sorted view without f: find it by its sort key.
-            i = kept.index(f, bisect_left(kept, f._sort_key(), key=Fact._sort_key))
-            kept = kept[:i] + kept[i + 1:]
-        return _from_counts(new, None, kept)
+        else:
+            new.pop(f, None)
+        return _from_counts(new)
 
     def difference(self, other: "FactMultiset") -> "FactMultiset":
         """Multiset difference (multiplicities subtract, floored at 0)."""
@@ -189,9 +180,9 @@ def _from_counts(
     distinct: frozenset | None = None,
     sorted_facts: tuple | None = None,
 ) -> FactMultiset:
-    """A multiset over *counts*, inheriting the cached distinct views of
-    a multiset with the same distinct facts when they are given: most
-    sends and deliveries leave a buffer's distinct facts as they were."""
+    """A multiset over *counts*, taking the cached distinct views of
+    the same distinct facts when they are given (a working
+    configuration's snapshot hands its per-node views on)."""
     ms = FactMultiset.__new__(FactMultiset)
     object.__setattr__(ms, "_counts", counts)
     object.__setattr__(ms, "_hash", None)

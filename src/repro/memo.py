@@ -34,6 +34,14 @@ class Memo:
             entries[key] = value  # re-inserted last: the dict order is the recency
         return value
 
+    def local(self) -> dict:
+        """The calling thread's entry dict, for a caller that makes many
+        lookups in a row (a transition-cache miss looks up each of its
+        rule groups).  The caller keeps the LRU discipline of
+        :meth:`get` and :meth:`put`: re-insert a hit last, and drop the
+        first entry when an insert passes :attr:`limit`."""
+        return self._local.__dict__
+
     def put(self, key, value) -> None:
         """Store *value* under *key* after a miss."""
         entries = self._local.__dict__

@@ -26,6 +26,12 @@ the memoization sound:
   and a check over a configuration where few nodes changed since the
   last check costs dictionary lookups for all the clean nodes.
 
+Both tests read a configuration through a small protocol that the
+immutable :class:`~repro.net.config.Configuration` and the run's
+:class:`~repro.net.config.WorkingConfiguration` share: ``states``,
+``distinct_set(node)``, ``distinct_buffer(node)``, ``fact in
+buffer(node)`` and ``version``.  A check therefore builds no snapshot.
+
 Between checks the tracker additionally keeps the last *failure
 witness* — the concrete non-quiet transition that refuted convergence.
 While that witness remains enabled (same node state, fact still
@@ -43,14 +49,13 @@ from dataclasses import dataclass
 from ..core.transducer import Transducer
 from ..db.fact import Fact
 from ..db.instance import Instance
-from .config import Configuration
 from .network import Network, Node
 
 
 def is_converged(
     network: Network,
     transducer: Transducer,
-    config: Configuration,
+    config,
     produced_output: frozenset,
 ) -> bool:
     """Exact convergence test: no future transition can change anything.
@@ -86,7 +91,7 @@ def is_converged(
         if not local.output <= produced_output:
             return False
         push_sends(node, local.sent.facts())
-        for f in config.buffer(node).distinct():
+        for f in config.distinct_buffer(node):
             key = (node, f)
             if key not in seen:
                 seen.add(key)
@@ -145,9 +150,6 @@ class ConvergenceTracker:
 
     Create one per run; call :meth:`check` wherever the exact
     :func:`is_converged` would be called — the verdicts are equal.
-    :meth:`note_transition` is an optional hint that keeps the
-    cheap-path bookkeeping exact; :meth:`check` is self-contained and
-    correct without it.
 
     Node summaries are memoized on the transducer
     (``transducer.summary_memo``), since they are pure functions of it,
@@ -163,10 +165,10 @@ class ConvergenceTracker:
         self._neighbors = {v: tuple(network.neighbors(v)) for v in self._nodes}
         self._memo = transducer.summary_memo
         self._witnesses: list[_Witness] = []
-        self._last_config: Configuration | None = None
+        self._last_config = None
+        self._last_version = -1
         self._last_produced: frozenset | None = None
         self._last_verdict: bool | None = None
-        self._dirty = True
         # Introspection counters (reported by bench E23 and docs/runtime.md).
         self.checks = 0
         self.fast_replays = 0
@@ -174,10 +176,6 @@ class ConvergenceTracker:
         self.summaries_built = 0
 
     # -- runtime hooks ------------------------------------------------------
-
-    def note_transition(self, transition) -> None:
-        """Record that the configuration changed since the last check."""
-        self._dirty = True
 
     def witness_facts(self) -> list[tuple[Node, Fact]]:
         """The (node, fact) deliveries among the cached failure witnesses.
@@ -193,15 +191,20 @@ class ConvergenceTracker:
 
     # -- the check ----------------------------------------------------------
 
-    def check(self, config: Configuration, produced_output: frozenset) -> bool:
-        """Incremental verdict, equal to ``is_converged`` on the same input."""
+    def check(self, config, produced_output: frozenset) -> bool:
+        """Incremental verdict, equal to ``is_converged`` on the same input.
+
+        *config* is a :class:`~repro.net.config.Configuration` or a
+        :class:`~repro.net.config.WorkingConfiguration`.
+        """
         self.checks += 1
 
-        # Fast path 1: nothing happened since the last check and the
+        # Fast path 1: the same configuration, at the same version (a
+        # working configuration counts every step and edit), and the
         # produced output is unchanged — replay the cached verdict.
         if (
-            not self._dirty
-            and config == self._last_config
+            config is self._last_config
+            and config.version == self._last_version
             and produced_output == self._last_produced
         ):
             self.fast_replays += 1
@@ -213,8 +216,9 @@ class ConvergenceTracker:
         # buffered, outputs (if the refutation was output-only) still
         # unproduced.  Witnesses at several nodes die independently, so
         # a full check harvests a handful.
+        states = config.states
         for w in self._witnesses:
-            state = config.state(w.node)
+            state = states[w.node]
             if (state is w.state or state == w.state) and (
                 w.fact is None or w.fact in config.buffer(w.node)
             ):
@@ -230,15 +234,13 @@ class ConvergenceTracker:
 
     # -- internals ----------------------------------------------------------
 
-    def _remember(
-        self, config: Configuration, produced: frozenset, verdict: bool
-    ) -> None:
+    def _remember(self, config, produced: frozenset, verdict: bool) -> None:
         self._last_config = config
+        self._last_version = config.version
         self._last_produced = produced
         self._last_verdict = verdict
-        self._dirty = False
 
-    def _full_check(self, config: Configuration, produced: frozenset) -> bool:
+    def _full_check(self, config, produced: frozenset) -> bool:
         """Fixpoint over per-node summaries with (state, incoming) memo.
 
         ``incoming[v]`` grows from v's buffered facts to the closure of
@@ -254,12 +256,12 @@ class ConvergenceTracker:
         nodes = self._nodes
         neighbors = self._neighbors
         states = config.states
-        buffers = config.buffers
         memo = self._memo
-        # Buffers are shared between configurations, so distinct_set()
-        # (and the frozenset's cached hash) is amortized across checks.
+        # The distinct-fact frozensets are cached until a buffer's set
+        # of distinct facts changes, so they (and their cached hashes)
+        # are amortized across checks.
         incoming: dict[Node, frozenset] = {
-            v: buffers[v].distinct_set() for v in nodes
+            v: config.distinct_set(v) for v in nodes
         }
         summaries: dict[Node, _Summary] = {}
         refuted = False
@@ -283,7 +285,7 @@ class ConvergenceTracker:
                 # independently, raising the O(1)-refutation hit rate);
                 # sends of a non-quiet node are not propagated, exactly
                 # as the exact test never explores past a refutation.
-                if cached.fact is None or cached.fact in buffers[v]:
+                if cached.fact is None or cached.fact in config.buffer(v):
                     witnesses.append(_Witness(v, key[0], cached.fact, None))
                     if len(witnesses) >= 8:
                         break
@@ -309,13 +311,13 @@ class ConvergenceTracker:
         return True
 
     def _output_witness(
-        self, v: Node, config: Configuration, produced: frozenset
+        self, v: Node, config, produced: frozenset
     ) -> _Witness | None:
         """A concrete still-enabled transition whose output exceeds
         *produced*, if one exists among v's heartbeat and buffered
         facts (closure-only violations get no cheap witness — their
         enabledness would need a reachability re-proof)."""
-        state = config.state(v)
+        state = config.states[v]
         local = self.transducer.heartbeat(state)
         if not local.output <= produced:
             return _Witness(v, state, None, frozenset(local.output))

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from ..db.fact import Fact
-from ..db.multiset import FactMultiset
 from .network import Node
 from .scheduler import Action, Schedule, Scheduler
 
@@ -215,38 +214,28 @@ def execute_fault_action(
 ) -> FaultEvent:
     """Execute one fault action against the live run context.
 
-    Called by :func:`~repro.net.run.run_schedule`; mutates
-    ``ctx.config`` and the fault counters on ``ctx.stats``, and
+    Called by :func:`~repro.net.run.run_schedule`; edits the working
+    configuration ``ctx.config`` in place, bumps the fault counters on
+    ``ctx.stats``, and
     returns the :class:`FaultEvent` record (which the driver sends
     back to the wrapper and appends to kept traces).
     """
     stats = ctx.stats
+    work = ctx.config
     kind = action.kind
     if kind == "drop":
-        buffer = ctx.config.buffer(action.node)
-        removed = 1 if action.fact in buffer else 0
-        if removed:
-            ctx.config = ctx.config.replace(
-                action.node, buffer=buffer.remove(action.fact)
-            )
+        removed = work.drop(action.node, action.fact)
         stats.messages_dropped += removed
         return FaultEvent(kind, action.node, action.fact, dropped=removed)
     if kind == "duplicate":
-        buffer = ctx.config.buffer(action.node)
-        ctx.config = ctx.config.replace(
-            action.node, buffer=buffer.add(action.fact)
-        )
+        work.duplicate(action.node, action.fact)
         stats.messages_duplicated += 1
         return FaultEvent(kind, action.node, action.fact)
     if kind == "delay":
         stats.messages_delayed += 1
         return FaultEvent(kind, action.node, action.fact)
     if kind == "crash":
-        buffer = ctx.config.buffer(action.node)
-        cleared = len(buffer)
-        ctx.config = ctx.config.replace(
-            action.node, buffer=FactMultiset.empty()
-        )
+        cleared = work.crash(action.node)
         stats.crashes += 1
         stats.messages_dropped += cleared
         return FaultEvent(kind, action.node, dropped=cleared)
@@ -258,7 +247,7 @@ def execute_fault_action(
                 action.node,
                 ctx.network.nodes,
             )
-            ctx.config = ctx.config.replace(action.node, state=state)
+            work.set_state(action.node, state)
         stats.restarts += 1
         return FaultEvent(kind, action.node, detail=("retain", retain))
     if kind == "partition":

@@ -16,9 +16,13 @@ unconverged.
 The runtime is split in two layers:
 
 * :func:`run_schedule` — the generic driver: executes the actions of a
-  :class:`~repro.net.scheduler.Scheduler`, accumulates output and
-  stats, runs convergence checks where the scheduler asks for them,
-  and enforces the batched-delivery legality gate;
+  :class:`~repro.net.scheduler.Scheduler` on one
+  :class:`~repro.net.config.WorkingConfiguration`, edited in place,
+  accumulates output and stats, runs convergence checks where the
+  scheduler asks for them, and enforces the batched-delivery legality
+  gate.  A :class:`~repro.net.config.Configuration` is built only
+  where one is observed: the result's final configuration, and the
+  ``before``/``after`` of each kept :class:`GlobalTransition`;
 * the classic entry points — :func:`run_fair`,
   :func:`run_heartbeat_only`, :func:`run_fifo_rounds`, and the new
   :func:`run_round_robin_batch` — are thin wrappers choosing a
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 
 from ..core.transducer import Transducer
 from ..db.instance import Instance
-from .config import Configuration, initial_configuration
+from .config import Configuration, WorkingConfiguration, initial_configuration
 from .convergence import ConvergenceTracker, is_converged
 from .faults import (
     FAULT_ACTION_KINDS,
@@ -52,7 +56,7 @@ from .scheduler import (
     WitnessGuidedScheduler,
     require_batchable,
 )
-from .transition import GlobalTransition, deliver, deliver_batch, heartbeat
+from .transition import GlobalTransition, Step, apply_step
 
 __all__ = [
     "RunContext",
@@ -88,14 +92,6 @@ class RunStats:
     crashes: int = 0
     restarts: int = 0
     partitions: int = 0
-
-    def record(self, transition: GlobalTransition) -> None:
-        self.steps += 1
-        if transition.kind == "heartbeat":
-            self.heartbeats += 1
-        else:
-            self.deliveries += 1
-        self.facts_sent += len(transition.sent_facts)
 
     def fault_counts(self) -> dict[str, int]:
         """The fault counters as a dict (reporting convenience)."""
@@ -196,8 +192,9 @@ class _OutputTracker:
 class RunContext:
     """The live view of a run a scheduler generates against.
 
-    ``config`` is updated by the driver after every committed
-    transition; ``produced`` is the accumulated output so far (used by
+    ``config`` is the run's :class:`WorkingConfiguration`, which the
+    driver edits in place at every committed transition and fault
+    action; ``produced`` is the accumulated output so far (used by
     schedulers with their own stability tests, e.g. fifo-rounds with
     skipped nodes); ``stats`` are the running counters.
     """
@@ -208,7 +205,7 @@ class RunContext:
         self,
         network: Network,
         transducer: Transducer,
-        config: Configuration,
+        config: WorkingConfiguration,
         stats: RunStats,
         outputs: _OutputTracker,
     ):
@@ -264,11 +261,11 @@ def run_schedule(
     if convergence not in ("incremental", "exact"):
         raise ValueError(f"unknown convergence engine {convergence!r}")
 
-    config = initial_configuration(network, transducer, partition)
+    work = WorkingConfiguration(initial_configuration(network, transducer, partition))
     outputs = _OutputTracker()
     stats = RunStats()
-    trace: list[GlobalTransition] = []
-    ctx = RunContext(network, transducer, config, stats, outputs)
+    trace: list = []
+    ctx = RunContext(network, transducer, work, stats, outputs)
 
     tracker = (
         ConvergenceTracker(network, transducer)
@@ -280,8 +277,8 @@ def run_schedule(
     def check() -> bool:
         produced = outputs.frozen()
         if tracker is not None:
-            return tracker.check(ctx.config, produced)
-        return is_converged(network, transducer, ctx.config, produced)
+            return tracker.check(work, produced)
+        return is_converged(network, transducer, work, produced)
 
     converged = False
     verdict: bool | None = None
@@ -293,47 +290,54 @@ def run_schedule(
         except StopIteration as stop:
             verdict = stop.value
             break
-        if action.kind == "check":
+        kind = action.kind
+        if kind == "check":
             if check():
                 converged = True
                 break
             send_value = False
             continue
-        if action.kind in FAULT_ACTION_KINDS:
+        if kind in FAULT_ACTION_KINDS:
             event = execute_fault_action(ctx, partition, action)
-            if tracker is not None:
-                tracker.note_transition(event)
             if keep_trace:
                 trace.append(event)
             send_value = event
             continue
         if max_steps is not None and stats.steps >= max_steps:
             break
-        if action.kind == "heartbeat":
-            transition = heartbeat(network, transducer, ctx.config, action.node)
-        elif action.kind == "deliver":
-            transition = deliver(
-                network, transducer, ctx.config, action.node, action.fact
-            )
-        elif action.kind == "deliver_batch":
-            transition = deliver_batch(network, transducer, ctx.config, action.node)
+        node = action.node
+        if kind == "heartbeat":
+            received = ()
+            stats.heartbeats += 1
+            step_kind = "heartbeat"
+        elif kind == "deliver":
+            received = (action.fact,)
+            stats.deliveries += 1
+            step_kind = "delivery"
+        elif kind == "deliver_batch":
+            received = tuple(work.buffer(node))
+            if not received:
+                raise ValueError(f"cannot batch-deliver from empty buffer of {node!r}")
+            stats.deliveries += 1
+            step_kind = "delivery" if len(received) == 1 else "general"
         else:
-            raise ValueError(f"unknown action kind {action.kind!r}")
-        ctx.config = transition.after
-        stats.record(transition)
-        outputs.record(action.node, transition.output, stats.steps)
-        if tracker is not None:
-            tracker.note_transition(transition)
+            raise ValueError(f"unknown action kind {kind!r}")
+        before = work.snapshot() if keep_trace else None
+        local = apply_step(work, network, transducer, node, received)
+        sent = local.sent.facts()
+        stats.steps += 1
+        stats.facts_sent += len(sent)
+        outputs.record(node, local.output, stats.steps)
         if keep_trace:
-            trace.append(transition)
-        send_value = transition
+            trace.append(GlobalTransition(before, node, received, local, work.snapshot()))
+        send_value = Step(node, step_kind, sent, local.output)
 
     if not converged:
         if verdict is not None:
             converged = verdict
         elif scheduler.final_check:
             converged = check()
-    config, output, by_node = outputs.result_fields(ctx.config)
+    config, output, by_node = outputs.result_fields(work.snapshot())
     return RunResult(
         config=config,
         output=output,

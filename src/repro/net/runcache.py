@@ -462,21 +462,29 @@ def _disk_key_text(key: tuple) -> str | None:
         return None
 
 
+#: What a damaged file raises: sqlite's errors, or a text column whose
+#: bytes no longer decode.
+_DAMAGE = (sqlite3.DatabaseError, UnicodeDecodeError)
+
+
 class _DiskTier:
     """The sqlite tier below the in-memory bound.
 
-    Rows are ``(canonical run_key text, pickled frozen value)``.  The
-    file carries the :func:`runtime_token` of the code that wrote it;
-    opening it under different library source purges every row
-    (results are pure functions of their keys only under one runtime),
-    so a stale file degrades to a cold tier, never a wrong hit.
+    Rows are ``(canonical run_key text, pickled frozen value, digest
+    of both)``.  The file carries the :func:`runtime_token` of the
+    code that wrote it; opening it under different library source
+    purges every row (results are pure functions of their keys only
+    under one runtime), so a stale file degrades to a cold tier, never
+    a wrong hit.
 
     Damage degrades, never crashes: a corrupt or truncated file at
     open is warned about, deleted and recreated fresh, and a row that
-    no longer unpickles is warned about and deleted (a miss); if the
-    recreation fails — or sqlite errors mid-session — the tier
-    disables itself (gets miss, puts discard) and the cache continues
-    memory-only.  A long sweep must survive a bad disk, and the tier
+    no longer matches its digest, or no longer unpickles, is warned
+    about and deleted (a miss: a flipped byte can leave a pickle that
+    still loads, as a wrong value, or an index that leads a lookup to
+    another key's row); if the recreation fails — or sqlite errors
+    mid-session — the tier disables itself (gets miss, puts discard)
+    and the cache continues memory-only.  A long sweep must survive a bad disk, and the tier
     is only ever an accelerator.
 
     The tier is thread-safe: the connection is opened with
@@ -498,7 +506,7 @@ class _DiskTier:
         self._lock = threading.RLock()
         try:
             self._conn = self._open()
-        except sqlite3.DatabaseError as exc:
+        except _DAMAGE as exc:
             warnings.warn(
                 f"run-cache disk tier {self.path!r} is corrupt ({exc}); "
                 "purging and starting a fresh tier",
@@ -511,7 +519,7 @@ class _DiskTier:
                 pass
             try:
                 self._conn = self._open()
-            except sqlite3.DatabaseError:
+            except _DAMAGE:
                 self._disable("could not be recreated")
 
     def _open(self):
@@ -524,21 +532,23 @@ class _DiskTier:
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS meta (k TEXT PRIMARY KEY, v TEXT)"
             )
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS entries (k TEXT PRIMARY KEY, v BLOB)"
-            )
             stamp = runtime_token()
             row = conn.execute(
                 "SELECT v FROM meta WHERE k = 'runtime'"
             ).fetchone()
             if row is None or row[0] != stamp:
-                conn.execute("DELETE FROM entries")
+                # Other code wrote the rows, perhaps in another layout.
+                conn.execute("DROP TABLE IF EXISTS entries")
                 conn.execute(
                     "INSERT OR REPLACE INTO meta (k, v) VALUES ('runtime', ?)",
                     (stamp,),
                 )
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS entries "
+                "(k TEXT PRIMARY KEY, v BLOB, d BLOB)"
+            )
             conn.commit()
-        except sqlite3.DatabaseError:
+        except _DAMAGE:
             conn.close()
             raise
         return conn
@@ -559,29 +569,47 @@ class _DiskTier:
             self._conn = None
 
     def get(self, text: str) -> bytes | None:
+        """The stored value for *text*, or None: absent, or damaged (a
+        digest mismatch is warned about and the row deleted)."""
         with self._lock:
             if self._conn is None:
                 return None
             try:
                 row = self._conn.execute(
-                    "SELECT v FROM entries WHERE k = ?", (text,)
+                    "SELECT v, d FROM entries WHERE k = ?", (text,)
                 ).fetchone()
-            except sqlite3.DatabaseError as exc:
+            except _DAMAGE as exc:
                 self._disable(f"failed mid-session ({exc})")
                 return None
-            return row[0] if row is not None else None
+            if row is None:
+                return None
+            blob, digest = row
+            if not isinstance(blob, bytes) or _digest(text, blob) != digest:
+                warnings.warn(
+                    f"run-cache disk tier {self.path!r} holds an undecodable "
+                    "row (its value does not match its digest); dropping it",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+                self.delete(text)
+                return None
+            return blob
 
     def put(self, text: str, blob: bytes) -> None:
+        self.put_many([(text, blob)])
+
+    def put_many(self, rows) -> None:
+        """Store ``(text, blob)`` rows in one transaction."""
         with self._lock:
             if self._conn is None:
                 return
             try:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO entries (k, v) VALUES (?, ?)",
-                    (text, blob),
+                self._conn.executemany(
+                    "INSERT OR REPLACE INTO entries (k, v, d) VALUES (?, ?, ?)",
+                    [(text, blob, _digest(text, blob)) for text, blob in rows],
                 )
                 self._conn.commit()
-            except sqlite3.DatabaseError as exc:
+            except _DAMAGE as exc:
                 self._disable(f"failed mid-session ({exc})")
 
     def delete(self, text: str) -> None:
@@ -591,7 +619,7 @@ class _DiskTier:
             try:
                 self._conn.execute("DELETE FROM entries WHERE k = ?", (text,))
                 self._conn.commit()
-            except sqlite3.DatabaseError as exc:
+            except _DAMAGE as exc:
                 self._disable(f"failed mid-session ({exc})")
 
     def __len__(self) -> int:
@@ -602,7 +630,7 @@ class _DiskTier:
                 return self._conn.execute(
                     "SELECT COUNT(*) FROM entries"
                 ).fetchone()[0]
-            except sqlite3.DatabaseError as exc:
+            except _DAMAGE as exc:
                 self._disable(f"failed mid-session ({exc})")
                 return 0
 
@@ -614,6 +642,15 @@ class _DiskTier:
             if self._conn is not None:
                 self._conn.close()
                 self._conn = None
+
+
+def _digest(text: str, blob: bytes) -> bytes:
+    """The checksum stored beside each disk-tier row.  It covers the key
+    too: a damaged index can lead a lookup to another key's row."""
+    digest = hashlib.blake2b(text.encode(), digest_size=16)
+    digest.update(b"\0")
+    digest.update(blob)
+    return digest.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -827,20 +864,26 @@ class RunCache:
         self._demote(key, value)
 
     def _demote(self, key: tuple, value) -> None:
-        """Write one entry down to the disk tier, if there is one and
-        the entry has a cross-process rendering (``mem:`` fingerprints,
-        object keys and unpicklable values are simply dropped)."""
+        """Write one entry down to the disk tier, if there is one."""
+        row = self._disk_row(key, value)
+        if row is not None:
+            self._disk.put(*row)
+            self.demotions += 1
+
+    def _disk_row(self, key: tuple, value) -> tuple[str, bytes] | None:
+        """The disk-tier row of one entry, or None when there is no tier
+        or the entry has no cross-process rendering (``mem:``
+        fingerprints, object keys and unpicklable values are simply
+        dropped)."""
         if self._disk is None:
-            return
+            return None
         text = _disk_key_text(key)
         if text is None:
-            return
+            return None
         try:
-            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            return text, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
-            return
-        self._disk.put(text, blob)
-        self.demotions += 1
+            return None
 
     def close(self) -> None:
         """Spill memory entries down to the disk tier (when present)
@@ -856,8 +899,10 @@ class RunCache:
         """
         with self._lock:
             if self._disk is not None:
-                for key, value in self.entries.items():
-                    self._demote(key, value)
+                rows = [self._disk_row(k, v) for k, v in self.entries.items()]
+                rows = [row for row in rows if row is not None]
+                self._disk.put_many(rows)  # one transaction
+                self.demotions += len(rows)
                 self._disk.close()
                 self._disk = None
 

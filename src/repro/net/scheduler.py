@@ -11,8 +11,8 @@ schedulers exactly as they quantify over seeds and partitions.
 A scheduler is a generator of :class:`Action` values:
 
 * ``heartbeat``/``deliver``/``deliver_batch`` actions are executed by
-  the driver, which sends the committed
-  :class:`~repro.net.transition.GlobalTransition` back into the
+  the driver, which sends a :class:`~repro.net.transition.Step` record
+  of the committed step (node, kind, sent facts, output) back into the
   generator (so schedulers like fifo-rounds can track message order);
 * ``check`` actions ask the driver to run the convergence test; the
   driver ends the run as soon as a check passes, so schedulers place
@@ -170,8 +170,8 @@ def _reused_actions(nodes) -> tuple[Action, dict[Node, Action]]:
     return Action.check(), {v: Action.heartbeat(v) for v in nodes}
 
 
-# The driver sends back a GlobalTransition (for transition actions) or a
-# bool (for check actions); the generator's return value is the
+# The driver sends back a Step (for transition actions), a FaultEvent
+# (for fault actions) or a bool (for check actions); the generator's return value is the
 # scheduler's own convergence verdict, None delegating to a final check.
 Schedule = Generator[Action, object, "bool | None"]
 

@@ -10,13 +10,13 @@ form is exposed for tests that verify the restriction really is one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from ..db.fact import Fact
 from ..db.instance import Instance
-from ..db.multiset import FactMultiset
 from ..core.transducer import LocalTransition, Transducer
-from .config import Configuration
+from .config import Configuration, WorkingConfiguration
 from .network import Network, Node
 
 
@@ -49,6 +49,71 @@ class GlobalTransition:
         return "general"
 
 
+class Step:
+    """What the run driver sends a scheduler back for a committed step:
+    the acting node, the step's kind (as :attr:`GlobalTransition.kind`),
+    the facts it sent and its output."""
+
+    __slots__ = ("node", "kind", "sent_facts", "output")
+
+    def __init__(self, node: Node, kind: str, sent_facts: frozenset, output: frozenset):
+        self.node = node
+        self.kind = kind
+        self.sent_facts = sent_facts
+        self.output = output
+
+    def __repr__(self) -> str:
+        return f"Step({self.node!r}, {self.kind!r}, |sent|={len(self.sent_facts)})"
+
+
+def apply_step(
+    work: WorkingConfiguration,
+    network: Network,
+    transducer: Transducer,
+    node: Node,
+    received: tuple[Fact, ...],
+) -> LocalTransition:
+    """Perform a general transition at *node* on *work*, in place.
+
+    *received* must be multiset-contained in the node's buffer; a
+    missing fact raises ``ValueError`` before the transition is
+    evaluated.  A heartbeat and a single-fact delivery go through the
+    transducer's cached received instances (:meth:`Transducer.heartbeat`,
+    :meth:`Transducer.deliver`); only several facts build a fresh one.
+    The step takes the received facts out of the node's buffer, adds
+    the sent facts to its neighbours' buffers, and replaces the node's
+    state only when the transition changed it.
+    """
+    state = work.states.get(node)
+    if state is None:
+        raise ValueError(f"unknown node {node!r}")
+    if not received:
+        local = transducer.heartbeat(state)
+    elif len(received) == 1:
+        fact = received[0]
+        work.deliver(node, fact)
+        local = transducer.deliver(state, fact)
+    else:
+        buffer = work.buffer(node)
+        if any(buffer.count(f) < n for f, n in Counter(received).items()):
+            raise ValueError(
+                f"received facts {received!r} not all present in buffer of {node!r}"
+            )
+        local = transducer.transition(
+            state, Instance(transducer.schema.messages, set(received))
+        )
+        for f in received:
+            work.deliver(node, f)
+    sent = local.sent.facts()
+    if sent:
+        work.send(network.neighbors(node), sent)
+    if local.new_state is not state:
+        work.set_state(node, local.new_state)
+    # A step is an event of the run even when it changes nothing.
+    work.version += 1
+    return local
+
+
 def general_transition(
     network: Network,
     transducer: Transducer,
@@ -58,51 +123,18 @@ def general_transition(
 ) -> GlobalTransition:
     """Perform a general transition at *node* reading the given facts.
 
-    *received* must be multiset-contained in the node's buffer.  A
-    heartbeat and a single-fact delivery go through the transducer's
-    cached received instances (:meth:`Transducer.heartbeat`,
-    :meth:`Transducer.deliver`); only several facts build a fresh one.
+    The step of :func:`apply_step` on a working copy of *config*: the
+    result's ``after`` shares with *config* what the step left unchanged.
     """
-    if node not in network:
-        raise ValueError(f"unknown node {node!r}")
-    buffer = config.buffer(node)
-    state = config.state(node)
-    # Only what the step changes is replaced in the next configuration.
-    buffer_updates: dict[Node, FactMultiset] = {}
-    if not received:
-        local = transducer.heartbeat(state)
-    elif len(received) == 1:
-        fact = received[0]
-        if fact not in buffer:
-            raise ValueError(f"received fact {fact!r} not present in buffer of {node!r}")
-        local = transducer.deliver(state, fact)
-        buffer_updates[node] = buffer.remove(fact)
-    else:
-        taken = FactMultiset(received)
-        if not buffer.contains_multiset(taken):
-            raise ValueError(
-                f"received facts {received!r} not all present in buffer of {node!r}"
-            )
-        local = transducer.transition(
-            state, Instance(transducer.schema.messages, set(received))
-        )
-        buffer_updates[node] = buffer.difference(taken)
-
-    sent = local.sent.facts()
-    if sent:
-        for neighbor in network.neighbors(node):
-            base = buffer_updates.get(neighbor, config.buffer(neighbor))
-            buffer_updates[neighbor] = base.union(sent)
-    new_state = local.new_state
-    after = config._derive(
-        {node: new_state} if new_state is not state else None, buffer_updates
-    )
+    received = tuple(received)
+    work = WorkingConfiguration(config)
+    local = apply_step(work, network, transducer, node, received)
     return GlobalTransition(
         before=config,
         node=node,
-        received=tuple(received),
+        received=received,
         local=local,
-        after=after,
+        after=work.snapshot(),
     )
 
 

@@ -167,11 +167,17 @@ class VerificationService:
             await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
+        except asyncio.CancelledError:
+            # Shutdown cancels in-flight handlers (an open event stream
+            # waits for its job).  End normally: asyncio reports a
+            # handler task that ends cancelled to the loop's exception
+            # handler as an error.
+            pass
         finally:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
     async def _stream_events(self, writer, job_id: str) -> None:
@@ -261,6 +267,12 @@ class ServiceThread:
                 pass
             finally:
                 loop.run_until_complete(self.service.stop())
+                # Let the cancelled handlers finish before the loop goes.
+                pending = asyncio.all_tasks(loop)
+                if pending:
+                    loop.run_until_complete(
+                        asyncio.gather(*pending, return_exceptions=True)
+                    )
                 loop.close()
 
         self._thread = threading.Thread(

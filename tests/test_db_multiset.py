@@ -111,7 +111,8 @@ _VALUES = st.one_of(st.integers(0, 4), st.sampled_from(["a", "b"]))
 @st.composite
 def _steps(draw):
     """A chain of add/union/remove steps; each step may first compute
-    the parent's cached views, which a derived multiset may inherit."""
+    the parent's cached views, which must not leak into the derived
+    multiset."""
     kind = draw(st.sampled_from(["add", "union", "union-multiset", "remove"]))
     values = draw(st.lists(_VALUES, min_size=1, max_size=3))
     return kind, values, draw(st.integers(0, 2)), draw(st.booleans())
@@ -148,7 +149,4 @@ class TestInheritedViews:
             assert derived == rebuilt
             assert derived.distinct() == rebuilt.distinct() == tuple(sorted(model))
             assert derived.distinct_set() == rebuilt.distinct_set() == frozenset(model)
-            if warm and derived.distinct_set() == current.distinct_set():
-                assert derived.distinct_set() is current.distinct_set()
-                assert derived.distinct() is current.distinct()
             current = derived

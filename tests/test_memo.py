@@ -56,6 +56,31 @@ class TestMemo:
         assert clone.limit == 7 and len(clone) == 0
         assert pickle.dumps(used) == pickle.dumps(Memo(7))
 
+    def test_local_is_the_calling_threads_entry_dict(self):
+        memo = Memo(4)
+        memo.put("a", 1)
+        entries = memo.local()
+        assert entries == {"a": 1} and memo.local() is entries
+        entries["b"] = 2
+        assert memo.get("b") == 2
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(dict(memo.local())))
+        thread.start()
+        thread.join()
+        assert seen == [{}]
+
+    def test_transducer_group_lookups_keep_the_memo_bound(self, monkeypatch):
+        from repro.core import transducer as transducer_module
+        from repro.core import transitive_closure_transducer
+        from repro.db import instance, schema
+
+        monkeypatch.setattr(transducer_module, "MEMO_LIMIT", 3)
+        tc = transitive_closure_transducer()
+        state = tc.make_state(instance(schema(S=2), S=[(1, 2), (2, 3)]), "a", {"a"})
+        for _ in range(4):
+            state = tc.heartbeat(state).new_state
+            assert len(tc._group_memo) <= 3
+
     def test_each_thread_sees_only_its_own_entries(self):
         memo = Memo(4)
         memo.put("a", "main")

@@ -1461,7 +1461,8 @@ class TestCacheDamageDegradation:
     def test_byte_flipped_disk_tier_never_raises(self, tmp_path):
         # Flip one byte at a time across the file: every position
         # opens (warm, partly warm or purged) and serves gets, records
-        # and a close — no sqlite or decoder error ever escapes.
+        # and a close — no sqlite or decoder error ever escapes, and
+        # no get serves a value other than the one recorded.
         disk = self._closed_tier(tmp_path)
         blob = disk.read_bytes()
         step = max(1, len(blob) // 40)
@@ -1473,9 +1474,61 @@ class TestCacheDamageDegradation:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 cache = RunCache(max_entries=4, disk_path=str(disk))
                 for i in range(40):
-                    cache.get(("k", i))
+                    assert cache.get(("k", i)) in (f"v{i}" * 40, None), pos
                 cache.record(("k", 99), "fresh")
                 cache.close()
+
+    def test_byte_flipped_value_is_a_warned_miss(self, tmp_path):
+        # A value blob damaged in place may still unpickle; its digest
+        # does not match, so the row is dropped instead of served.
+        import sqlite3
+
+        disk = self._closed_tier(tmp_path, n=1)
+        conn = sqlite3.connect(str(disk))
+        (value,) = conn.execute("SELECT v FROM entries").fetchone()
+        wrong = pickle.dumps("v1" * 40, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(wrong) == len(value) and pickle.loads(wrong) != pickle.loads(value)
+        conn.execute("UPDATE entries SET v = ?", (wrong,))
+        conn.commit()
+        conn.close()
+        cache = RunCache(disk_path=str(disk))
+        try:
+            with pytest.warns(RuntimeWarning, match="digest"):
+                assert cache.get(("k", 0)) is None
+            assert cache.stats()["disk_entries"] == 0
+        finally:
+            cache.close()
+
+    def test_undecodable_schema_opens_as_a_corrupt_tier(self, tmp_path):
+        # A flipped byte in a table's stored SQL makes sqlite's error
+        # message undecodable: Python raises UnicodeDecodeError, not a
+        # sqlite error, and that too must purge the tier.
+        disk = self._closed_tier(tmp_path, n=1)
+        blob = bytearray(disk.read_bytes())
+        blob[blob.index(b"CREATE TABLE meta") + 2] ^= 0xFF
+        disk.write_bytes(bytes(blob))
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            cache = RunCache(disk_path=str(disk))
+        try:
+            assert cache.get(("k", 0)) is None
+            cache.record(("k", 0), "v0")
+        finally:
+            cache.close()
+
+    def test_spill_reopens_with_every_record(self, tmp_path):
+        disk = tmp_path / "tier.sqlite"
+        cache = RunCache(disk_path=str(disk))
+        for i in range(200):
+            cache.record(("k", i), i)
+        cache.close()
+        assert cache.stats()["demotions"] == 200
+        reopened = RunCache(disk_path=str(disk))
+        try:
+            assert reopened.stats()["disk_entries"] == 200
+            assert [reopened.get(("k", i)) for i in range(200)] == list(range(200))
+            assert reopened.stats()["cache_hits"] == 200
+        finally:
+            reopened.close()
 
     def test_unopenable_disk_path_runs_memory_only(self, tmp_path):
         disk = tmp_path / "missing-dir" / "tier.sqlite"

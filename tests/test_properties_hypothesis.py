@@ -315,8 +315,8 @@ def _fair_walk(network, transducer, partition, seed, steps):
 class TestIncrementalConvergenceEquality:
     """The tracker's verdicts equal the exact from-scratch test, at
     every prefix of a random schedule (the tracker is stateful — the
-    walk exercises witness caching, memoized summaries and dirty
-    invalidation exactly as the runtime does)."""
+    walk exercises witness caching, memoized summaries and the
+    version-keyed verdict replay)."""
 
     @settings(max_examples=30, deadline=None)
     @given(schedule_prefixes())
@@ -327,8 +327,6 @@ class TestIncrementalConvergenceEquality:
         for config, produced, transition in _fair_walk(
             network, transducer, partition, seed, steps
         ):
-            if transition is not None:
-                tracker.note_transition(transition)
             assert tracker.check(config, produced) == is_converged(
                 network, transducer, config, produced
             )

@@ -471,3 +471,52 @@ class TestRestartWarmFromDiskTier:
 
 if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(pytest.main([__file__, "-x", "-q"]))
+
+
+class TestCleanShutdown:
+    def test_stop_with_an_open_event_stream_reports_nothing(self, monkeypatch):
+        # A job held at the start of its run keeps its SSE stream open
+        # while the service stops; shutdown cancels the stream's
+        # handler, and nothing may reach the loop's exception handler.
+        import socket
+
+        st = ServiceThread(ServiceConfig(port=0, job_workers=1)).start()
+        reported = []
+        st._loop.call_soon_threadsafe(
+            st._loop.set_exception_handler, lambda loop, context: reported.append(context)
+        )
+        orchestrator = st.service.orchestrator
+        release = threading.Event()
+        run = orchestrator._run
+
+        def held_run(job, request):
+            release.wait(timeout=60)
+            run(job, request)
+
+        monkeypatch.setattr(orchestrator, "_run", held_run)
+        # The job is released once the loop thread is gone, so the
+        # orchestrator's close() can drain it.
+        releaser = threading.Thread(
+            target=lambda: (st._thread.join(30), release.set())
+        )
+        stream = None
+        try:
+            _, job = _request(st.base_url, "/jobs", _payload(seeds=[51]))
+            stream = socket.create_connection(
+                (st.service.config.host, st.service.config.port), timeout=30
+            )
+            stream.sendall(
+                f"GET /jobs/{job['job_id']}/events HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+            )
+            head = b""
+            while b"\r\n\r\n" not in head:
+                head += stream.recv(4096)
+            assert head.startswith(b"HTTP/1.1 200")
+            releaser.start()
+            st.stop()
+        finally:
+            release.set()
+            if stream is not None:
+                stream.close()
+        assert not st._thread.is_alive()
+        assert reported == []

@@ -35,11 +35,24 @@ from repro.db.columnar import HAVE_NUMPY
 from repro.lang import FOQuery, PythonQuery
 from repro.lang.engine import engine_override
 from repro.lang.ucq import RuleGroup
-from repro.net import general_transition, initial_configuration, line
+from repro.net import (
+    Configuration,
+    FaultPlan,
+    GlobalTransition,
+    WorkingConfiguration,
+    apply_step,
+    general_transition,
+    initial_configuration,
+    line,
+    run_fifo_rounds,
+    run_round_robin_batch,
+    run_witness_guided,
+)
 from repro.net.partition import random_partition
 from repro.net.run import run_fair
 from repro.net.runcache import transducer_fingerprint
 
+from test_net_config import read_side, recomputed
 from test_static_differential import fo_formulas, ucq_rules
 
 NODES = frozenset({"a", "b"})
@@ -312,6 +325,10 @@ class TestGroupMemo:
 # ---------------------------------------------------------------------------
 
 
+def with_buffer(config, node, buffer):
+    return Configuration(config.states, {**config.buffers, node: buffer})
+
+
 def general_step(network, transducer, config, node, received):
     """A global transition through one path for any number of facts: a
     fresh received instance and a multiset difference."""
@@ -327,7 +344,9 @@ def general_step(network, transducer, config, node, received):
             updates[neighbor] = updates.get(neighbor, config.buffer(neighbor)).union(
                 local.sent.facts()
             )
-    return local, config.replace(node, state=local.new_state).replace_buffers(updates)
+    return local, Configuration(
+        {**config.states, node: local.new_state}, {**config.buffers, **updates}
+    )
 
 
 class TestStepFastPaths:
@@ -345,7 +364,7 @@ class TestStepFastPaths:
         ))
         node = data.draw(st.sampled_from(network.sorted_nodes()))
         buffered = data.draw(st.lists(VALUES, max_size=4))
-        config = config.replace(node, buffer=FactMultiset(Fact("T", (v,)) for v in buffered))
+        config = with_buffer(config, node, FactMultiset(Fact("T", (v,)) for v in buffered))
         for received in [()] + [(f,) for f in config.buffer(node).distinct()]:
             step = general_transition(network, transducer, config, node, received)
             local, after = general_step(network, clone, config, node, received)
@@ -361,7 +380,7 @@ class TestStepFastPaths:
             CHAIN, network, seed=0
         ))
         node = network.sorted_nodes()[0]
-        config = config.replace(node, buffer=FactMultiset([Fact("M", (1, 2))]))
+        config = with_buffer(config, node, FactMultiset([Fact("M", (1, 2))]))
         with pytest.raises(ValueError):
             general_transition(network, transducer, config, node, (Fact("M", (2, 1)),))
         with pytest.raises(ValueError):
@@ -369,6 +388,124 @@ class TestStepFastPaths:
         assert general_transition(
             network, transducer, config, node, (Fact("M", (1, 2)),)
         ).after.buffer(node) == FactMultiset()
+
+
+# ---------------------------------------------------------------------------
+# The run loop: one working configuration, snapshots only where observed
+# ---------------------------------------------------------------------------
+
+#: Every scheduler shape, bounded: generated transducers may never converge.
+RUNNERS = {
+    "fair": lambda net, t, p, seed, **kw: run_fair(net, t, p, seed=seed, max_steps=200, **kw),
+    "fifo": lambda net, t, p, seed, **kw: run_fifo_rounds(net, t, p, max_rounds=12, **kw),
+    "round-robin": lambda net, t, p, seed, **kw: run_round_robin_batch(
+        net, t, p, max_rounds=12, batch_delivery=False, **kw),
+    "witness": lambda net, t, p, seed, **kw: run_witness_guided(net, t, p, max_rounds=12, **kw),
+}
+LOSSY = FaultPlan(seed=3, loss=0.2, duplication=0.2, delay=0.2, crash=0.05,
+                  partition_rate=0.05, retain_state=False)
+
+
+@st.composite
+def run_cases(draw):
+    transducer = draw(st.one_of(transducers(), memo_transducers()))
+    network = line(3)
+    pairs = draw(st.lists(st.tuples(VALUES, VALUES), max_size=4))
+    partition = random_partition(
+        Instance.from_relations(schema(S=2), {"S": pairs}), network,
+        seed=draw(st.integers(0, 5)),
+    )
+    return transducer, network, partition, draw(st.sampled_from(sorted(RUNNERS)))
+
+
+def _fields(result):
+    return (result.config, result.output, result.outputs_by_node, result.converged,
+            result.stats, result.quiescence_step, result.scheduler)
+
+
+class TestRunLoop:
+    @settings(max_examples=25, deadline=None)
+    @given(run_cases(), st.integers(0, 50), st.booleans())
+    def test_traced_and_untraced_runs_agree(self, case, seed, faulty):
+        transducer, network, partition, runner = case
+        faults = LOSSY if faulty else None
+        plain = RUNNERS[runner](network, transducer, partition, seed, faults=faults)
+        traced = RUNNERS[runner](network, transducer, partition, seed, faults=faults,
+                                 keep_trace=True)
+        assert _fields(traced) == _fields(plain)
+        assert plain.trace == []
+        assert len([t for t in traced.trace if isinstance(t, GlobalTransition)]) == (
+            traced.stats.steps
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(run_cases(), st.integers(0, 50))
+    def test_traces_chain_and_each_step_equals_the_reference(self, case, seed):
+        transducer, network, partition, runner = case
+        clone = pickle.loads(pickle.dumps(transducer))
+        result = RUNNERS[runner](network, transducer, partition, seed, keep_trace=True)
+        befores = [initial_configuration(network, transducer, partition)]
+        befores += [t.after for t in result.trace]
+        assert befores[-1] == result.config
+        for t, before in zip(result.trace, befores):
+            assert t.before == before
+        for a, b in zip(result.trace, result.trace[1:]):
+            assert a.after is b.before
+        trace = result.trace
+        for t in trace:
+            local, after = general_step(network, clone, t.before, t.node, t.received)
+            assert t.after == after
+            assert (t.local.new_state, t.output, t.sent_facts) == (
+                local.new_state, local.output, local.sent.facts()
+            )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_general_transition_equals_a_working_step(self, data):
+        transducer, network, partition, _ = data.draw(run_cases())
+        work = WorkingConfiguration(initial_configuration(network, transducer, partition))
+        for _ in range(data.draw(st.integers(1, 12))):
+            node = data.draw(st.sampled_from(network.sorted_nodes()))
+            buffered = list(work.buffer(node))
+            received = tuple(data.draw(st.lists(
+                st.sampled_from(buffered), max_size=3, unique_by=id
+            ))) if buffered and data.draw(st.booleans()) else ()
+            before = work.snapshot()
+            expected = general_transition(network, transducer, before, node, received)
+            local = apply_step(work, network, transducer, node, received)
+            assert local == expected.local
+            assert work.snapshot() == expected.after
+            assert read_side(work) == read_side(recomputed(work))
+
+    def test_an_untraced_run_builds_no_per_step_values(self, monkeypatch):
+        from repro.net import config as config_module, run as run_module
+
+        built = {"transitions": 0, "configurations": 0, "multisets": 0}
+
+        def counting(name, make):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return make(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(run_module, "GlobalTransition",
+                            counting("transitions", GlobalTransition))
+        monkeypatch.setattr(config_module, "_configuration",
+                            counting("configurations", config_module._configuration))
+        monkeypatch.setattr(config_module, "_from_counts",
+                            counting("multisets", config_module._from_counts))
+        for name in ("add", "union", "remove", "difference"):
+            monkeypatch.setattr(FactMultiset, name, None)
+        network = line(3)
+        result = run_fair(network, transitive_closure_transducer(),
+                          random_partition(CHAIN, network, seed=1), seed=1)
+        assert result.converged and result.stats.steps > 40
+        # The final snapshot only: one configuration, one multiset per
+        # node whose buffer changed.
+        assert built == {"transitions": 0, "configurations": 1, "multisets": 3}
+        traced = run_fair(network, transitive_closure_transducer(),
+                          random_partition(CHAIN, network, seed=1), seed=1, keep_trace=True)
+        assert built["transitions"] == traced.stats.steps
 
 
 # ---------------------------------------------------------------------------
