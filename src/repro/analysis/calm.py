@@ -48,7 +48,6 @@ class ComputedQuery(Query):
         seed: int = 0,
         max_steps: int = 20_000,
         batch_delivery: bool = False,
-        convergence: str = "incremental",
         run_cache=None,
         faults=None,
     ):
@@ -57,7 +56,6 @@ class ComputedQuery(Query):
         self.seed = seed
         self.max_steps = max_steps
         self.batch_delivery = batch_delivery
-        self.convergence = convergence
         # Run-level cache: evaluations on an instance an earlier call
         # already ran (CI re-derives Q(I) per job) skip the reference
         # run entirely.  Within one calm_verdict an answer table serves
@@ -81,7 +79,6 @@ class ComputedQuery(Query):
             seed=self.seed,
             max_steps=self.max_steps,
             batch_delivery=self.batch_delivery,
-            convergence=self.convergence,
             run_cache=self.run_cache,
             faults=self.faults,
         )
@@ -184,9 +181,11 @@ def calm_verdict(
     and NTI sweeps re-execute identical cells — and so do separate
     *diagnostics*, since the cache is fingerprint-keyed; repeated
     computed-query evaluations within one diagnostic are answered by
-    its answer table before they reach the cache); a
+    its answer table before they reach the cache).  A
     ``persistent``-lifetime *engine* runs every sweep underneath
-    through one live fork pool.  All verdicts
+    through its one long-lived fork pool.  The sweeps of one verdict
+    are small, so a parallel engine need not be faster than the serial
+    one (see the lifetime table in ``docs/runtime.md``).  All verdicts
     are identical with or without any of these knobs.
 
     *faults* (a :class:`~repro.net.faults.FaultPlan`) subjects the

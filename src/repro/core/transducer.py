@@ -31,7 +31,6 @@ from ..db.instance import Instance
 from ..db.schema import SchemaError
 from ..lang.ast import Eq, Rule
 from ..lang.datalog import _program_constants_rules
-from ..lang.engine import engine_override, resolve_engine
 from ..lang.query import EmptyQuery, Query
 from ..lang.ucq import CompiledRules, RuleGroup, UCQNegQuery, compile_rules
 from ..memo import Memo
@@ -89,11 +88,10 @@ class Transducer:
         output arity).
     name:
         Optional human-readable name used in reprs and reports.
-    engine:
-        Optional evaluation-engine override applied to every local
-        query during :meth:`transition` (see
-        :mod:`repro.lang.engine`).  ``None`` defers to the session
-        default, letting ``REPRO_ENGINE`` steer whole networks.
+
+    Local queries evaluate on their own ``engine=`` when they were
+    built with one, else on the session default, so ``REPRO_ENGINE``
+    steers whole networks (see :mod:`repro.lang.engine`).
     """
 
     def __init__(
@@ -104,11 +102,7 @@ class Transducer:
         delete: Mapping[str, Query] | None = None,
         output: Query | None = None,
         name: str | None = None,
-        engine: str | None = None,
     ):
-        if engine is not None:
-            resolve_engine(engine)  # validate eagerly; applied per transition
-        self.engine = engine
         self.schema = schema
         combined = schema.combined
         send = dict(send or {})
@@ -257,11 +251,7 @@ class Transducer:
         for rel in received.schema:
             if rel not in self.schema.messages:
                 raise SchemaError(f"received non-message relation {rel!r}")
-        if self.engine is None:
-            result = self._compute(state, received)
-        else:
-            with engine_override(self.engine):
-                result = self._compute(state, received)
+        result = self._compute(state, received)
         self._transition_cache.put(cache_key, result)
         return result
 

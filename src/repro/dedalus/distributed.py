@@ -177,7 +177,6 @@ def run_distributed(
     seeds: tuple[int, ...] | None = None,
     run_cache=None,
     engine=None,
-    lang_engine: str | None = None,
     faults=None,
     **run_kwargs,
 ):
@@ -201,22 +200,20 @@ def run_distributed(
     and a list of traces comes back in seed order, identical to running
     the seeds serially.  That is the Section 8 analogue of quantifying
     consistency over fair runs: every arrival schedule must stabilize
-    to the same state.
+    to the same state.  Without *seeds* the run is the one-cell sweep
+    of ``run_kwargs``'s ``seed`` (default 0), and its trace comes back.
 
     *run_cache* (a :class:`~repro.net.runcache.RunCache`) memoizes
     whole traces — a seeded localized run is a pure function of
     ``(program, network, partition, seed, kwargs)``, and Dedalus
     programs always fingerprint canonically (their rules are plain
-    ASTs).  *engine* (a
-    :class:`~repro.net.executor.SweepEngine`, e.g. a
-    ``persistent``-lifetime one; ``None`` is serial) fans a seeds
-    sweep over its workers.
-
-    *lang_engine* selects the local evaluation engine of
-    :mod:`repro.lang.engine` ("nested", "indexed" or "columnar") for
-    every interpreter run — distinct from *engine*, which picks the
-    sweep executor.  Engines are bit-identical by contract, so the
-    run cache is shared across them (keys do not include it).
+    ASTs).  A single run and a sweep share cells.  *engine* (a
+    :class:`~repro.net.executor.SweepEngine`; ``None`` is serial) fans
+    a seeds sweep over its workers; a sweep of a few seeds can run
+    faster serially (see the lifetime table in ``docs/runtime.md``).
+    The local query engine is the session default (``REPRO_ENGINE``);
+    call :func:`~repro.dedalus.interp.run_program` with ``engine=`` to
+    pick one per run.
 
     *faults* (a :class:`~repro.net.faults.FaultPlan`) applies the
     plan's message-level faults (loss, duplication, delay) to the
@@ -226,51 +223,33 @@ def run_distributed(
     becomes part of every run-cache key, so faulty and clean traces
     never alias.
     """
-    from ..net.runcache import resolve_run_cache
-    from .interp import run_program
-
-    run_cache = resolve_run_cache(run_cache)
-    if faults is not None:
-        run_kwargs["faults"] = faults
-    if seeds is not None:
-        return sweep_distributed(
-            program,
-            network,
-            [partition],
-            seeds=seeds,
-            broadcast=broadcast,
-            batch_async=batch_async,
-            run_cache=run_cache,
-            engine=engine,
-            lang_engine=lang_engine,
-            **run_kwargs,
-        )
-    localized = localize(program, broadcast)
-    if run_cache is not None:
-        key = _distributed_key(localized, network, partition,
-                               run_kwargs.get("seed", 0), batch_async,
-                               run_kwargs)
-        cached = run_cache.get(key)
-        if cached is not None:
-            return cached
-    edb = place(partition, network)
-    trace = run_program(localized, edb, engine=lang_engine,
-                        batch_async=batch_async, **run_kwargs)
-    if run_cache is not None:
-        run_cache.record(key, trace)
-    return trace
+    single = seeds is None
+    if single:
+        seeds = (run_kwargs.pop("seed", 0),)
+    traces = sweep_distributed(
+        program,
+        network,
+        [partition],
+        seeds=seeds,
+        broadcast=broadcast,
+        batch_async=batch_async,
+        run_cache=run_cache,
+        engine=engine,
+        faults=faults,
+        **run_kwargs,
+    )
+    return traces[0] if single else traces
 
 
 def _distributed_task(context, task):
     """Sweep worker: one localized run (module-level for fork shipping)."""
     from .interp import run_program
 
-    localized, network, batch_async, lang_engine, run_kwargs = context
+    localized, network, batch_async, run_kwargs = context
     partition, seed = task
     edb = place(partition, network)
     return run_program(
-        localized, edb, seed=seed, batch_async=batch_async,
-        engine=lang_engine, **run_kwargs
+        localized, edb, seed=seed, batch_async=batch_async, **run_kwargs
     )
 
 
@@ -280,7 +259,7 @@ def _distributed_key(localized, network, partition, seed, batch_async,
     ``seed`` is keyed positionally, like the transducer sweeps)."""
     from ..net.runcache import program_fingerprint, run_key
 
-    kwargs = {k: v for k, v in run_kwargs.items() if k != "seed"}
+    kwargs = dict(run_kwargs)
     kwargs["batch_async"] = batch_async
     return run_key(
         "dedalus",
@@ -301,7 +280,6 @@ def sweep_distributed(
     batch_async: bool = False,
     run_cache=None,
     engine=None,
-    lang_engine: str | None = None,
     faults=None,
     **run_kwargs,
 ) -> list:
@@ -317,24 +295,20 @@ def sweep_distributed(
     (keys include the localized program's fingerprint, the network,
     the partition, the seed and the kwargs) — the shared
     :class:`~repro.net.executor.CacheSplice` bookkeeping, so equal
-    cells inside one grid also collapse to a single run.  *engine*
-    selects the executor (``None`` is serial).  *lang_engine* picks
-    the local evaluation engine inside every cell, as in
-    :func:`run_distributed`.  *faults* injects the same seeded
-    :class:`~repro.net.faults.FaultPlan` into every cell (and into
-    every cell's cache key).
+    cells inside one grid also collapse to a single run.  This is the
+    one place a ``"dedalus"`` cache key is built.  *engine* selects
+    the executor (``None`` is serial).  *faults* injects the same
+    seeded :class:`~repro.net.faults.FaultPlan` into every cell (and
+    into every cell's cache key).
     """
     from ..net.executor import CacheSplice, SweepEngine
     from ..net.runcache import resolve_run_cache
-    from ..lang.engine import resolve_engine as resolve_lang_engine
 
     run_cache = resolve_run_cache(run_cache)
-    if lang_engine is not None:
-        resolve_lang_engine(lang_engine)  # validate before fan-out
     if faults is not None:
         run_kwargs["faults"] = faults
     localized = localize(program, broadcast)
-    context = (localized, network, batch_async, lang_engine, run_kwargs)
+    context = (localized, network, batch_async, run_kwargs)
     tasks = [(partition, seed) for partition in partitions for seed in seeds]
 
     splice = CacheSplice(

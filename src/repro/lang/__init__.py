@@ -33,9 +33,7 @@ from .datalog import (
 from .engine import (
     ENGINES,
     default_engine,
-    engine_override,
     resolve_engine,
-    set_default_engine,
 )
 from .fo import evaluate as evaluate_fo
 from .joinplan import IndexPool, JoinPlan, plan_for
@@ -118,12 +116,10 @@ __all__ = [
     "check_monotone_empirical",
     "check_monotone_pair",
     "default_engine",
-    "engine_override",
     "evaluate_fo",
     "find_monotonicity_counterexample",
     "naive_fixpoint",
     "resolve_engine",
-    "set_default_engine",
     "parse_formula",
     "parse_rule",
     "parse_rules",

@@ -8,11 +8,10 @@ through :func:`resolve_engine`, which
 * validates the name eagerly (unknown strings raise ``ValueError``
   instead of silently degrading to a default — the satellite bugfix),
 * resolves ``None`` to the session default: the ``REPRO_ENGINE``
-  environment variable when set, else ``"indexed"``, overridable
-  programmatically with :func:`set_default_engine` or scoped with the
-  :func:`engine_override` context manager (the net runtime uses the
-  latter so transducer transitions run columnar end-to-end without
-  threading a keyword through every layer),
+  environment variable when set, else ``"indexed"``.  The variable is
+  read on every call, so it steers whole runs — transducer transitions
+  included — without a keyword threaded through every layer; it is the
+  only process-wide selector,
 * rejects ``"columnar"`` when NumPy is absent, with a message naming
   the working alternatives.
 
@@ -25,14 +24,12 @@ for nested loops.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 
 from ..db.columnar import HAVE_NUMPY
 
 ENGINES = ("nested", "indexed", "columnar")
 
 _FALLBACK_DEFAULT = "indexed"
-_override: str | None = None
 
 
 def _validate(engine: str) -> str:
@@ -50,8 +47,6 @@ def _validate(engine: str) -> str:
 
 def default_engine() -> str:
     """The engine used when callers pass ``engine=None``."""
-    if _override is not None:
-        return _override
     return _validate(os.environ.get("REPRO_ENGINE", _FALLBACK_DEFAULT))
 
 
@@ -60,34 +55,6 @@ def resolve_engine(engine: str | None) -> str:
     if engine is None:
         return default_engine()
     return _validate(engine)
-
-
-def set_default_engine(engine: str | None) -> None:
-    """Set (or with ``None``, clear) the process-wide default engine.
-
-    Takes precedence over ``REPRO_ENGINE``.
-    """
-    global _override
-    _override = _validate(engine) if engine is not None else None
-
-
-@contextmanager
-def engine_override(engine: str | None):
-    """Scope a default engine: ``with engine_override("columnar"): ...``
-
-    ``None`` is a no-op scope (callers can pass their possibly-unset
-    knob straight through).
-    """
-    global _override
-    if engine is None:
-        yield
-        return
-    previous = _override
-    _override = _validate(engine)
-    try:
-        yield
-    finally:
-        _override = previous
 
 
 def make_pool(engine: str):

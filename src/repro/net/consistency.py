@@ -21,7 +21,7 @@ from ..db.instance import Instance
 from ..core.transducer import Transducer
 from .network import Network, single, standard_topologies
 from .partition import HorizontalPartition, sample_partitions
-from .run import RunResult, RunStats, run_fair
+from .run import RunResult, RunStats
 
 
 @dataclass
@@ -44,7 +44,8 @@ class ConsistencyReport:
     misses actually executed, and in-grid duplicate cells resolved
     without consulting the store (they never execute, so they are
     neither hits nor misses — ``hits + misses + dedup`` covers the
-    grid).
+    grid).  They count this sweep's own grid, so sweeps sharing one
+    cache from several threads each report only their own cells.
     """
 
     consistent: bool
@@ -102,14 +103,13 @@ def observe_runs(
     seeds: tuple[int, ...] = (0, 1, 2),
     max_steps: int = 20_000,
     batch_delivery: bool = False,
-    convergence: str = "incremental",
     run_cache=None,
     engine=None,
     faults=None,
 ) -> list[RunObservation]:
     """Run (N, Π) on several partitions × schedules and record outputs.
 
-    *batch_delivery* and *convergence* are forwarded to
+    *batch_delivery* is forwarded to
     :func:`~repro.net.run.run_fair` — consistency quantifies over fair
     runs, and batched runs of batchable (oblivious, monotone,
     inflationary) transducers are fair
@@ -120,9 +120,11 @@ def observe_runs(
     concurrently without changing a single observation — the returned
     list is identical to the serial one for every worker count.
     *run_cache* short-circuits whole runs already known to the
-    :class:`~repro.net.runcache.RunCache`, and a ``persistent``-lifetime
-    *engine* reuses one live fork pool across consecutive sweeps; both
-    also leave every observation unchanged.  *faults* (a
+    :class:`~repro.net.runcache.RunCache`; neither it nor the engine's
+    lifetime changes an observation.  Whether a parallel engine is
+    faster depends on the grid: on small grids pool startup and task
+    shipping cost more than the runs (see the lifetime table in
+    ``docs/runtime.md``).  *faults* (a
     :class:`~repro.net.faults.FaultPlan`) subjects every run to the
     same seeded fault plan — a faulty run is
     still a deterministic function of ``(plan, seed, scheduler)``, so
@@ -139,7 +141,6 @@ def observe_runs(
         seeds,
         max_steps=max_steps,
         batch_delivery=batch_delivery,
-        convergence=convergence,
         run_cache=run_cache,
         engine=engine,
         faults=faults,
@@ -155,7 +156,6 @@ def check_consistency(
     seeds: tuple[int, ...] = (0, 1, 2),
     max_steps: int = 20_000,
     batch_delivery: bool = False,
-    convergence: str = "incremental",
     run_cache=None,
     engine=None,
     faults=None,
@@ -171,13 +171,6 @@ def check_consistency(
     run; the aggregate fault counters are read through
     :meth:`ConsistencyReport.fault_counts`.
     """
-    from .runcache import resolve_run_cache
-
-    cache = resolve_run_cache(run_cache)
-    chits0 = cmisses0 = cdedup0 = 0
-    if cache is not None:
-        chits0, cmisses0 = cache.cache_hits, cache.cache_misses
-        cdedup0 = cache.cache_dedup
     observations = observe_runs(
         network,
         transducer,
@@ -187,8 +180,7 @@ def check_consistency(
         seeds,
         max_steps,
         batch_delivery=batch_delivery,
-        convergence=convergence,
-        run_cache=cache,
+        run_cache=run_cache,
         engine=engine,
         faults=faults,
     )
@@ -200,9 +192,10 @@ def check_consistency(
         outputs=outputs,
         observations=observations,
         unconverged=unconverged,
-        cache_hits=cache.cache_hits - chits0 if cache is not None else 0,
-        cache_misses=cache.cache_misses - cmisses0 if cache is not None else 0,
-        cache_dedup=cache.cache_dedup - cdedup0 if cache is not None else 0,
+        # The grid's own counts (a GridResults from sweep_runs).
+        cache_hits=observations.cache_hits,
+        cache_misses=observations.cache_misses,
+        cache_dedup=observations.cache_dedup,
     )
 
 
@@ -213,55 +206,29 @@ def computed_output(
     seed: int = 0,
     max_steps: int = 20_000,
     batch_delivery: bool = False,
-    convergence: str = "incremental",
     run_cache=None,
     faults=None,
 ) -> frozenset:
     """The output of one canonical fair run (full replication, given seed).
 
     For a consistent network this *is* the computed query's answer.
-    *run_cache* skips the run entirely when this exact cell was
-    executed before — it shares keys with :func:`sweep_runs`, so a
-    consistency sweep can warm the CALM reference evaluation and vice
-    versa.
+    The run is a one-cell :func:`~repro.net.executor.sweep_runs` grid,
+    so *run_cache* skips it when this exact cell was executed before,
+    by a consistency sweep or an earlier evaluation alike.
     """
-    from .runcache import resolve_run_cache, run_key, transducer_fingerprint
+    from .executor import sweep_runs
 
-    cache = resolve_run_cache(run_cache)
-    partitions = sample_partitions(instance, network, 1)
-    key = None
-    if cache is not None:
-        run_kwargs = {
-            "max_steps": max_steps,
-            "batch_delivery": batch_delivery,
-            "convergence": convergence,
-        }
-        if faults is not None:
-            run_kwargs["faults"] = faults
-        key = run_key(
-            "fair-random",
-            network,
-            transducer_fingerprint(transducer),
-            partitions[0],
-            seed,
-            run_kwargs,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return cached.output
-    result = run_fair(
+    (observation,) = sweep_runs(
         network,
         transducer,
-        partitions[0],
-        seed=seed,
+        sample_partitions(instance, network, 1),
+        (seed,),
         max_steps=max_steps,
         batch_delivery=batch_delivery,
-        convergence=convergence,
+        run_cache=run_cache,
         faults=faults,
     )
-    if cache is not None:
-        cache.record(key, result)
-    return result.output
+    return observation.result.output
 
 
 @dataclass
@@ -294,9 +261,10 @@ def check_topology_independence(
     always included — Example 4 fails exactly there.
 
     A single *run_cache* is sound across all the networks probed here
-    (the network is part of the cache key), and so is a persistent
-    *engine*: one live pool serves every per-network sweep, which is
-    the fork-amortization this probe grid exists for.
+    (the network is part of the cache key).  One *engine* runs every
+    per-network sweep; a ``persistent``-lifetime one keeps its fork
+    pool alive between them, a ``fork``-lifetime one forks a pool per
+    sweep.  The report is the same for every engine.
     """
     from .runcache import resolve_run_cache
 

@@ -126,8 +126,10 @@ def check_coordination_free_on(
     probes the same transducer on the test instance *and* the empty
     instance, and CI re-probes yesterday's grid — skip straight to the
     recorded outputs.  A ``persistent``-lifetime *engine* probes
-    chunks through one live fork pool instead of forking a session per
-    search.
+    chunks through its one long-lived fork pool; a ``fork``-lifetime
+    one forks a pool per search.  Probes are small, so on small
+    partition spaces the serial engine can be the fastest (see the
+    lifetime table in ``docs/runtime.md``).
     """
     from itertools import islice
 

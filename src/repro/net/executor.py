@@ -61,6 +61,7 @@ __all__ = [
     "CacheSplice",
     "EngineHealth",
     "EngineSession",
+    "GridResults",
     "LIFETIMES",
     "SweepEngine",
     "sweep_runs",
@@ -535,6 +536,18 @@ class EngineSession:
 # ---------------------------------------------------------------------------
 
 
+class GridResults(list):
+    """A grid's results in task order, with the grid's own cache counts.
+
+    ``cache_hits``, ``cache_misses`` and ``cache_dedup`` classify this
+    grid's cells alone (all 0 without a cache).  A before/after delta of
+    a shared :class:`~repro.net.runcache.RunCache`'s counters would also
+    count the cells of every sweep running concurrently on that cache.
+    """
+
+    cache_hits = cache_misses = cache_dedup = 0
+
+
 class CacheSplice:
     """The one shared cached/pending bookkeeping of every cached sweep.
 
@@ -555,7 +568,8 @@ class CacheSplice:
     the miss rate with cells that never executed, which matters once
     the counters feed a metrics endpoint: for every grid,
     ``hits + misses + dedup == cells`` and ``misses == cells actually
-    executed``.
+    executed``.  The splice counts its own grid the same way, on the
+    :class:`GridResults` that :meth:`fill` returns.
 
     Fan :attr:`pending_tasks` out however you like (engine map, chunked
     session, inline loop) and hand the fresh results to :meth:`fill`,
@@ -574,7 +588,7 @@ class CacheSplice:
         self.tasks = list(tasks)
         self.cache = cache
         self._hit = hit if hit is not None else (lambda task, value: value)
-        self.results: list = [None] * len(self.tasks)
+        self.results = GridResults([None] * len(self.tasks))
         self.keys: list | None = None
         self.pending: list[int] = list(range(len(self.tasks)))
         self.duplicates: list[tuple[int, int]] = []
@@ -591,25 +605,29 @@ class CacheSplice:
                 # miss nor the hit count.
                 if key in hit_for_key:
                     cache.bump("cache_dedup")
+                    self.results.cache_dedup += 1
                     self.results[i] = self._hit(self.tasks[i], hit_for_key[key])
                 elif key in first_for_key:
                     cache.bump("cache_dedup")
+                    self.results.cache_dedup += 1
                     self.duplicates.append((i, first_for_key[key]))
                 else:
                     value = cache.get(key)
                     if value is not None:
                         hit_for_key[key] = value
+                        self.results.cache_hits += 1
                         self.results[i] = self._hit(self.tasks[i], value)
                     else:
                         first_for_key[key] = i
                         self.pending.append(i)
+            self.results.cache_misses = len(self.pending)
 
     @property
     def pending_tasks(self) -> list:
         """The tasks that must actually execute, in grid order."""
         return [self.tasks[i] for i in self.pending]
 
-    def fill(self, fresh, store=None) -> list:
+    def fill(self, fresh, store=None) -> GridResults:
         """Splice *fresh* results (one per pending task, in pending
         order) back into the grid; returns the full result list."""
         store = store if store is not None else (lambda row: row)
@@ -645,7 +663,6 @@ def sweep_runs(
     seeds: tuple[int, ...],
     max_steps: int = 20_000,
     batch_delivery: bool = False,
-    convergence: str = "incremental",
     run_cache=None,
     engine: "SweepEngine | None" = None,
     faults=None,
@@ -654,7 +671,10 @@ def sweep_runs(
 
     Returns the observations in grid order (partitions outer, seeds
     inner) — identical to the serial loop for every worker count and
-    lifetime: same seeds, same runs, just executed concurrently.
+    lifetime: same seeds, same runs, just executed concurrently.  The
+    list is a :class:`GridResults`, carrying the grid's own cache
+    counts.  This is the one place a ``"fair-random"`` cache key is
+    built: a single cell is a one-cell grid.
 
     *engine* (a :class:`SweepEngine`; ``None`` is serial) executes
     the grid.  *run_cache* (a :class:`~repro.net.runcache.RunCache`)
@@ -669,22 +689,17 @@ def sweep_runs(
     seeded fault plan into every run of the grid.  The plan becomes
     part of the frozen run kwargs — and hence of every cache key — so
     faulty and clean sweeps never share cells, while a clean sweep's
-    keys are bit-identical to what they were before the fault plane
-    existed.
+    keys do not mention faults at all.
     """
     from .runcache import resolve_run_cache, run_key, transducer_fingerprint
 
     cache = resolve_run_cache(run_cache)
-    run_kwargs = {
-        "max_steps": max_steps,
-        "batch_delivery": batch_delivery,
-        "convergence": convergence,
-    }
+    run_kwargs = {"max_steps": max_steps, "batch_delivery": batch_delivery}
     if faults is not None:
-        # Only present when set: clean-run cache keys are unchanged
-        # from before the fault plane existed, and a faulty cell can
-        # never alias a clean one (the plan rides in the frozen
-        # run_kwargs, through run_key and into run_fair alike).
+        # Only present when set: clean-run cache keys do not mention
+        # faults, and a faulty cell can never alias a clean one (the
+        # plan rides in the frozen run_kwargs, through run_key and
+        # into run_fair alike).
         run_kwargs["faults"] = faults
     tasks = [(partition, seed) for partition in partitions for seed in seeds]
 

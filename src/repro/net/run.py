@@ -6,12 +6,12 @@ of its transitions, and Proposition 1 guarantees a quiescence point.
 A simulator must truncate: we run until the system is *converged* — no
 reachable future transition can change any node state or produce new
 output — which implies the output quiescence point has passed.  The
-convergence test is exact (see :mod:`repro.net.convergence`; the
-default engine is the incremental :class:`ConvergenceTracker`, whose
-verdicts provably — and property-testedly — equal the from-scratch
-test), so truncation never cuts off output for converging systems;
-systems that churn forever hit the step budget and are reported
-unconverged.
+convergence test is exact (every run checks through the incremental
+:class:`~repro.net.convergence.ConvergenceTracker`, whose verdicts
+provably — and property-testedly — equal the from-scratch
+:func:`~repro.net.convergence.is_converged`), so truncation never cuts
+off output for converging systems; systems that churn forever hit the
+step budget and are reported unconverged.
 
 The runtime is split in two layers:
 
@@ -214,10 +214,9 @@ class RunContext:
         self.config = config
         self.stats = stats
         self._outputs = outputs
-        #: The run's ConvergenceTracker when the incremental engine is
-        #: active, else None.  Witness-aware schedulers read its cached
-        #: failure witnesses; treat it as read-only.
-        self.tracker = None
+        #: The run's ConvergenceTracker.  Witness-aware schedulers read
+        #: its cached failure witnesses; treat it as read-only.
+        self.tracker = ConvergenceTracker(network, transducer)
 
     @property
     def produced(self) -> frozenset:
@@ -231,15 +230,13 @@ def run_schedule(
     scheduler: Scheduler,
     max_steps: int | None = 20_000,
     keep_trace: bool = False,
-    convergence: str = "incremental",
     faults: FaultPlan | None = None,
 ) -> RunResult:
     """Execute *scheduler*'s schedule, truncated at convergence.
 
-    *convergence* selects the check engine: ``"incremental"`` (the
-    default — a per-run :class:`ConvergenceTracker`) or ``"exact"``
-    (the from-scratch reference test).  Both produce the same verdicts;
-    the Hypothesis suite pins the equality.
+    Convergence is checked by a per-run :class:`ConvergenceTracker`,
+    whose verdicts equal the exact from-scratch :func:`is_converged`
+    (the Hypothesis suite and the golden replays pin the equality).
 
     *max_steps* bounds the number of committed transitions (``None``
     for no bound — round-based schedulers carry their own round
@@ -258,27 +255,16 @@ def run_schedule(
         scheduler = FaultyScheduler(scheduler, faults)
     if scheduler.uses_batching:
         require_batchable(transducer)
-    if convergence not in ("incremental", "exact"):
-        raise ValueError(f"unknown convergence engine {convergence!r}")
 
     work = WorkingConfiguration(initial_configuration(network, transducer, partition))
     outputs = _OutputTracker()
     stats = RunStats()
     trace: list = []
     ctx = RunContext(network, transducer, work, stats, outputs)
-
-    tracker = (
-        ConvergenceTracker(network, transducer)
-        if convergence == "incremental"
-        else None
-    )
-    ctx.tracker = tracker
+    tracker = ctx.tracker
 
     def check() -> bool:
-        produced = outputs.frozen()
-        if tracker is not None:
-            return tracker.check(work, produced)
-        return is_converged(network, transducer, work, produced)
+        return tracker.check(work, outputs.frozen())
 
     converged = False
     verdict: bool | None = None
@@ -360,7 +346,6 @@ def run_fair(
     keep_trace: bool = False,
     check_every: int | None = None,
     batch_delivery: bool = False,
-    convergence: str = "incremental",
     scheduler: Scheduler | None = None,
     faults: FaultPlan | None = None,
 ) -> RunResult:
@@ -392,7 +377,6 @@ def run_fair(
         scheduler,
         max_steps=max_steps,
         keep_trace=keep_trace,
-        convergence=convergence,
         faults=faults,
     )
 
@@ -430,7 +414,6 @@ def run_fifo_rounds(
     skip_nodes: frozenset | None = None,
     keep_trace: bool = False,
     batch_delivery: bool = False,
-    convergence: str = "incremental",
     faults: FaultPlan | None = None,
 ) -> RunResult:
     """The deterministic fifo round schedule of Theorem 16's proof.
@@ -453,7 +436,6 @@ def run_fifo_rounds(
         ),
         max_steps=None,
         keep_trace=keep_trace,
-        convergence=convergence,
         faults=faults,
     )
 
@@ -465,7 +447,6 @@ def run_round_robin_batch(
     max_rounds: int = 2_000,
     keep_trace: bool = False,
     batch_delivery: bool = True,
-    convergence: str = "incremental",
     faults: FaultPlan | None = None,
 ) -> RunResult:
     """The round-robin batched-delivery schedule (new in the scheduler
@@ -485,7 +466,6 @@ def run_round_robin_batch(
         ),
         max_steps=None,
         keep_trace=keep_trace,
-        convergence=convergence,
         faults=faults,
     )
 
@@ -507,8 +487,7 @@ def run_witness_guided(
     refutations as directly as possible, shortening the convergence
     tail (the ROADMAP's witness-guided-scheduling item).  Every node
     still heartbeats each round and every buffer keeps draining, so the
-    schedule is fair.  The convergence engine is pinned to
-    ``"incremental"`` — witnesses only exist there.
+    schedule is fair.
     """
     return run_schedule(
         network,
@@ -519,6 +498,5 @@ def run_witness_guided(
         ),
         max_steps=None,
         keep_trace=keep_trace,
-        convergence="incremental",
         faults=faults,
     )

@@ -936,8 +936,8 @@ class RunCache:
 
 def resolve_run_cache(run_cache) -> RunCache | None:
     """Normalize the ``run_cache=`` knob the harness entry points accept:
-    ``None``/``False`` → no caching; a :class:`RunCache` → itself."""
-    if run_cache is None or run_cache is False:
+    ``None`` → no caching; a :class:`RunCache` → itself."""
+    if run_cache is None:
         return None
     if not isinstance(run_cache, RunCache):
         raise TypeError(f"run_cache must be a RunCache, got {run_cache!r}")

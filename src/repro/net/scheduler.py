@@ -373,10 +373,6 @@ class WitnessGuidedScheduler(Scheduler):
     accumulated output equals any fair run's (the CALM
     schedule-invariance argument — the Hypothesis suite pins
     witness-guided == fair).
-
-    Requires the incremental convergence engine — with
-    ``convergence="exact"`` there is no tracker and the schedule
-    degrades gracefully to plain round-robin delivery.
     """
 
     name = "witness-guided"
@@ -394,18 +390,17 @@ class WitnessGuidedScheduler(Scheduler):
             for node in nodes:
                 yield heartbeats[node]
             delivered: set = set()
-            tracker = ctx.tracker
-            if tracker is not None and not self.uses_batching:
-                for node, f in tracker.witness_facts():
+            if not self.uses_batching:
+                for node, f in ctx.tracker.witness_facts():
                     if (node, f) in delivered:
                         continue
                     if f in ctx.config.buffer(node):
                         delivered.add((node, f))
                         yield Action.deliver(node, f)
-            elif tracker is not None:
+            else:
                 # Batched mode: a drain subsumes every witness at the
                 # node, so just put witness nodes first in the sweep.
-                for node, _ in tracker.witness_facts():
+                for node, _ in ctx.tracker.witness_facts():
                     if node in delivered:
                         continue
                     if ctx.config.buffer(node):

@@ -12,8 +12,9 @@ run-visible knob (fault plan, seeds, batching…) can never alias.
 Jobs execute on a thread pool.  With a serial engine (the default on
 small boxes) jobs run fully concurrently — the thread-safe cache is
 the only shared state.  A multi-process engine is serialized with a
-mutex: ``SweepEngine`` owns one worker pool and interleaved map calls
-from two threads would corrupt its task accounting.
+mutex: every pool map updates the engine's ``health`` counters without
+a lock, and a ``persistent`` engine also shares its one worker pool
+between all its maps.
 
 Terminal jobs persist to a sqlite job store so ``GET /jobs/{id}``
 survives a restart; the run cache's own disk tier (configured
@@ -22,6 +23,7 @@ separately) is what makes the *results* warm again.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sqlite3
 import threading
@@ -327,14 +329,15 @@ class JobOrchestrator:
             computed_output,
         )
 
-        # A non-serial engine owns one worker pool; interleaved map
-        # calls from two job threads would corrupt its bookkeeping.
-        # Serial engines run in the calling thread — no exclusion
-        # needed, the thread-safe cache carries the sharing.
+        # Both parallel lifetimes need exclusion: every supervised pool
+        # map updates the engine's health counters without a lock (a
+        # persistent engine also shares one pool between its maps).
+        # Serial engines run in the calling thread and never reach a
+        # pool; the thread-safe cache carries the sharing.
         guard = (
             self._engine_lock
             if self.engine.lifetime != "serial"
-            else _NULL_GUARD
+            else contextlib.nullcontext()
         )
         kwargs = dict(run_cache=self.cache, engine=self.engine)
         with guard:
@@ -411,14 +414,3 @@ class JobOrchestrator:
         self.cache.close()
         if self._store is not None:
             self._store.close()
-
-
-class _NullGuard:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_GUARD = _NullGuard()

@@ -220,3 +220,22 @@ class TestDistributedSweep:
             run_distributed(prog, net, partition, run_cache="yes")
         with pytest.raises(TypeError, match="run_cache"):
             sweep_distributed(prog, net, [partition], run_cache="yes")
+
+    def test_single_run_and_seed_sweep_share_a_cell(self, chain):
+        # A single run is the one-cell sweep of its seed: the same key,
+        # so the sweep after it is a cache hit and executes nothing.
+        net = ring(3)
+        prog = DedalusProgram.parse(TC_LOCAL, S2)
+        partition = round_robin(chain, net)
+        cache = RunCache()
+        single = run_distributed(
+            prog, net, partition, seed=5, max_steps=300, run_cache=cache
+        )
+        assert (cache.cache_hits, cache.cache_misses) == (0, 1)
+        swept = run_distributed(
+            prog, net, partition, seeds=(5,), max_steps=300, run_cache=cache
+        )
+        assert (cache.cache_hits, cache.cache_misses) == (1, 1)
+        assert len(cache) == 1
+        assert swept == [single]
+        assert single == run_distributed(prog, net, partition, seed=5, max_steps=300)

@@ -639,6 +639,38 @@ class TestFusionStructure:
         with pytest.raises(ImportError):
             import repro.net.sweep  # noqa: F401
 
+    def test_one_way_to_configure_a_run(self):
+        # Convergence is always tracked incrementally, and the query
+        # engine is chosen per call (engine=) or per process
+        # (REPRO_ENGINE): no knob or override scope is left for either.
+        import repro.lang
+        from repro.analysis import ComputedQuery
+        from repro.core import Transducer
+        from repro.dedalus.distributed import run_distributed, sweep_distributed
+        from repro.net import (
+            observe_runs,
+            resolve_run_cache,
+            run_fair,
+            run_fifo_rounds,
+            run_round_robin_batch,
+            run_schedule,
+        )
+
+        for fn in (
+            run_schedule, run_fair, run_fifo_rounds, run_round_robin_batch,
+            sweep_runs, observe_runs, check_consistency, computed_output,
+            ComputedQuery,
+        ):
+            assert "convergence" not in inspect.signature(fn).parameters, fn
+        for fn in (run_distributed, sweep_distributed):
+            assert "lang_engine" not in inspect.signature(fn).parameters, fn
+        assert "engine" not in inspect.signature(Transducer).parameters
+        assert not hasattr(Transducer(TC.schema), "engine")
+        exported = set(dir(repro.lang)) | set(repro.lang.__all__)
+        assert not {"engine_override", "set_default_engine"} & exported
+        with pytest.raises(TypeError):
+            resolve_run_cache(False)
+
     def test_single_shared_splice_helper(self):
         # The three hand-rolled cached/pending merge loops are gone:
         # every cached sweep routes through executor.CacheSplice.

@@ -15,12 +15,13 @@ per-relation fact-view cache (satellite #2).
 """
 
 import os
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.core import Transducer, flooding_transducer
+from repro.core import flooding_transducer
 from repro.db import Fact, Instance, instance, schema
 from repro.db.columnar import HAVE_NUMPY, ValuePool
 from repro.dedalus import DedalusProgram, run_program
@@ -34,11 +35,9 @@ from repro.lang import (
     UCQNegQuery,
     UCQQuery,
     default_engine,
-    engine_override,
     naive_fixpoint,
     resolve_engine,
     seminaive_fixpoint,
-    set_default_engine,
     tp_step,
 )
 from repro.lang.ast import Atom, Const, Eq, Literal, Rule, Var
@@ -284,38 +283,22 @@ class TestLanguageLayers:
         finals = [t.final() for t in traces]
         assert finals[0] == finals[1] == finals[2]
 
-    def test_net_runtime_agrees_under_override(self):
+    def test_net_runtime_agrees_under_env_engine(self):
+        # REPRO_ENGINE steers every transition of a run.  A fresh
+        # transducer per engine: a shared one would answer the later
+        # runs from transitions memoized under the first engine.
         S2 = schema(S=2)
         I = instance(S2, S=[(1, 2), (2, 3)])
-        flood = flooding_transducer(S2)
         net = line(3)
         results = []
         for engine in ENGINES:
-            with engine_override(engine):
-                run = run_fair(net, flood, round_robin(I, net), seed=0)
+            with mock.patch.dict(os.environ, {"REPRO_ENGINE": engine}):
+                run = run_fair(
+                    net, flooding_transducer(S2), round_robin(I, net), seed=0
+                )
             assert run.converged
             results.append((run.output, run.config))
         assert results[0] == results[1] == results[2]
-
-    def test_transducer_engine_param(self):
-        # A transducer pinned to the columnar engine transitions
-        # identically to the default.
-        S2 = schema(S=2)
-        I = instance(S2, S=[(1, 2), (2, 3)])
-        net = line(2)
-        base = flooding_transducer(S2)
-        pinned = Transducer(
-            base.schema,
-            send=base.send_queries,
-            insert=base.insert_queries,
-            delete=base.delete_queries,
-            output=base.output_query,
-            engine="columnar",
-        )
-        part = round_robin(I, net)
-        ref = run_fair(net, base, part, seed=0)
-        got = run_fair(net, pinned, part, seed=0)
-        assert got.converged and got.output == ref.output
 
 
 class TestFallbackPaths:
@@ -385,46 +368,29 @@ class TestEngineSelection:
                                             engine="quantum"),
             lambda: UCQQuery.parse("T(x) :- R(x).", S2R1W4, engine="quantum"),
             lambda: FOQuery.parse("R(x)", "x", S2R1W4, engine="quantum"),
-            lambda: set_default_engine("quantum"),
-            lambda: engine_override("quantum").__enter__(),
         ]
         for make in entry_points:
             with pytest.raises(ValueError):
                 make()
 
-    def test_transducer_and_dedalus_reject_unknown(self):
-        base = flooding_transducer(schema(S=2))
-        with pytest.raises(ValueError):
-            Transducer(base.schema, send=base.send_queries,
-                       engine="quantum")
+    def test_dedalus_rejects_unknown(self):
         p = DedalusProgram.parse("Seen(x) :- A(x).", schema(A=1))
         with pytest.raises(ValueError):
             run_program(p, instance(schema(A=1), A=[(1,)]), engine="quantum")
 
     def test_env_var_unknown_rejected(self):
-        old = os.environ.get("REPRO_ENGINE")
-        os.environ["REPRO_ENGINE"] = "quantum"
-        try:
+        with mock.patch.dict(os.environ, {"REPRO_ENGINE": "quantum"}):
             with pytest.raises(ValueError):
                 default_engine()
-        finally:
-            if old is None:
-                del os.environ["REPRO_ENGINE"]
-            else:
-                os.environ["REPRO_ENGINE"] = old
 
-    def test_override_and_default_roundtrip(self):
+    def test_env_var_is_read_per_call(self):
         assert resolve_engine(None) == default_engine()
-        with engine_override("nested"):
-            assert resolve_engine(None) == "nested"
-            with engine_override("columnar"):
-                assert resolve_engine(None) == "columnar"
-            assert resolve_engine(None) == "nested"
-        set_default_engine("columnar")
-        try:
-            assert resolve_engine(None) == "columnar"
-        finally:
-            set_default_engine(None)
+        for engine in ENGINES:
+            with mock.patch.dict(os.environ, {"REPRO_ENGINE": engine}):
+                assert resolve_engine(None) == engine
+        with mock.patch.dict(os.environ):
+            os.environ.pop("REPRO_ENGINE", None)
+            assert resolve_engine(None) == "indexed"
 
 
 class TestInstanceCaches:

@@ -141,10 +141,9 @@ class TestRunCache:
 
     def test_resolve_run_cache(self):
         assert resolve_run_cache(None) is None
-        assert resolve_run_cache(False) is None
         cache = RunCache()
         assert resolve_run_cache(cache) is cache
-        for knob in (True, 42):
+        for knob in (False, True, 42):
             with pytest.raises(TypeError):
                 resolve_run_cache(knob)
 

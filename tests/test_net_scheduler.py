@@ -31,7 +31,6 @@ from repro.net import (
     run_fifo_rounds,
     run_round_robin_batch,
     run_schedule,
-    single,
 )
 
 S2 = schema(S=2)
@@ -195,21 +194,6 @@ class TestBatchedDelivery:
 
 
 class TestConvergenceEngines:
-    def test_exact_engine_selectable(self):
-        net = line(3)
-        p = round_robin(GRAPH, net)
-        a = run_fair(net, TC, p, seed=1, convergence="incremental")
-        b = run_fair(net, TC, p, seed=1, convergence="exact")
-        assert a.output == b.output
-        assert a.stats == b.stats
-        assert a.converged == b.converged
-
-    def test_unknown_engine_rejected(self):
-        net = single()
-        p = round_robin(GRAPH, net)
-        with pytest.raises(ValueError):
-            run_fair(net, TC, p, convergence="telepathy")
-
     def test_tracker_standalone_matches_exact_on_initial_config(self):
         quiet = build_transducer(inputs={"S": 1}, output_arity=0)
         net = line(2)

@@ -127,6 +127,49 @@ class TestCacheHammer:
         assert cache.bytes == sum(cache._weights.values())
 
 
+class TestConcurrentSweepCounts:
+    """Each consistency report counts its own grid, not its neighbours'."""
+
+    THREADS = 2
+    CALLS = 8
+
+    def test_report_counts_cover_their_own_grid(self):
+        from repro.core import transitive_closure_transducer
+        from repro.db import instance, schema
+        from repro.net import check_consistency, line
+
+        cache = RunCache()
+        network = line(2)
+        grid = 3 * 2  # partition_count × seeds
+        reports: list = []
+
+        def work(idx: int):
+            for call in range(self.CALLS):
+                # A fresh instance per call and thread, half of them
+                # repeated across the two threads: grids overlap, so
+                # hits, misses and dedup all occur concurrently.
+                n = 2 + (call % 4)
+                edges = [(i, i + 1) for i in range(n + idx * (call % 2))]
+                reports.append(check_consistency(
+                    network,
+                    transitive_closure_transducer(),
+                    instance(schema(S=2), S=edges),
+                    partition_count=3,
+                    seeds=(0, 1),
+                    run_cache=cache,
+                ))
+
+        _run_threads(self.THREADS, work)
+        assert len(reports) == self.THREADS * self.CALLS
+        for report in reports:
+            assert report.consistent
+            total = report.cache_hits + report.cache_misses + report.cache_dedup
+            assert total == grid
+        assert sum(r.cache_hits for r in reports) == cache.cache_hits
+        assert sum(r.cache_misses for r in reports) == cache.cache_misses
+        assert sum(r.cache_dedup for r in reports) == cache.cache_dedup
+
+
 class TestDiskTierThreads:
     """The sqlite tier works from threads other than its opener."""
 

@@ -6,8 +6,9 @@ golden values below were captured from the seed implementation on the
 E01/E03 example networks (the Example 3/9 transitive-closure flooder
 and the Example 4 relay) *before* the refactor — steps, heartbeat /
 delivery split, facts sent, quiescence step, output size and the
-convergence verdict all have to match exactly, under both convergence
-engines.
+convergence verdict all have to match exactly.  At every convergence
+check of those runs the exact from-scratch test ``is_converged`` must
+also return the incremental tracker's verdict.
 """
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.core import relay_identity_transducer, transitive_closure_transducer
 from repro.db import instance, schema
 from repro.net import (
+    ConvergenceTracker,
     FairRandomScheduler,
     full_replication,
     line,
@@ -26,6 +28,7 @@ from repro.net import (
     run_schedule,
     star,
 )
+from repro.net.convergence import is_converged
 
 TC = transitive_closure_transducer()
 GRAPH = instance(schema(S=2), S=[(1, 2), (2, 3), (3, 1)])
@@ -75,18 +78,23 @@ def _signature(result):
 
 class TestGoldenReplay:
     @pytest.mark.parametrize("name,seed", sorted(GOLDEN_FAIR))
-    @pytest.mark.parametrize("convergence", ["incremental", "exact"])
-    def test_run_fair_matches_prerefactor_goldens(self, name, seed, convergence):
+    def test_run_fair_matches_prerefactor_goldens(self, name, seed, monkeypatch):
+        verdicts = []
+        tracked = ConvergenceTracker.check
+
+        def check(tracker, config, produced):
+            verdict = tracked(tracker, config, produced)
+            exact = is_converged(tracker.network, tracker.transducer, config, produced)
+            verdicts.append((verdict, exact))
+            return verdict
+
+        monkeypatch.setattr(ConvergenceTracker, "check", check)
         transducer, I, net = WORKLOADS[name]
-        result = run_fair(
-            net,
-            transducer,
-            round_robin(I, net),
-            seed=seed,
-            convergence=convergence,
-        )
+        result = run_fair(net, transducer, round_robin(I, net), seed=seed)
         assert _signature(result) == GOLDEN_FAIR[(name, seed)]
         assert result.scheduler == "fair-random"
+        assert verdicts and all(verdict == exact for verdict, exact in verdicts)
+        assert verdicts[-1] == (True, True)
 
     def test_run_fifo_rounds_matches_goldens(self):
         result = run_fifo_rounds(line(3), TC, round_robin(GRAPH, line(3)))

@@ -23,7 +23,9 @@ first transition, and a used transducer and its fingerprint pickle as
 a fresh one.  They also pin the pickled size of run results.
 """
 
+import os
 import pickle
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -33,7 +35,6 @@ from repro.core import build_transducer, transitive_closure_transducer
 from repro.db import Fact, FactMultiset, Instance, instance, schema
 from repro.db.columnar import HAVE_NUMPY
 from repro.lang import FOQuery, PythonQuery
-from repro.lang.engine import engine_override
 from repro.lang.ucq import RuleGroup
 from repro.net import (
     Configuration,
@@ -127,7 +128,7 @@ def deliveries(draw, transducer):
 def reference(transducer, state, received):
     """Section 2.1 literally: each query whole on ``state ∪ received``."""
     current = Instance(transducer.schema.combined, state.facts() | received.facts())
-    with engine_override("nested"):
+    with mock.patch.dict(os.environ, {"REPRO_ENGINE": "nested"}):
         sent = Instance(transducer.schema.messages, {
             Fact(rel, row)
             for rel, query in transducer.send_queries.items()
@@ -149,7 +150,7 @@ def reference(transducer, state, received):
     return new_state, sent, output
 
 
-ENGINES = [None, "nested"] + (["columnar"] if HAVE_NUMPY else [])
+ENGINES = ["indexed", "nested"] + (["columnar"] if HAVE_NUMPY else [])
 
 
 class TestTransitionDifferential:
@@ -167,26 +168,9 @@ class TestTransitionDifferential:
         ]
         for state, received in cases:
             expected = reference(transducer, state, received)
-            with engine_override(engine):
+            with mock.patch.dict(os.environ, {"REPRO_ENGINE": engine}):
                 local = transducer.transition(state, received)
             assert (local.new_state, local.sent, local.output) == expected
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="the columnar engine needs numpy")
-    def test_transducer_engine_override(self):
-        transducer = transitive_closure_transducer()
-        transducer.engine = "columnar"
-        state = transducer.make_state(
-            instance(schema(S=2), S=[(1, 2), (2, 3)]), "a", NODES
-        )
-        for received in (
-            Instance.empty(transducer.schema.messages),
-            Instance(transducer.schema.messages, [Fact("M", (3, 4))]),
-        ):
-            local = transducer.transition(state, received)
-            assert (local.new_state, local.sent, local.output) == reference(
-                transducer, state, received
-            )
-            state = local.new_state
 
 
 # ---------------------------------------------------------------------------
