@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db import Instance, schema, instance
-from repro.net import line, ring, single, star
+from repro.net import ConvergenceTracker, is_converged, line, ring, single, star
 
 
 @pytest.fixture
@@ -60,3 +60,30 @@ def net4_ring():
 @pytest.fixture
 def net4_star():
     return star(4)
+
+
+@pytest.fixture
+def convergence_checks(monkeypatch):
+    """Run the exact convergence test beside the tracker at every check.
+
+    ``convergence_checks(driver)`` patches ``ConvergenceTracker.check``
+    and returns the list that collects one ``(incremental, exact)``
+    verdict pair per check, *exact* being the from-scratch
+    :func:`is_converged` on the same input.  *driver* names the verdict
+    the run acts on: ``"incremental"`` (the tracker's) or ``"exact"``.
+    """
+    tracked = ConvergenceTracker.check
+
+    def install(driver):
+        verdicts = []
+
+        def check(tracker, config, produced):
+            verdict = tracked(tracker, config, produced)
+            exact = is_converged(tracker.network, tracker.transducer, config, produced)
+            verdicts.append((verdict, exact))
+            return exact if driver == "exact" else verdict
+
+        monkeypatch.setattr(ConvergenceTracker, "check", check)
+        return verdicts
+
+    return install

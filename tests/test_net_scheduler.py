@@ -194,6 +194,28 @@ class TestBatchedDelivery:
 
 
 class TestConvergenceEngines:
+    def test_exact_check_drives_the_same_run(self, convergence_checks):
+        # Runs acting on the exact from-scratch verdict equal runs acting
+        # on the tracker's, under every kind of schedule.
+        net = line(3)
+        p = round_robin(GRAPH, net)
+        runs = [
+            lambda: run_fair(net, TC, p, seed=1),
+            lambda: run_fair(net, TC, p, seed=2, check_every=1),
+            lambda: run_fifo_rounds(net, TC, p),
+            lambda: run_round_robin_batch(net, TC, p),
+        ]
+        for run in runs:
+            convergence_checks("incremental")
+            a = run()
+            verdicts = convergence_checks("exact")
+            b = run()
+            assert verdicts and all(v == e for v, e in verdicts)
+            assert a.converged and b.converged
+            assert a.output == b.output
+            assert a.stats == b.stats
+            assert a.quiescence_step == b.quiescence_step
+
     def test_tracker_standalone_matches_exact_on_initial_config(self):
         quiet = build_transducer(inputs={"S": 1}, output_arity=0)
         net = line(2)

@@ -6,9 +6,10 @@ golden values below were captured from the seed implementation on the
 E01/E03 example networks (the Example 3/9 transitive-closure flooder
 and the Example 4 relay) *before* the refactor — steps, heartbeat /
 delivery split, facts sent, quiescence step, output size and the
-convergence verdict all have to match exactly.  At every convergence
-check of those runs the exact from-scratch test ``is_converged`` must
-also return the incremental tracker's verdict.
+convergence verdict all have to match exactly, whether the incremental
+tracker's verdicts or those of the exact from-scratch test
+``is_converged`` drive the run, and at every convergence check the two
+must agree.
 """
 
 import pytest
@@ -16,7 +17,6 @@ import pytest
 from repro.core import relay_identity_transducer, transitive_closure_transducer
 from repro.db import instance, schema
 from repro.net import (
-    ConvergenceTracker,
     FairRandomScheduler,
     full_replication,
     line,
@@ -28,7 +28,6 @@ from repro.net import (
     run_schedule,
     star,
 )
-from repro.net.convergence import is_converged
 
 TC = transitive_closure_transducer()
 GRAPH = instance(schema(S=2), S=[(1, 2), (2, 3), (3, 1)])
@@ -78,17 +77,11 @@ def _signature(result):
 
 class TestGoldenReplay:
     @pytest.mark.parametrize("name,seed", sorted(GOLDEN_FAIR))
-    def test_run_fair_matches_prerefactor_goldens(self, name, seed, monkeypatch):
-        verdicts = []
-        tracked = ConvergenceTracker.check
-
-        def check(tracker, config, produced):
-            verdict = tracked(tracker, config, produced)
-            exact = is_converged(tracker.network, tracker.transducer, config, produced)
-            verdicts.append((verdict, exact))
-            return verdict
-
-        monkeypatch.setattr(ConvergenceTracker, "check", check)
+    @pytest.mark.parametrize("convergence", ["incremental", "exact"])
+    def test_run_fair_matches_prerefactor_goldens(
+        self, name, seed, convergence, convergence_checks
+    ):
+        verdicts = convergence_checks(convergence)
         transducer, I, net = WORKLOADS[name]
         result = run_fair(net, transducer, round_robin(I, net), seed=seed)
         assert _signature(result) == GOLDEN_FAIR[(name, seed)]
