@@ -17,7 +17,8 @@ them.  Evaluation exploits that purity twice: whole transitions are
 memoized per ``(state, received)`` pair, and the answer of each group
 of UCQ¬ rules that read the same relations per extents of those
 relations, so a step re-derives only what it changed
-(:meth:`Transducer._evaluate`).
+(:meth:`Transducer._evaluate`).  A rule that copies one relation
+evaluates to that relation's extent itself.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from functools import lru_cache
 
 from ..db.fact import Fact
 from ..db.instance import Instance
-from ..db.schema import SchemaError
-from ..lang.ast import Eq, Rule
+from ..db.schema import DatabaseSchema, SchemaError
+from ..db.values import is_atomic
+from ..lang.ast import Atom, Eq, Rule, Var
 from ..lang.datalog import _program_constants_rules
 from ..lang.query import EmptyQuery, Query
 from ..lang.ucq import CompiledRules, RuleGroup, UCQNegQuery, compile_rules
@@ -207,18 +209,31 @@ class Transducer:
         """Build a legal state: input fragment + Id = {node} + All = nodes + empty memory.
 
         This enforces the configuration conditions of Section 3:
-        ``I(Id) = {v}`` and ``I(All) = V``.
+        ``I(Id) = {v}`` and ``I(All) = V``.  The fragment's extents
+        were validated when it was built, so they are shared as they
+        are, and the state is built once.
         """
+        inputs = self.schema.inputs
         for rel in local_input.schema:
-            if rel not in self.schema.inputs:
+            if rel not in inputs:
                 raise SchemaError(
                     f"local input has relation {rel!r} outside the input schema"
                 )
-        state = Instance.empty(self.schema.state)
-        state = state.with_facts(local_input.facts())
-        state = state.set_relation("Id", [(node,)])
-        state = state.set_relation("All", [(v,) for v in all_nodes])
-        return state
+        rels = dict(local_input._rels)
+        for rel, rows in rels.items():
+            arity = local_input.schema[rel]
+            if arity != inputs[rel]:
+                fact = Fact._validated(rel, next(iter(rows)))
+                raise SchemaError(
+                    f"fact {fact!r} has arity {arity}, schema says {inputs[rel]}"
+                )
+        for v in (node, *all_nodes):
+            if not is_atomic(v):
+                raise ValueError(f"non-atomic value in fact: {v!r}")
+        rels["Id"] = frozenset({(node,)})
+        if all_nodes:
+            rels["All"] = frozenset((v,) for v in all_nodes)
+        return Instance._build(self.schema.state, rels)
 
     def check_state(self, state: Instance) -> None:
         """Validate that *state* instantiates Sin ∪ Ssys ∪ Smem."""
@@ -297,13 +312,18 @@ class Transducer:
                 updated = old | inserted
             if updated != old:
                 updates[rel] = updated
-        return LocalTransition(
+        # The frozen dataclass's __init__ pays one object.__setattr__ per
+        # field; filling __dict__ in field order gives an equal object
+        # that pickles to the same bytes.
+        local = object.__new__(LocalTransition)
+        local.__dict__.update(
             state=state,
             received=received,
             new_state=state.set_relations(updates) if updates else state,
             sent=sent,
             output=output,
         )
+        return local
 
     def _evaluate(
         self, state: Instance, received: Instance, groups: dict
@@ -312,14 +332,16 @@ class Transducer:
         the send queries, the output query, then insert and delete per
         memory relation.
 
-        A UCQ¬ query runs as rule groups (:func:`group_rules`).  The
-        rules of a group read the same relations, so its answer is a
-        function of their extents: it is kept in one memo keyed by the
-        group and those extents, shared by all groups.  Extents
-        are frozensets that cache their hash, and an unchanged extent
-        is the same object in the next state, so a lookup costs a few
-        hashes.  Rules that may read the active domain, and queries
-        that are not UCQ¬, run per transition on the combined
+        A UCQ¬ query runs as copies and rule groups
+        (:func:`group_rules`).  A copy rule's answer is the extent it
+        copies, the very frozenset the state or the received instance
+        holds.  The rules of a group read the same relations, so its
+        answer is a function of their extents: it is kept in one memo
+        keyed by the group and those extents, shared by all groups.
+        Extents are frozensets that cache their hash, and an unchanged
+        extent is the same object in the next state, so a lookup costs
+        a few hashes.  Rules that may read the active domain, and
+        queries that are not UCQ¬, run per transition on the combined
         instance; an ``EmptyQuery`` does not run.  The groups are
         built on the first transition-cache miss and never pickled.
         *groups* is the calling thread's group-memo dict
@@ -335,10 +357,18 @@ class Transducer:
         rels = {**state._rels, **received._rels}
         combined = None
         out = []
-        for role_groups, direct in roles:
+        for copies, role_groups, direct in roles:
             rows = _EMPTY
+            for name in copies:
+                answer = rels.get(name)
+                if answer:
+                    rows = rows | answer if rows else answer
             for group, reads in role_groups:
-                key = (group, *map(rels.get, reads))
+                # A group reading one relation names it as a string.
+                if type(reads) is str:
+                    key = (group, rels.get(reads))
+                else:
+                    key = (group, *map(rels.get, reads))
                 answer = groups.pop(key, None)
                 if answer is None:
                     if combined is None:
@@ -358,13 +388,13 @@ class Transducer:
         return out
 
     def _role_plans(self) -> list:
-        """``(memoized groups, direct query)`` per role.
+        """``(copied relations, memoized groups, direct query)`` per role.
 
-        A UCQ¬ query runs as its :func:`group_rules` groups, each paired
-        with the relations it reads; its active-domain rules, if any,
-        form the direct query, run on the combined instance.  Any other
-        query is run directly, except that an ``EmptyQuery`` does not
-        run at all.
+        A UCQ¬ query runs as its :func:`group_rules` copies and groups,
+        each group paired with the relations it reads (their name when
+        it reads one); its active-domain rules, if any, form the direct
+        query, run on the combined instance.  Any other query is run
+        directly, except that an ``EmptyQuery`` does not run at all.
         """
         queries = [
             *self.send_queries.values(),
@@ -375,17 +405,19 @@ class Transducer:
         roles = []
         for query in queries:
             if type(query) is EmptyQuery:
-                roles.append(((), None))
+                roles.append(((), (), None))
             elif isinstance(query, UCQNegQuery):
-                groups, domain = group_rules(query.rules)
+                copies, groups, domain = group_rules(query.rules, query.input_schema)
                 roles.append((
-                    tuple((RuleGroup(query, compiled, None), reads)
+                    copies,
+                    tuple((RuleGroup(query, compiled, None),
+                           reads[0] if len(reads) == 1 else reads)
                           for reads, compiled in groups),
                     RuleGroup(query, domain, _program_constants_rules(query.rules))
                     if domain else None,
                 ))
             else:
-                roles.append(((), query))
+                roles.append(((), (), query))
         return roles
 
     def heartbeat(self, state: Instance) -> LocalTransition:
@@ -409,20 +441,34 @@ class Transducer:
 @lru_cache(maxsize=4096)
 def group_rules(
     rules: tuple[Rule, ...],
-) -> tuple[tuple[tuple[tuple[str, ...], CompiledRules], ...], CompiledRules]:
-    """UCQ¬ *rules* grouped by the relations they read.
+    schema: DatabaseSchema,
+) -> tuple[
+    tuple[str, ...],
+    tuple[tuple[tuple[str, ...], CompiledRules], ...],
+    CompiledRules,
+]:
+    """UCQ¬ *rules* over *schema*: copies, then groups by the relations
+    they read.
 
-    Returns ``(groups, domain)``.  Each group pairs a sorted tuple of
-    relation names, negated ones included, with the rules that read
-    exactly those relations; such a rule derives the same rows from any
-    instance with the same extents of them.  *domain* holds the rules
-    that may read the active domain instead: a positive equality with
-    a variable in no positive atom (``x = y`` ranges over adom).
-    Memoized per rule tuple, like ``plan_for``.
+    Returns ``(copies, groups, domain)``.  *copies* names, once each,
+    the relation of every copy rule (:func:`copied_relation`): its
+    answer is that relation's extent.  Each group pairs a sorted tuple
+    of relation names, negated ones included, with the other rules
+    that read exactly those relations; such a rule derives the same
+    rows from any instance with the same extents of them.  *domain*
+    holds the rules that may read the active domain instead: a
+    positive equality with a variable in no positive atom (``x = y``
+    ranges over adom).  Memoized per rule tuple and schema, like
+    ``plan_for``.
     """
+    copies: dict[str, None] = {}
     by_reads: dict[tuple[str, ...], list[Rule]] = {}
     domain: list[Rule] = []
     for rule in rules:
+        copied = copied_relation(rule, schema)
+        if copied is not None:
+            copies[copied] = None
+            continue
         atom_vars: set = set()
         for atom in rule.positive_body_atoms():
             atom_vars |= atom.free_vars()
@@ -436,4 +482,30 @@ def group_rules(
     groups = tuple(
         (reads, compile_rules(tuple(group))) for reads, group in by_reads.items()
     )
-    return groups, compile_rules(tuple(domain))
+    return tuple(copies), groups, compile_rules(tuple(domain))
+
+
+def copied_relation(rule: Rule, schema: DatabaseSchema) -> str | None:
+    """``R`` when *rule* copies it, else ``None``.
+
+    A copy rule is ``H(x1, …, xk) :- R(x1, …, xk)``: one positive
+    relational atom over distinct variables, with exactly its terms as
+    the head.  Its answer on any instance is R's extent.  R must have
+    arity k in *schema*: an atom of another arity is ill-formed, and
+    stays with the engines.
+    """
+    if len(rule.body) != 1:
+        return None
+    literal = rule.body[0]
+    atom = literal.atom
+    if not literal.positive or type(atom) is not Atom:
+        return None
+    terms = atom.terms
+    if (
+        terms != rule.head.terms
+        or not all(type(term) is Var for term in terms)
+        or len(set(terms)) != len(terms)
+        or schema[atom.relation] != len(terms)
+    ):
+        return None
+    return atom.relation

@@ -66,21 +66,26 @@ class Instance:
         self._init(schema, frozen)
 
     def _init(self, schema: DatabaseSchema, rels: dict[str, frozenset]) -> None:
-        """Install validated, non-empty-only partitioned storage."""
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "_rels", rels)
-        object.__setattr__(self, "_size", sum(len(rows) for rows in rels.values()))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_facts", None)
-        object.__setattr__(self, "_adom", None)
+        """Install validated, non-empty-only partitioned storage.
+
+        Each slot is set through its descriptor's ``__set__``, about
+        half the cost of ``object.__setattr__`` (a transition-cache
+        miss builds one or two instances).
+        """
+        _set_schema(self, schema)
+        _set_rels(self, rels)
+        _set_size(self, sum(map(len, rels.values())))
+        _set_hash(self, None)
+        _set_facts(self, None)
+        _set_adom(self, None)
         # Canonical sorted-fact digest, computed lazily by
         # repro.net.runcache.instance_digest (sharing the instance's
         # immutability the way _hash does).
-        object.__setattr__(self, "_digest", None)
+        _set_digest(self, None)
         # Per-relation Fact views (relation_facts) and the dictionary-
         # encoded columnar mirror (columnar_view), both lazy.
-        object.__setattr__(self, "_rel_facts", None)
-        object.__setattr__(self, "_columnar", None)
+        _set_rel_facts(self, None)
+        _set_columnar(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Instance is immutable")
@@ -179,7 +184,7 @@ class Instance:
                 for name, rows in self._rels.items()
                 for row in rows
             )
-            object.__setattr__(self, "_facts", built)
+            _set_facts(self, built)
         return self._facts
 
     def __iter__(self) -> Iterator[Fact]:
@@ -211,7 +216,7 @@ class Instance:
         cache = self._rel_facts
         if cache is None:
             cache = {}
-            object.__setattr__(self, "_rel_facts", cache)
+            _set_rel_facts(self, cache)
         view = cache.get(name)
         if view is None:
             view = frozenset(
@@ -241,7 +246,7 @@ class Instance:
                 )
                 for name, rows in self._rels.items()
             }
-            object.__setattr__(self, "_columnar", (pool, columns))
+            _set_columnar(self, (pool, columns))
         return self._columnar
 
     def is_empty(self, name: str) -> bool:
@@ -274,7 +279,7 @@ class Instance:
             adom = frozenset(
                 v for rows in self._rels.values() for row in rows for v in row
             )
-            object.__setattr__(self, "_adom", adom)
+            _set_adom(self, adom)
         return self._adom
 
     # -- algebra -----------------------------------------------------------------
@@ -419,7 +424,7 @@ class Instance:
             digest = hash(
                 (self.schema, frozenset(self._rels.items()))
             )
-            object.__setattr__(self, "_hash", digest)
+            _set_hash(self, digest)
         return self._hash
 
     def same_facts(self, other: "Instance") -> bool:
@@ -431,6 +436,18 @@ class Instance:
             return f"Instance(∅ over {list(self.schema)})"
         shown = ", ".join(repr(f) for f in sorted(self.facts()))
         return f"Instance({{{shown}}})"
+
+
+# The slot descriptors' setters, bypassing the raising __setattr__.
+_set_schema = Instance.schema.__set__
+_set_rels = Instance._rels.__set__
+_set_size = Instance._size.__set__
+_set_hash = Instance._hash.__set__
+_set_facts = Instance._facts.__set__
+_set_adom = Instance._adom.__set__
+_set_digest = Instance._digest.__set__
+_set_rel_facts = Instance._rel_facts.__set__
+_set_columnar = Instance._columnar.__set__
 
 
 def _checked_rows(name: str, arity: int, tuples: Iterable) -> Iterator[tuple]:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Transducer, TransducerSchema
 from repro.db import Instance, fact, instance, schema
+from repro.db.schema import SchemaError
 from repro.lang import EmptyQuery, FOQuery, PythonQuery
 from repro.lang.combinators import ConstantQuery
 
@@ -59,8 +60,37 @@ class TestMakeState:
     def test_input_outside_schema_rejected(self, tschema):
         t = Transducer(tschema)
         bad = instance(schema(T=1), T=[(1,)])
-        with pytest.raises(Exception):
+        with pytest.raises(SchemaError, match="'T' outside the input schema"):
             t.make_state(bad, "v1", frozenset({"v1"}))
+
+    def test_input_arity_differing_from_schema_rejected(self, tschema):
+        t = Transducer(tschema)
+        bad = instance(schema(S=2), S=[(1, 2)])
+        with pytest.raises(SchemaError, match=r"S\(1, 2\) has arity 2, schema says 1"):
+            t.make_state(bad, "v1", frozenset({"v1"}))
+
+    @pytest.mark.parametrize("node, nodes", [
+        (("v", 1), frozenset({("v", 1)})),
+        ("v1", frozenset({"v1", ("v", 2)})),
+    ])
+    def test_non_atomic_node_id_rejected(self, tschema, node, nodes):
+        t = Transducer(tschema)
+        with pytest.raises(ValueError, match="non-atomic value"):
+            t.make_state(instance(schema(S=1), S=[(1,)]), node, nodes)
+
+    def test_state_equals_the_stepwise_build(self, tschema):
+        t = Transducer(tschema)
+        local = instance(schema(S=1), S=[(1,), (2,)])
+        nodes = frozenset({"v1", "v2", 3})
+        stepwise = (
+            Instance.empty(tschema.state)
+            .with_facts(local.facts())
+            .set_relation("Id", [("v1",)])
+            .set_relation("All", [(v,) for v in nodes])
+        )
+        state = t.make_state(local, "v1", nodes)
+        assert state == stepwise and state.schema == tschema.state
+        assert hash(state) == hash(stepwise)
 
     def test_check_state(self, tschema):
         t = Transducer(tschema)

@@ -12,7 +12,10 @@ literals add constants, repeated variables and an unbound equality, and
 some roles are FO, Python or empty queries.  A second generator aims
 at the memo: negated memory atoms, rules joining state and message
 relations, active-domain rules and roles that read the same relations,
-walked through chains of transitions so that extents recur.
+walked through chains of transitions so that extents recur.  Both draw
+copy rules, which a transition answers with the copied extent itself,
+and near-copies that must stay rule groups: a permuted head, a
+repeated variable, a constant and a projection.
 
 The step tests check that a heartbeat and a single-fact delivery,
 which reuse the transducer's received instances, make the same global
@@ -31,10 +34,16 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.core import build_transducer, transitive_closure_transducer
+from repro.core import (
+    build_transducer,
+    relay_identity_transducer,
+    transitive_closure_transducer,
+)
+from repro.core.transducer import copied_relation
 from repro.db import Fact, FactMultiset, Instance, instance, schema
 from repro.db.columnar import HAVE_NUMPY
 from repro.lang import FOQuery, PythonQuery
+from repro.lang.parser import parse_rule
 from repro.lang.ucq import RuleGroup
 from repro.net import (
     Configuration,
@@ -61,6 +70,14 @@ VALUES = st.integers(min_value=1, max_value=3)
 #: Literals the static generators do not draw: constants, a repeated
 #: variable, and ``z = w`` with both sides unbound (ranges over adom).
 EXTRA = ["S(x, 1)", "S(x, x)", "x = 2", "T(2)", "not T(3)", "z = w", "y = z"]
+#: Whole unary bodies: copies of the message relation T and the memory
+#: relation Ans, and near-copies (a projection, a repeated variable, a
+#: constant) that must stay rule groups.
+UNARY_COPIES = ["T(x)", "Ans(x)", "S(x, y)", "S(x, x)", "S(x, 1)"]
+#: Bodies of the binary memory relation P: copies of S and of P, and
+#: near-copies (permuted heads, a join).
+PAIR_BODIES = ["S(x, y)", "P(x, y)", "S(y, x)", "P(y, x)", "S(x, y), not P(x, y)",
+               "P(x, z), S(z, y)"]
 
 
 def answer_count(instance: Instance):
@@ -70,17 +87,36 @@ def answer_count(instance: Instance):
 
 @st.composite
 def rule_texts(draw):
-    """``ucq_rules`` with some :data:`EXTRA` literals appended per rule."""
+    """``ucq_rules`` with some :data:`EXTRA` literals appended per rule,
+    and up to two whole :data:`UNARY_COPIES` bodies."""
     lines = []
     for rule in draw(ucq_rules()).splitlines():
         extra = draw(st.lists(st.sampled_from(EXTRA), max_size=2))
         lines.append(rule[:-1] + "".join(f", {lit}" for lit in extra) + ".")
+    for body in draw(st.lists(st.sampled_from(UNARY_COPIES), max_size=2)):
+        lines.append(f"Ans(x) :- {body}.")
     return lines
+
+
+def pair_rules(draw) -> str:
+    """Rules inserting into P, and sometimes deleting from it, with
+    bodies from :data:`PAIR_BODIES`."""
+    heads = ["insert P(x, y)"] + (["delete P(x, y)"] if draw(st.booleans()) else [])
+    return "\n".join(
+        f"{head} :- {body}."
+        for head in heads
+        for body in draw(st.lists(st.sampled_from(PAIR_BODIES), min_size=1, max_size=3))
+    )
+
+
+#: The schema of both generators: inputs S/2, message T/1, memory
+#: Ans/1, Flag/0 and P/2.
+SCHEMA = {"inputs": {"S": 2}, "messages": {"T": 1}, "memory": {"Ans": 1, "Flag": 0, "P": 2}}
 
 
 @st.composite
 def transducers(draw):
-    """Inputs S/2, message T/1, memory Ans/1 and Flag/0, output arity 1."""
+    """Over :data:`SCHEMA`, output arity 1."""
     roles = {
         "send T(x)": draw(rule_texts()),
         "insert Ans(x)": draw(rule_texts()),
@@ -92,9 +128,8 @@ def transducers(draw):
         f"{head} :- {rule.split(':-', 1)[1].strip()}"
         for head, rules in roles.items()
         for rule in rules
-    )
-    sch = {"inputs": {"S": 2}, "messages": {"T": 1}, "memory": {"Ans": 1, "Flag": 0}}
-    combined = build_transducer(**sch, output_arity=1).schema.combined
+    ) + "\n" + pair_rules(draw)
+    combined = build_transducer(**SCHEMA, output_arity=1).schema.combined
     insert = {}
     delete = {}
     if draw(st.booleans()):
@@ -102,7 +137,7 @@ def transducers(draw):
     if draw(st.booleans()):
         delete["Flag"] = PythonQuery(answer_count, 0, combined, reads=["T"])
     return build_transducer(
-        **sch, output_arity=1, rules=text, insert=insert, delete=delete,
+        **SCHEMA, output_arity=1, rules=text, insert=insert, delete=delete,
     )
 
 
@@ -112,6 +147,7 @@ def states(draw, transducer):
     local = Instance.from_relations(schema(S=2), {"S": pairs})
     state = transducer.make_state(local, "a", NODES)
     state = state.set_relation("Ans", draw(st.lists(st.tuples(VALUES), max_size=3)))
+    state = state.set_relation("P", draw(st.lists(st.tuples(VALUES, VALUES), max_size=3)))
     if draw(st.booleans()):
         state = state.set_relation("Flag", [()])
     return state
@@ -178,9 +214,14 @@ class TestTransitionDifferential:
 # ---------------------------------------------------------------------------
 
 #: Rule bodies over S/2 (input), Ans/1 and Flag/0 (memory) and T/1
-#: (message), each binding the head variable ``x``.
+#: (message), each binding the head variable ``x``.  ``T(x)`` and
+#: ``Ans(x)`` are copies; ``T(x)`` shares its relation with the rules
+#: joining T, in any role that draws both.
 MEMO_BODIES = [
     "S(x, y)",
+    "S(x, x)",
+    "S(x, 1)",
+    "Ans(x)",
     "S(x, y), not Ans(x)",
     "S(x, y), not Flag()",
     "Ans(x), not Ans(y), S(y, x)",
@@ -197,9 +238,10 @@ MEMO_BODIES = [
 
 @st.composite
 def memo_transducers(draw):
-    """Roles built from :data:`MEMO_BODIES`; the output query reuses
-    the send query's bodies half the time, so two roles read the same
-    relations with different heads."""
+    """Roles built from :data:`MEMO_BODIES` and, for P, from
+    :data:`PAIR_BODIES`; the output query reuses the send query's
+    bodies half the time, so two roles read the same relations with
+    different heads."""
     def bodies():
         return draw(st.lists(st.sampled_from(MEMO_BODIES), min_size=1, max_size=3))
 
@@ -214,10 +256,8 @@ def memo_transducers(draw):
     if draw(st.booleans()):
         roles["insert Flag()"] = bodies()
     text = "\n".join(f"{head} :- {body}." for head, group in roles.items() for body in group)
-    return build_transducer(
-        inputs={"S": 2}, messages={"T": 1}, memory={"Ans": 1, "Flag": 0},
-        output_arity=1, rules=text,
-    )
+    text += "\n" + pair_rules(draw)
+    return build_transducer(**SCHEMA, output_arity=1, rules=text)
 
 
 def _result_view(result):
@@ -287,21 +327,86 @@ class TestGroupMemo:
             return call(group, instance)
 
         monkeypatch.setattr(RuleGroup, "__call__", counting)
-        transducer = transitive_closure_transducer()
+        # No rule is a copy, so every role runs as a rule group.
+        transducer = build_transducer(
+            inputs={"S": 2}, messages={"M": 2}, memory={"R": 2, "T": 2}, output_arity=2,
+            rules="""
+                send M(x, y)   :- S(x, y), not R(x, y).
+                insert R(y, x) :- M(x, y).
+                insert T(x, z) :- R(x, y), S(y, z).
+                out(x, x)      :- T(x, y).
+            """,
+        )
         state = transducer.make_state(
             instance(schema(S=2), S=[(1, 2), (2, 3)]), "a", NODES
         )
         transducer.heartbeat(state)
-        # send M :- S, send M :- M, insert R :- M, three insert T
-        # groups and out :- T.
-        assert len(calls) == 7
+        assert sorted(calls) == [("M",), ("R", "S"), ("R", "S"), ("T",)]
         calls.clear()
         transducer.deliver(state, Fact("M", (3, 4)))
-        assert sorted(calls) == [("M",), ("M",)]
+        assert calls == [("M",)]
         calls.clear()
-        # Only R differs from the first state.
+        # Only R differs from the first state: the send and insert T
+        # groups read it, insert R and out do not.
         transducer.heartbeat(state.set_relation("R", [(3, 4)]))
-        assert calls == [("R",)]
+        assert calls == [("R", "S"), ("R", "S")]
+
+
+# ---------------------------------------------------------------------------
+# Copy rules
+# ---------------------------------------------------------------------------
+
+
+class TestCopyRules:
+    @pytest.mark.parametrize("text, copied", [
+        ("H(x, y) :- R(x, y).", "R"),
+        ("H() :- F().", "F"),
+        ("H(y, x) :- R(x, y).", None),
+        ("H(x) :- R(x, x).", None),
+        ("H(x, x) :- R(x, x).", None),
+        ("H(x) :- R(x, 1).", None),
+        ("H(x) :- R(x, y).", None),
+        ("H(x, y) :- R(x, y), x != y.", None),
+        ("H(x, y) :- R(x, y), R(x, y).", None),
+        ("H(x) :- U(x).", None),  # U has arity 2: an ill-formed atom
+    ])
+    def test_only_exact_copies_read_through(self, text, copied):
+        assert copied_relation(parse_rule(text), schema(R=2, F=0, U=2)) == copied
+
+    def test_relay_identity_answers_with_extents_and_runs_no_group(self, monkeypatch):
+        def fail(group, instance):
+            raise AssertionError(f"{group!r} ran")
+
+        monkeypatch.setattr(RuleGroup, "__call__", fail)
+        transducer = relay_identity_transducer()
+        state = transducer.make_state(instance(schema(S=1), S=[(1,), (2,)]), "a", NODES)
+        local = transducer.heartbeat(state)
+        assert local.sent.relation("M") is state.relation("S")
+        received = transducer.deliver(state, Fact("M", (3,)))
+        assert received.new_state.relation("Rcv") == {(3,)}
+        assert received.sent.relation("M") == {(1,), (2,), (3,)}
+        later = transducer.heartbeat(received.new_state)
+        assert later.output is received.new_state.relation("Rcv")
+        network = line(3)
+        result = run_fair(network, transducer, random_partition(
+            instance(schema(S=1), S=[(1,), (2,), (3,)]), network, seed=0), seed=0)
+        assert result.converged and result.output == {(1,), (2,), (3,)}
+
+    @pytest.mark.parametrize("engine", ["indexed"] + (["columnar"] if HAVE_NUMPY else []))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_chained_transitions_with_copies_equal_whole_evaluation(self, engine, data):
+        transducer = data.draw(st.one_of(transducers(), memo_transducers()))
+        seen = [data.draw(states(transducer))]
+        with mock.patch.dict(os.environ, {"REPRO_ENGINE": engine}):
+            for _ in range(6):
+                state = data.draw(st.sampled_from(seen))
+                received = data.draw(deliveries(transducer))
+                local = transducer.transition(state, received)
+                assert (local.new_state, local.sent, local.output) == reference(
+                    transducer, state, received
+                )
+                seen.append(local.new_state)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +603,10 @@ class TestRunLoop:
 
 CHAIN = instance(schema(S=2), S=[(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)])
 #: Pickled sizes of the RunResults of ``_chain_runs``: the run cache
-#: weighs cells by these sizes.
-RUN_RESULT_BYTES = [1509, 1466, 1541, 1535]
-TRACED_RUN_RESULT_BYTES = [21766, 13531, 24419, 22643]
+#: weighs cells by these sizes.  Sent and output rows of copy rules are
+#: the row tuples of the extents they copy, so they pickle once.
+RUN_RESULT_BYTES = [1469, 1430, 1497, 1503]
+TRACED_RUN_RESULT_BYTES = [19770, 11992, 21945, 20708]
 #: The same sizes before a result shared its equal rows.
 UNSHARED_RUN_RESULT_BYTES = [2055, 1988, 2091, 2142]
 UNSHARED_TRACED_RUN_RESULT_BYTES = [31619, 18368, 35136, 32245]
