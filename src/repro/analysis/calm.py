@@ -181,11 +181,9 @@ def calm_verdict(
     and NTI sweeps re-execute identical cells — and so do separate
     *diagnostics*, since the cache is fingerprint-keyed; repeated
     computed-query evaluations within one diagnostic are answered by
-    its answer table before they reach the cache).  A
-    ``persistent``-lifetime *engine* runs every sweep underneath
-    through its one long-lived fork pool.  The sweeps of one verdict
-    are small, so a parallel engine need not be faster than the serial
-    one (see the lifetime table in ``docs/runtime.md``).  All verdicts
+    its answer table before they reach the cache).  The sweeps of one
+    verdict are small, so a parallel engine need not be faster than the
+    serial one (see the lifetime table in ``docs/runtime.md``).  All verdicts
     are identical with or without any of these knobs.
 
     *faults* (a :class:`~repro.net.faults.FaultPlan`) subjects the

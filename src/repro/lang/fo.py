@@ -25,6 +25,19 @@ from .engine import resolve_engine
 from .ra import NamedRelation
 
 
+def formula_atoms(formula: Formula) -> tuple[Atom, ...]:
+    """Every relational atom of the formula, in syntactic order."""
+    if isinstance(formula, Atom):
+        return (formula,)
+    if isinstance(formula, Eq):
+        return ()
+    if isinstance(formula, (Not, Exists, Forall)):
+        return formula_atoms(formula.body)
+    if isinstance(formula, (And, Or)):
+        return tuple(atom for p in formula.parts for atom in formula_atoms(p))
+    raise TypeError(f"not a formula: {formula!r}")
+
+
 def formula_constants(formula: Formula) -> frozenset:
     """All constant values appearing in the formula."""
     if isinstance(formula, Atom):

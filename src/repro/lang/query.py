@@ -78,9 +78,13 @@ class FOQuery(Query):
                 f"answer variables {sorted(v.name for v in declared)} do not match "
                 f"free variables {sorted(v.name for v in free)}"
             )
-        for name in formula.relations():
-            if name not in input_schema:
-                raise ValueError(f"formula reads {name!r} outside schema {input_schema}")
+        for atom in fo.formula_atoms(formula):
+            if atom.relation not in input_schema:
+                raise ValueError(
+                    f"formula reads {atom.relation!r} outside schema {input_schema}"
+                )
+            if len(atom.terms) != input_schema[atom.relation]:
+                raise ValueError(f"arity mismatch on {atom!r}")
         self.formula = formula
         self.answer_vars = tuple(answer_vars)
         self.input_schema = input_schema

@@ -67,9 +67,13 @@ class UCQNegQuery(Query):
             rule.check_safe()
             if rule.head.relation != head or len(rule.head.terms) != arity:
                 raise DatalogError("all UCQ rules must share one head")
-            for name in rule.body_relations():
-                if name not in input_schema:
-                    raise DatalogError(f"relation {name!r} outside input schema")
+            for atom in rule.positive_body_atoms() + rule.negative_body_atoms():
+                if atom.relation not in input_schema:
+                    raise DatalogError(
+                        f"relation {atom.relation!r} outside input schema"
+                    )
+                if len(atom.terms) != input_schema[atom.relation]:
+                    raise DatalogError(f"arity mismatch on {atom!r}")
             if not self.negation_allowed and rule.negative_body_atoms():
                 raise DatalogError(f"negated atom in UCQ rule: {rule!r}")
         self.rules = tuple(rules)
@@ -86,8 +90,8 @@ class UCQNegQuery(Query):
         self._column_pool = None
 
     def __getstate__(self):
-        # The pool is a cache; rebuild it after unpickling (workers of
-        # the sweep executor pickle transducers holding these queries).
+        # The pool is a cache; rebuild it after unpickling rather than
+        # ship its encodings with a pickled transducer.
         state = self.__dict__.copy()
         state["_column_pool"] = None
         return state

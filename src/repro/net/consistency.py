@@ -262,9 +262,8 @@ def check_topology_independence(
 
     A single *run_cache* is sound across all the networks probed here
     (the network is part of the cache key).  One *engine* runs every
-    per-network sweep; a ``persistent``-lifetime one keeps its fork
-    pool alive between them, a ``fork``-lifetime one forks a pool per
-    sweep.  The report is the same for every engine.
+    per-network sweep; a ``fork``-lifetime one forks a pool per sweep.
+    The report is the same for every engine.
     """
     from .runcache import resolve_run_cache
 

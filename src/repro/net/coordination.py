@@ -125,11 +125,10 @@ def check_coordination_free_on(
     ``"heartbeat-only"`` key kind, so re-checks — the CALM diagnostic
     probes the same transducer on the test instance *and* the empty
     instance, and CI re-probes yesterday's grid — skip straight to the
-    recorded outputs.  A ``persistent``-lifetime *engine* probes
-    chunks through its one long-lived fork pool; a ``fork``-lifetime
-    one forks a pool per search.  Probes are small, so on small
-    partition spaces the serial engine can be the fastest (see the
-    lifetime table in ``docs/runtime.md``).
+    recorded outputs.  A ``fork``-lifetime *engine* forks one pool per
+    search and probes every chunk through it.  Probes are small, so on
+    small partition spaces the serial engine can be the fastest (see
+    the lifetime table in ``docs/runtime.md``).
     """
     from itertools import islice
 
@@ -171,8 +170,7 @@ def check_coordination_free_on(
         # exit — witness found with candidates still unprobed — still
         # drains and joins the session's pool deterministically;
         # abandonment cleanup used to be left to the garbage
-        # collector.  A caller-owned persistent engine is untouched
-        # (session close never reaps an engine-scoped pool).
+        # collector.
         session = eng.session(_heartbeat_probe, context)
         try:
             while True:

@@ -1,4 +1,4 @@
-"""The unified sweep engine: one executor, pluggable worker lifetimes.
+"""The unified sweep engine: one executor, serial or forked workers.
 
 The paper's semantic properties (consistency, coordination-freeness,
 CALM) quantify over *many* fair runs — every partition × seed ×
@@ -19,18 +19,14 @@ reference and must match it bit for bit.
 
 Every sweep entry point takes one execution parameter,
 ``engine=`` (``None`` is a serial engine): a :class:`SweepEngine`
-with one of three worker *lifetimes*:
+with one of two worker *lifetimes*:
 
 * ``serial`` — the reference loop, in-process, no pool ever;
 * ``fork`` — a fresh fork pool per :class:`EngineSession`, with the
   ``(fn, context)`` payload shipped to workers by **fork inheritance**
-  (never pickled) — optimal for one big sweep, and the only lifetime
-  that can carry unpicklable contexts (``PythonQuery`` closures, warm
-  transition caches);
-* ``persistent`` — one fork pool kept alive across *consecutive*
-  sweeps (the CALM/NTI probe grids issue many small sweeps back to
-  back); each map call pickles its payload once into a blob that every
-  task carries and each worker unpickles at most once per map.
+  (never pickled), so contexts may carry unpicklable ``PythonQuery``
+  closures and warm transition caches.  The pool lives exactly as long
+  as its session; an engine owns no pool and needs no shutdown.
 
 On top of the engine, :class:`CacheSplice` is the one shared
 implementation of the cached/pending bookkeeping every sweep needs
@@ -45,13 +41,10 @@ cache.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
-import pickle
 import time
 from dataclasses import asdict, dataclass
 
-from ..memo import Memo
 from .consistency import RunObservation
 from .network import Network
 from .partition import HorizontalPartition
@@ -67,7 +60,7 @@ __all__ = [
     "sweep_runs",
 ]
 
-LIFETIMES = ("serial", "fork", "persistent")
+LIFETIMES = ("serial", "fork")
 
 
 def _fork_context():
@@ -82,8 +75,8 @@ def _fork_context():
 # Worker-side plumbing
 # ---------------------------------------------------------------------------
 
-# The (fn, context) pair installed in each fork-lifetime pool worker by
-# the initializer.  With the fork start method this is inherited
+# The (fn, context) pair installed in each pool worker by the
+# initializer.  With the fork start method this is inherited
 # memory, not a pickle — which is what lets the context carry
 # transducers with arbitrary (unpicklable) PythonQuery closures and
 # warm caches.
@@ -97,24 +90,6 @@ def _init_worker(payload) -> None:
 
 def _call_worker(item):
     fn, context = _WORKER_PAYLOAD
-    return fn(context, item)
-
-
-# Persistent-lifetime payload cache: token -> (fn, context).  Each
-# forked worker process owns its copy (the parent never populates it),
-# so a payload is unpickled once per worker per map call, not once per
-# task.
-_POOL_PAYLOAD_LIMIT = 8
-_POOL_PAYLOADS = Memo(_POOL_PAYLOAD_LIMIT)
-
-
-def _pool_call(task):
-    token, blob, item = task
-    payload = _POOL_PAYLOADS.get(token)
-    if payload is None:
-        payload = pickle.loads(blob)
-        _POOL_PAYLOADS.put(token, payload)
-    fn, context = payload
     return fn(context, item)
 
 
@@ -159,7 +134,7 @@ _POLL_INTERVAL = 0.02
 _BACKOFF_CAP = 1.0
 
 
-def _supervised_map(engine, get_pool, reset_pool, call, items, local_call):
+def _supervised_map(session: "EngineSession", items: list) -> list:
     """A pool map that survives worker death, task failure and hangs.
 
     ``pool.map`` has none of that: a worker that dies mid-task leaves
@@ -185,9 +160,10 @@ def _supervised_map(engine, get_pool, reset_pool, call, items, local_call):
     instead of hanging (a task that *always* kills its host or hangs
     will still fail loudly here, in the parent, which is the right
     failure mode).  Every path out — including ``KeyboardInterrupt``
-    in the parent — routes through ``reset_pool`` (the ``terminate()``
-    discipline), so no children are leaked.
+    in the parent — routes through the session's ``terminate()``, so no
+    children are leaked.
     """
+    engine = session._engine
     n = len(items)
     results: list = [None] * n
     done = [False] * n
@@ -208,9 +184,9 @@ def _supervised_map(engine, get_pool, reset_pool, call, items, local_call):
                     )
                 )
             round_no += 1
-            pool = get_pool()
+            pool = session._live_pool()
             pids = {p.pid for p in pool._pool}
-            asyncs = {i: pool.apply_async(call, (items[i],)) for i in pending}
+            asyncs = {i: pool.apply_async(_call_worker, (items[i],)) for i in pending}
             broken = False
             death = False
             for i in pending:
@@ -278,27 +254,27 @@ def _supervised_map(engine, get_pool, reset_pool, call, items, local_call):
                         quarantine.add(j)
                     else:
                         health.retries += 1
-            reset_pool()
+            session.terminate()
             health.respawns += 1
     except BaseException:
-        reset_pool()
+        session.terminate()
         raise
+    # The parent has no _WORKER_PAYLOAD; quarantined tasks call directly.
     for i in sorted(quarantine):
         health.serial_reruns += 1
-        results[i] = local_call(items[i])
+        results[i] = session._fn(session._context, items[i])
     return results
 
 
 class SweepEngine:
-    """A deterministic ordered map over sweep tasks, with a pluggable
-    worker lifetime.
+    """A deterministic ordered map over sweep tasks, serial or forked.
 
     ``lifetime`` is one of :data:`LIFETIMES` (default: ``fork`` exactly
     when ``workers > 1`` and the platform has the fork start method,
     else ``serial``).  The lifetime is resolved once at construction —
     a quietly degraded engine *is* serial from then on, and
     ``engine.parallel`` reports which it is.
-    An *explicitly* requested parallel lifetime that cannot actually
+    An *explicitly* requested ``fork`` lifetime that cannot actually
     parallelize (``workers == 1``, or no fork) is a misconfiguration
     and raises ``ValueError`` — honoring it silently used to hide wrong
     worker counts and fork-less platforms.
@@ -307,9 +283,8 @@ class SweepEngine:
     to every item and returns the results in item order regardless of
     completion order — the determinism contract every sweep in the
     library relies on.  :meth:`session` opens a reusable mapping
-    session for chunked searches.  A ``persistent`` engine owns one
-    live pool across all its sessions and maps; use it as a context
-    manager (or call :meth:`close`) to reap the workers.
+    session for chunked searches.  Worker pools belong to sessions, so
+    the engine itself holds no processes and has nothing to close.
     """
 
     def __init__(
@@ -353,11 +328,6 @@ class SweepEngine:
         self.retry_backoff = retry_backoff
         self.timeout = timeout
         self._mp_context = mp_context
-        # The persistent lifetime's one live pool (forked lazily).
-        self._pool = None
-        self._tokens = itertools.count()
-        #: Pool maps actually fanned out (amortization observability).
-        self.maps_served = 0
         #: Self-healing counters (worker deaths, respawns, retries,
         #: timeouts, quarantines), accumulated across maps and shared
         #: by this engine's sessions.
@@ -372,82 +342,28 @@ class SweepEngine:
         """A reusable mapping session (one worker pool for its lifetime).
 
         Chunked searches (the coordination-freeness witness probe) call
-        :meth:`EngineSession.map` repeatedly; a ``fork``-lifetime
-        session opens its pool once, amortizing the fork setup across
-        every chunk instead of paying it per chunk.  Sessions of a
-        ``persistent`` engine share the engine's one pool and their
-        ``close`` leaves it running.
+        :meth:`EngineSession.map` repeatedly; a ``fork`` session opens
+        its pool once, amortizing the fork setup across every chunk
+        instead of paying it per chunk.
         """
         return EngineSession(self, fn, context)
 
     def map(self, fn, context, items) -> list:
-        """Apply ``fn(context, item)`` to every item, in item order."""
-        if self.lifetime == "persistent":
-            return self._persistent_map(fn, context, list(items))
+        """Apply ``fn(context, item)`` to every item, in item order.
+
+        Serial engines, and maps of at most one item, call *fn* inline
+        (a pool for one task costs a fork and buys nothing).
+        """
+        items = list(items)
+        if not self.parallel or len(items) <= 1:
+            return [fn(context, item) for item in items]
         with self.session(fn, context) as session:
             return session.map(items)
 
-    def _persistent_map(self, fn, context, items: list) -> list:
-        """One map through the engine's long-lived pool.
-
-        The ``(fn, context)`` payload is pickled exactly once into a
-        blob that every task carries (re-pickling a ``bytes`` object is
-        a memcpy, not an object-graph walk) and each worker unpickles
-        at most once.  Single-item maps run in-process.
-        """
-        if not self.parallel or len(items) <= 1:
-            return [fn(context, item) for item in items]
-        token = next(self._tokens)
-        blob = pickle.dumps((fn, context), protocol=pickle.HIGHEST_PROTOCOL)
-        self.maps_served += 1
-
-        def get_pool():
-            if self._pool is None:
-                self._pool = self._mp_context.Pool(self.workers)
-            return self._pool
-
-        def reset_pool():
-            self.terminate()
-
-        return _supervised_map(
-            self,
-            get_pool,
-            reset_pool,
-            _pool_call,
-            [(token, blob, item) for item in items],
-            # Quarantined tasks re-run in the parent against the
-            # original payload — no blob round-trip.
-            lambda task: fn(context, task[2]),
-        )
-
-    def close(self) -> None:
-        """Clean shutdown of the persistent pool: drain workers, reap."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def terminate(self) -> None:
-        """Hard shutdown for error paths: kill workers immediately."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "SweepEngine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self.terminate()
-        else:
-            self.close()
-
     def __repr__(self) -> str:
-        state = "live" if self._pool is not None else "idle"
         return (
             f"{type(self).__name__}(workers={self.workers}, "
-            f"lifetime={self.lifetime!r}, {state})"
+            f"lifetime={self.lifetime!r})"
         )
 
 
@@ -456,11 +372,9 @@ class EngineSession:
 
     Serial sessions, and maps of at most one item, apply the function
     inline; ``fork`` sessions hold one fork pool, created lazily on the
-    first map of two or more items
-    (the payload crosses by fork inheritance) and reused until
-    :meth:`close` (or the ``with`` block) tears it down; ``persistent``
-    sessions delegate to the engine's shared pool, which outlives them.
-    Results always come back in item order.
+    first map of two or more items (the payload crosses by fork
+    inheritance) and reused until :meth:`close` (or the ``with`` block)
+    tears it down.  Results always come back in item order.
     """
 
     def __init__(self, engine: SweepEngine, fn, context):
@@ -469,41 +383,24 @@ class EngineSession:
         self._context = context
         self._pool = None
 
+    def _live_pool(self):
+        if self._pool is None:
+            self._pool = self._engine._mp_context.Pool(
+                self._engine.workers,
+                initializer=_init_worker,
+                initargs=((self._fn, self._context),),
+            )
+        return self._pool
+
     def map(self, items) -> list:
         items = list(items)
-        engine = self._engine
-        if engine.lifetime == "persistent":
-            return engine._persistent_map(self._fn, self._context, items)
-        if engine.lifetime == "serial" or len(items) <= 1:
+        if not self._engine.parallel or len(items) <= 1:
             return [self._fn(self._context, item) for item in items]
-
-        def get_pool():
-            if self._pool is None:
-                self._pool = engine._mp_context.Pool(
-                    engine.workers,
-                    initializer=_init_worker,
-                    initargs=((self._fn, self._context),),
-                )
-            return self._pool
-
-        def reset_pool():
-            self.terminate()
-
-        return _supervised_map(
-            engine,
-            get_pool,
-            reset_pool,
-            _call_worker,
-            items,
-            # The parent has no _WORKER_PAYLOAD; call directly.
-            lambda item: self._fn(self._context, item),
-        )
+        return _supervised_map(self, items)
 
     def close(self) -> None:
         """Clean shutdown: let workers finish queued work, then reap.
 
-        Only touches the session-owned pool (``fork`` lifetime); a
-        ``persistent`` engine's pool is engine-scoped and stays live.
         ``terminate()`` on the happy path used to kill workers
         mid-cleanup, leaking semaphore-tracker warnings; the hard kill
         is reserved for :meth:`terminate` (the exceptional ``__exit__``

@@ -4,7 +4,7 @@ Everything else in the repo is a one-shot library call; this package
 keeps a process up so the ~300× warm-cache and 6–20× static-first
 wins survive between clients.  One shared bounded
 :class:`~repro.net.runcache.RunCache` (memory + disk tier) and one
-persistent :class:`~repro.net.executor.SweepEngine` serve every job;
+shared :class:`~repro.net.executor.SweepEngine` serve every job;
 per-job isolation falls out of the canonical ``run_key`` fingerprints,
 so two clients sweeping the same transducer warm each other and two
 different grids can never alias.

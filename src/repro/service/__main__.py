@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 
+from ..net import LIFETIMES
 from .app import ServiceConfig, VerificationService
 
 
@@ -30,7 +31,7 @@ def main(argv: list[str] | None = None) -> int:
                         "across restarts)")
     parser.add_argument("--engine-workers", type=int, default=1)
     parser.add_argument("--engine-lifetime", default=None,
-                        choices=("serial", "fork", "persistent"))
+                        choices=LIFETIMES)
     args = parser.parse_args(argv)
 
     config = ServiceConfig(

@@ -22,6 +22,10 @@ from . import routes
 
 _MAX_BODY = 8 * 1024 * 1024
 
+#: The body :meth:`VerificationService._read_request` returns for a
+#: Content-Length that is not a decimal digit string.
+_BAD_LENGTH = object()
+
 
 @dataclass
 class ServiceConfig:
@@ -87,8 +91,13 @@ class VerificationService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
-        if length < 0 or length > _MAX_BODY:
+        raw_length = headers.get("content-length") or "0"
+        # HTTP allows digits only; int() would also take "-1", "+5" and
+        # "1_000".
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            return method, target, headers, _BAD_LENGTH
+        length = int(raw_length)
+        if length > _MAX_BODY:
             return method, target, headers, None
         body = await reader.readexactly(length) if length else b""
         return method, target, headers, body
@@ -119,6 +128,9 @@ class VerificationService:
             if request is None:
                 return
             method, target, _headers, body = request
+            if body is _BAD_LENGTH:
+                writer.write(self._json(400, {"error": "bad Content-Length"}))
+                return
             path, _, query = target.partition("?")
             parts = [p for p in path.split("/") if p]
 

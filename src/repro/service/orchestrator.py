@@ -1,6 +1,6 @@
 """The async job orchestrator: many clients, one engine, one cache.
 
-Every job the service accepts is multiplexed onto **one** persistent
+Every job the service accepts is multiplexed onto **one** shared
 :class:`~repro.net.executor.SweepEngine` and **one** bounded
 :class:`~repro.net.runcache.RunCache` — that sharing is the whole
 point (a cold sweep run for client A is a warm hit for client B), and
@@ -11,10 +11,9 @@ run-visible knob (fault plan, seeds, batching…) can never alias.
 
 Jobs execute on a thread pool.  With a serial engine (the default on
 small boxes) jobs run fully concurrently — the thread-safe cache is
-the only shared state.  A multi-process engine is serialized with a
-mutex: every pool map updates the engine's ``health`` counters without
-a lock, and a ``persistent`` engine also shares its one worker pool
-between all its maps.
+the only shared state.  A ``fork`` engine is serialized with a mutex:
+every pool map updates the engine's ``health`` counters without a
+lock.
 
 Terminal jobs persist to a sqlite job store so ``GET /jobs/{id}``
 survives a restart; the run cache's own disk tier (configured
@@ -329,11 +328,10 @@ class JobOrchestrator:
             computed_output,
         )
 
-        # Both parallel lifetimes need exclusion: every supervised pool
-        # map updates the engine's health counters without a lock (a
-        # persistent engine also shares one pool between its maps).
-        # Serial engines run in the calling thread and never reach a
-        # pool; the thread-safe cache carries the sharing.
+        # A fork engine needs exclusion: every supervised pool map
+        # updates the engine's health counters without a lock.  Serial
+        # engines run in the calling thread and never reach a pool;
+        # the thread-safe cache carries the sharing.
         guard = (
             self._engine_lock
             if self.engine.lifetime != "serial"
@@ -410,7 +408,6 @@ class JobOrchestrator:
                 return
             self._closed = True
         self._pool.shutdown(wait=True)
-        self.engine.close()
         self.cache.close()
         if self._store is not None:
             self._store.close()

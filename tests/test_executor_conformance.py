@@ -67,19 +67,15 @@ ELEMENTS = Instance(S1, [Fact("S", (1,)), Fact("S", (2,)), Fact("S", (3,))])
 TC = transitive_closure_transducer()
 RELAY = relay_identity_transducer()
 
-# The execution matrix: every lifetime, workers ∈ {1, 2}.  Explicit
-# parallel lifetimes require workers > 1 by design (the strictness is
-# pinned below), so their workers=1 points are covered by the auto
-# path, which resolves workers=1 to serial.
+# The execution matrix: every lifetime, workers ∈ {1, 2}.  An explicit
+# fork lifetime requires workers > 1 by design (the strictness is
+# pinned below), so its workers=1 point is covered by the auto path,
+# which resolves workers=1 to serial.
 ENGINE_CONFIGS = [
     ("auto-w1", lambda: {"engine": SweepEngine(workers=1)}),
     ("auto-w2", lambda: {"engine": SweepEngine(workers=2)}),
     ("serial-w2", lambda: {"engine": SweepEngine(workers=2, lifetime="serial")}),
     ("fork-w2", lambda: {"engine": SweepEngine(workers=2, lifetime="fork")}),
-    (
-        "persistent-w2",
-        lambda: {"engine": SweepEngine(workers=2, lifetime="persistent")},
-    ),
 ]
 
 # Cache modes: no cache, then cold/warm × every tier configuration.
@@ -122,14 +118,8 @@ def _make_cache(mode, network, partitions, seeds, disk_dir=None):
 
 
 def _run_config(make_engine_kwargs, **sweep_kwargs):
-    """Run a sweep under one engine configuration, closing owned engines."""
-    kwargs = make_engine_kwargs()
-    engine = kwargs.get("engine")
-    try:
-        return sweep_runs(**sweep_kwargs, **kwargs)
-    finally:
-        if engine is not None:
-            engine.close()
+    """Run a sweep under one engine configuration."""
+    return sweep_runs(**sweep_kwargs, **make_engine_kwargs())
 
 
 class TestFullMatrix:
@@ -196,18 +186,10 @@ class TestFullMatrix:
                     sweep_runs(
                         line(3), TC, partitions, seeds, run_cache=serial
                     )
-                    got, want = cache.stats(), serial.stats()
-                    if label.startswith("persistent"):
-                        # A weight is a pickled size, which follows
-                        # object sharing.  Fork workers inherit the
-                        # parent's objects; a persistent worker's
-                        # unpickled transducer holds its own copies of
-                        # relation names the runtime also takes from
-                        # literals, so equal results weigh a few bytes
-                        # apart.
-                        assert got.pop("bytes") == sum(cache._weights.values())
-                        want.pop("bytes")
-                    assert got == want
+                    # Every stats() field, bytes included: a weight is
+                    # a pickled size, and fork workers inherit the
+                    # parent's objects, so equal results weigh alike.
+                    assert cache.stats() == serial.stats()
                     assert list(cache.entries) == list(serial.entries)
                 finally:
                     serial.close()
@@ -228,16 +210,12 @@ class TestFullMatrix:
         cache = _make_cache(
             cache_mode, line(3), partitions, seeds, disk_dir=str(tmp_path)
         )
-        kwargs = make_engine()
-        engine = kwargs.get("engine")
         try:
             got = check_consistency(
                 line(3), TC, GRAPH, partitions=partitions, seeds=seeds,
-                run_cache=cache, **kwargs,
+                run_cache=cache, **make_engine(),
             )
         finally:
-            if engine is not None:
-                engine.close()
             if cache is not None:
                 cache.close()
         # Report field for report field: the semantic evidence is
@@ -425,43 +403,44 @@ class TestRandomizedGrids:
         assert got == reference
 
 
-class TestPersistentLifetime:
+class TestForkLifetime:
     def test_one_engine_serves_consecutive_sweeps_and_harnesses(self):
         partitions = sample_partitions(GRAPH, line(3), 3)
         serial_a = sweep_runs(line(3), TC, partitions, (0, 1))
         serial_b = sweep_runs(line(3), TC, partitions, (2, 3))
         plain_verdict = calm_verdict(transitive_closure_transducer(), GRAPH)
-        with SweepEngine(workers=2, lifetime="persistent") as engine:
-            pooled_a = sweep_runs(line(3), TC, partitions, (0, 1), engine=engine)
-            pooled_b = sweep_runs(line(3), TC, partitions, (2, 3), engine=engine)
-            verdict = calm_verdict(
-                transitive_closure_transducer(), GRAPH,
-                run_cache=RunCache(max_entries=8), engine=engine,
-            )
-            assert engine.maps_served >= 2  # one fork, many sweeps
+        before = _live_children()
+        engine = SweepEngine(workers=2, lifetime="fork")
+        pooled_a = sweep_runs(line(3), TC, partitions, (0, 1), engine=engine)
+        pooled_b = sweep_runs(line(3), TC, partitions, (2, 3), engine=engine)
+        verdict = calm_verdict(
+            transitive_closure_transducer(), GRAPH,
+            run_cache=RunCache(max_entries=8), engine=engine,
+        )
+        assert _live_children() <= before  # each sweep reaped its pool
         assert pooled_a == serial_a
         assert pooled_b == serial_b
         assert verdict == plain_verdict
 
-    def test_smoke_persistent_bounded(self):
-        # The CI conformance smoke configuration: 2-worker persistent
-        # lifetime, bounded cache max_entries=8, checked against the
-        # serial unbounded reference.
+    def test_smoke_fork_bounded(self):
+        # The CI conformance smoke configuration: one 2-worker fork
+        # engine over two sweeps, bounded cache max_entries=8, checked
+        # against the serial unbounded reference.
         partitions = sample_partitions(GRAPH, line(3), 3)
         seeds = (0, 1)
         reference = check_consistency(
             line(3), TC, GRAPH, partitions=partitions, seeds=seeds
         )
         cache = RunCache(max_entries=8)
-        with SweepEngine(workers=2, lifetime="persistent") as engine:
-            first = check_consistency(
-                line(3), TC, GRAPH, partitions=partitions, seeds=seeds,
-                run_cache=cache, engine=engine,
-            )
-            second = check_consistency(
-                line(3), TC, GRAPH, partitions=partitions, seeds=seeds,
-                run_cache=cache, engine=engine,
-            )
+        engine = SweepEngine(workers=2, lifetime="fork")
+        first = check_consistency(
+            line(3), TC, GRAPH, partitions=partitions, seeds=seeds,
+            run_cache=cache, engine=engine,
+        )
+        second = check_consistency(
+            line(3), TC, GRAPH, partitions=partitions, seeds=seeds,
+            run_cache=cache, engine=engine,
+        )
         for got in (first, second):
             assert got.consistent == reference.consistent
             assert got.observations == reference.observations
@@ -472,9 +451,9 @@ class TestPersistentLifetime:
         assert second.cache_misses == 0
         assert len(cache) <= 8
 
-    def test_smoke_persistent_shared_tier(self, tmp_path):
+    def test_smoke_fork_shared_tier(self, tmp_path):
         # The second CI conformance smoke configuration: the full
-        # hierarchy under a persistent 2-worker pool — byte-bounded
+        # hierarchy under one 2-worker fork engine — byte-bounded
         # memory with a sqlite disk tier below — checked against the
         # serial unbounded reference across two sweeps.
         partitions = sample_partitions(GRAPH, line(3), 3)
@@ -486,16 +465,16 @@ class TestPersistentLifetime:
         cache = RunCache(
             max_bytes=BOUND_BYTES, disk_path=tmp_path / "tier.sqlite"
         )
+        engine = SweepEngine(workers=2, lifetime="fork")
         try:
-            with SweepEngine(workers=2, lifetime="persistent") as engine:
-                first = check_consistency(
-                    line(3), TC, GRAPH, partitions=partitions, seeds=seeds,
-                    run_cache=cache, engine=engine,
-                )
-                second = check_consistency(
-                    line(3), TC, GRAPH, partitions=partitions, seeds=seeds,
-                    run_cache=cache, engine=engine,
-                )
+            first = check_consistency(
+                line(3), TC, GRAPH, partitions=partitions, seeds=seeds,
+                run_cache=cache, engine=engine,
+            )
+            second = check_consistency(
+                line(3), TC, GRAPH, partitions=partitions, seeds=seeds,
+                run_cache=cache, engine=engine,
+            )
             for got in (first, second):
                 assert got.consistent == reference.consistent
                 assert got.observations == reference.observations
@@ -533,16 +512,10 @@ class TestDedalusConformance:
         reference = sweep_distributed(
             program, net, partitions, seeds=(0, 1), max_steps=300
         )
-        kwargs = make_engine()
-        engine = kwargs.get("engine")
-        try:
-            got = sweep_distributed(
-                program, net, partitions, seeds=(0, 1), max_steps=300,
-                run_cache=RunCache(max_entries=BOUND), **kwargs,
-            )
-        finally:
-            if engine is not None:
-                engine.close()
+        got = sweep_distributed(
+            program, net, partitions, seeds=(0, 1), max_steps=300,
+            run_cache=RunCache(max_entries=BOUND), **make_engine(),
+        )
         for a, b in zip(reference, got):
             assert a.stabilized_at == b.stabilized_at
             assert a.final() == b.final()
@@ -572,21 +545,21 @@ class TestNoWorkerLeaks:
         assert report.exhaustive and report.partitions_tried < 27  # early exit
         assert _live_children() <= before  # every forked worker reaped
 
-    def test_early_exit_leaves_caller_owned_persistent_engine_alive(self):
+    def test_consecutive_early_exit_searches_on_one_engine(self):
         expected = computed_output(line(2), TC, GRAPH)
         serial = check_coordination_free_on(line(2), TC, GRAPH, expected)
         before = _live_children()
-        with SweepEngine(workers=2, lifetime="persistent") as engine:
-            first = check_coordination_free_on(
-                line(2), TC, GRAPH, expected, engine=engine
-            )
-            # The session close at early exit must NOT have reaped the
-            # engine-scoped pool: a second search reuses it.
-            second = check_coordination_free_on(
-                line(2), TC, GRAPH, expected, engine=engine
-            )
-            assert engine.maps_served >= 2
-        assert _live_children() <= before  # engine exit reaps
+        engine = SweepEngine(workers=2, lifetime="fork")
+        first = check_coordination_free_on(
+            line(2), TC, GRAPH, expected, engine=engine
+        )
+        assert _live_children() <= before  # the first search reaped
+        # An early exit leaves the engine usable: a second search forks
+        # its own session pool and reaps it too.
+        second = check_coordination_free_on(
+            line(2), TC, GRAPH, expected, engine=engine
+        )
+        assert _live_children() <= before
         for report in (first, second):
             assert report.coordination_free == serial.coordination_free
             assert report.partitions_tried == serial.partitions_tried
@@ -684,4 +657,21 @@ class TestFusionStructure:
             assert "first_for_key" not in source  # the old inline dedup
 
     def test_all_lifetimes_exported(self):
-        assert set(LIFETIMES) == {"serial", "fork", "persistent"}
+        assert LIFETIMES == ("serial", "fork")
+        with pytest.raises(ValueError, match="persistent"):
+            SweepEngine(workers=2, lifetime="persistent")
+
+    def test_engine_owns_no_pool(self):
+        # Worker pools live and die with their sessions: an engine has
+        # nothing to close, and only a session reaches the supervisor.
+        from repro.net import executor
+
+        engine = SweepEngine(workers=2)
+        for name in ("close", "terminate", "__enter__", "__exit__",
+                     "maps_served", "_pool"):
+            assert not hasattr(engine, name), name
+        source = inspect.getsource(executor)
+        assert source.count("_supervised_map(") == 2  # definition + one call
+        assert "_supervised_map(" in inspect.getsource(
+            executor.EngineSession.map
+        )

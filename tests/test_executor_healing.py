@@ -8,8 +8,9 @@ exceeding the per-run ``timeout`` is quarantined (its hung worker
 killed) and re-run serially in the parent, once, after the pool rounds
 finish — so a sweep *completes with bit-identical results* instead of
 hanging or crashing, and :class:`~repro.net.EngineHealth` reports what
-it took.  Every exceptional exit routes through ``terminate()``, so no
-child processes are ever leaked — including on ``KeyboardInterrupt``.
+it took.  Every exceptional exit routes through the session's
+``terminate()``, so no child processes are ever leaked — including on
+``KeyboardInterrupt``.
 
 The injection helpers are module-level (fork pools resolve them by
 reference) and coordinate through sentinel files under a per-test
@@ -98,50 +99,49 @@ def _interrupt(ctx, item):
 
 class TestSupervisedMap:
     def test_clean_map_reports_clean_health(self):
-        with SweepEngine(workers=2, lifetime="fork") as engine:
-            assert engine.map(_square, None, [1, 2, 3, 4]) == [1, 4, 9, 16]
-            assert engine.health == EngineHealth()
+        engine = SweepEngine(workers=2, lifetime="fork")
+        assert engine.map(_square, None, [1, 2, 3, 4]) == [1, 4, 9, 16]
+        assert engine.health == EngineHealth()
 
-    @pytest.mark.parametrize("lifetime", ["fork", "persistent"])
-    def test_worker_death_respawns_and_completes(self, lifetime, tmp_path):
+    def test_worker_death_respawns_and_completes(self, tmp_path):
         before = _live_children()
-        with SweepEngine(workers=2, lifetime=lifetime) as engine:
-            got = engine.map(_kill_worker_once, str(tmp_path), [1, 2, 3, 4, 5])
-            assert got == [1, 4, 9, 16, 25]
-            assert engine.health.worker_deaths >= 1
-            assert engine.health.respawns >= 1
-            assert engine.health.retries >= 1
-            assert engine.health.quarantined == 0
+        engine = SweepEngine(workers=2, lifetime="fork")
+        got = engine.map(_kill_worker_once, str(tmp_path), [1, 2, 3, 4, 5])
+        assert got == [1, 4, 9, 16, 25]
+        assert engine.health.worker_deaths >= 1
+        assert engine.health.respawns >= 1
+        assert engine.health.retries >= 1
+        assert engine.health.quarantined == 0
         assert _live_children() <= before
 
     def test_timeout_quarantines_and_reruns_serially(self, tmp_path):
         before = _live_children()
-        with SweepEngine(workers=2, lifetime="fork", timeout=0.5) as engine:
-            got = engine.map(_hang_once, str(tmp_path), [1, 2, 3, 4])
-            assert got == [11, 12, 13, 14]
-            assert engine.health.timeouts == 1
-            assert engine.health.quarantined == 1
-            assert engine.health.serial_reruns == 1
-            assert engine.health.respawns >= 1  # the hung worker was killed
+        engine = SweepEngine(workers=2, lifetime="fork", timeout=0.5)
+        got = engine.map(_hang_once, str(tmp_path), [1, 2, 3, 4])
+        assert got == [11, 12, 13, 14]
+        assert engine.health.timeouts == 1
+        assert engine.health.quarantined == 1
+        assert engine.health.serial_reruns == 1
+        assert engine.health.respawns >= 1  # the hung worker was killed
         assert _live_children() <= before
 
     def test_transient_failures_retry_with_backoff(self, tmp_path):
-        with SweepEngine(workers=2, lifetime="fork", max_retries=2,
-                         retry_backoff=0.01) as engine:
-            got = engine.map(_fail_twice, str(tmp_path), [1, 2, 3])
-            assert got == [-1, -2, -3]
-            assert engine.health.retries == 2
-            assert engine.health.quarantined == 0
+        engine = SweepEngine(workers=2, lifetime="fork", max_retries=2,
+                             retry_backoff=0.01)
+        got = engine.map(_fail_twice, str(tmp_path), [1, 2, 3])
+        assert got == [-1, -2, -3]
+        assert engine.health.retries == 2
+        assert engine.health.quarantined == 0
         # both injected failures really happened before the success
         assert os.path.getsize(_flag(str(tmp_path), "attempts")) == 3
 
     def test_permanent_failure_raises_past_the_cap(self):
         before = _live_children()
-        with SweepEngine(workers=2, lifetime="fork", max_retries=1,
-                         retry_backoff=0.01) as engine:
-            with pytest.raises(ValueError, match="injected permanent"):
-                engine.map(_always_fail, None, [1, 2])
-            assert engine.health.retries >= 1
+        engine = SweepEngine(workers=2, lifetime="fork", max_retries=1,
+                             retry_backoff=0.01)
+        with pytest.raises(ValueError, match="injected permanent"):
+            engine.map(_always_fail, None, [1, 2])
+        assert engine.health.retries >= 1
         assert _live_children() <= before
 
     def test_keyboard_interrupt_propagates_without_leaking(self):
@@ -150,10 +150,10 @@ class TestSupervisedMap:
         # quarantines at the cap, and the serial rerun re-raises in the
         # parent — through the terminate() discipline, leak-free.
         before = _live_children()
+        engine = SweepEngine(workers=2, lifetime="fork", max_retries=0,
+                             retry_backoff=0.01)
         with pytest.raises(KeyboardInterrupt):
-            with SweepEngine(workers=2, lifetime="fork", max_retries=0,
-                             retry_backoff=0.01) as engine:
-                engine.map(_interrupt, None, [1, 2])
+            engine.map(_interrupt, None, [1, 2])
         assert _live_children() <= before
 
     def test_bad_resilience_knobs_are_rejected(self):
@@ -245,10 +245,9 @@ class TestSelfHealingSweep:
         engine = SweepEngine(workers=2, lifetime="fork")
         _SWEEP_KILL_DIR = str(tmp_path)
         try:
-            with engine:
-                got = sweep_runs(
-                    net, _sabotaged_relay(), partitions, seeds, engine=engine
-                )
+            got = sweep_runs(
+                net, _sabotaged_relay(), partitions, seeds, engine=engine
+            )
         finally:
             _SWEEP_KILL_DIR = None
         assert _obs_signature(got) == _obs_signature(reference)
@@ -265,10 +264,9 @@ class TestSelfHealingSweep:
         engine = SweepEngine(workers=2, lifetime="fork", timeout=2.0)
         _SWEEP_HANG_DIR = str(tmp_path)
         try:
-            with engine:
-                got = sweep_runs(
-                    net, _sabotaged_relay(), partitions, seeds, engine=engine
-                )
+            got = sweep_runs(
+                net, _sabotaged_relay(), partitions, seeds, engine=engine
+            )
         finally:
             _SWEEP_HANG_DIR = None
         assert _obs_signature(got) == _obs_signature(reference)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db import Instance, instance, schema
+from repro.db.columnar import HAVE_NUMPY
 from repro.lang import FOQuery, check_answers_in_adom, check_generic, parse_formula
 from repro.lang.fo import evaluate, formula_constants
 from repro.db.values import Permutation
@@ -106,6 +107,23 @@ class TestQueryValidation:
     def test_unknown_relation_rejected(self, sch):
         with pytest.raises(ValueError):
             FOQuery.parse("U(x)", "x", sch)
+
+    @pytest.mark.parametrize(
+        "engine", ["nested", "indexed"] + (["columnar"] if HAVE_NUMPY else [])
+    )
+    @pytest.mark.parametrize(
+        "text,heads",
+        [
+            ("S(x)", "x"),
+            ("T(x) & ~S(x)", "x"),
+            ("exists y: S(x, y, y)", "x"),
+            ("T(x) | (forall y: S(y) -> T(y))", "x"),
+        ],
+    )
+    def test_wrong_arity_rejected(self, sch, engine, text, heads):
+        # Otherwise a unary S(x) over binary S answers binary tuples.
+        with pytest.raises(ValueError, match="arity mismatch on S"):
+            FOQuery.parse(text, heads, sch, engine=engine)
 
     def test_relations_reported(self, sch):
         query = q("S(x, y) & ~T(x)", "x, y", sch)

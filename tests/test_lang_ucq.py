@@ -3,7 +3,10 @@
 import pytest
 
 from repro.db import instance, schema
+from repro.db.columnar import HAVE_NUMPY
 from repro.lang import DatalogError, UCQNegQuery, UCQQuery
+
+AVAILABLE_ENGINES = ["nested", "indexed"] + (["columnar"] if HAVE_NUMPY else [])
 
 
 @pytest.fixture
@@ -84,3 +87,26 @@ class TestUCQNeg:
     def test_constants_in_head(self, sch, inst):
         q = UCQNegQuery.parse("Ans(x, 9) :- T(x).", sch)
         assert q(inst) == frozenset({(2, 9)})
+
+
+class TestBodyArity:
+    """A body atom must use its relation's schema arity; otherwise the
+    engines disagree on what a unary atom over binary ``S`` reads."""
+
+    @pytest.mark.parametrize("engine", AVAILABLE_ENGINES)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "out(x) :- S(x).",
+            "out(x) :- T(x), not S(x).",
+            "out(x) :- S(x, y, z).",
+        ],
+    )
+    def test_wrong_arity_rejected(self, sch, engine, text):
+        with pytest.raises(DatalogError, match="arity mismatch on S"):
+            UCQNegQuery.parse(text, sch, engine=engine)
+
+    @pytest.mark.parametrize("engine", AVAILABLE_ENGINES)
+    def test_ucq_rejects_wrong_arity(self, sch, engine):
+        with pytest.raises(DatalogError, match="arity mismatch on T"):
+            UCQQuery.parse("out(x) :- S(x, y), T(x, y).", sch, engine=engine)

@@ -1,4 +1,4 @@
-"""The run-level result cache and the persistent sweep engine.
+"""The run-level result cache and the sweep engine over it.
 
 Property suites pinning the PR 4 guarantees (and the PR 5 LRU bound
 and canonical partition digests):
@@ -7,15 +7,15 @@ and canonical partition digests):
   reproduces the exact :class:`~repro.net.run.RunResult` a fresh run
   computes (the run is a pure function of its key), for workers ∈
   {1, 2};
-* **pool reuse determinism** — two back-to-back sweeps through one
-  ``persistent``-lifetime :class:`~repro.net.executor.SweepEngine` are
-  observation-for-observation identical to the serial sweeps;
+* **engine reuse determinism** — two back-to-back sweeps through one
+  :class:`~repro.net.executor.SweepEngine` are observation-for-observation
+  identical to the serial sweeps;
 * **fingerprint soundness** — structurally identical transducers share
   a canonical fingerprint (what makes persisted entries reusable
   across processes), different transducers never do, and transducers
   with non-canonical queries get session-local fingerprints that the
   disk tier refuses to carry;
-* **shutdown discipline** — clean exits drain worker pools
+* **shutdown discipline** — clean session exits drain worker pools
   (``close``+``join``), only exceptional exits terminate them.
 """
 
@@ -353,45 +353,34 @@ class TestRunCacheDeterminism:
     def test_calm_verdict_with_cache_and_pool_matches_plain(self):
         plain = calm_verdict(transitive_closure_transducer(), GRAPH)
         cache = RunCache()
-        with SweepEngine(workers=2, lifetime="persistent") as engine:
-            cached = calm_verdict(
-                transitive_closure_transducer(), GRAPH,
-                run_cache=cache, engine=engine,
-            )
-            assert cache.cache_misses > 0
-            rerun = calm_verdict(
-                transitive_closure_transducer(), GRAPH,
-                run_cache=cache, engine=engine,
-            )
+        engine = SweepEngine(workers=2, lifetime="fork")
+        cached = calm_verdict(
+            transitive_closure_transducer(), GRAPH,
+            run_cache=cache, engine=engine,
+        )
+        assert cache.cache_misses > 0
+        rerun = calm_verdict(
+            transitive_closure_transducer(), GRAPH,
+            run_cache=cache, engine=engine,
+        )
         assert cached == plain
         assert rerun == plain
 
 
 # ---------------------------------------------------------------------------
-# Persistent pool: reuse across sweeps, determinism
+# One engine, many sweeps: determinism
 # ---------------------------------------------------------------------------
 
 
-
-def _persistent_engine(workers):
-    """A persistent-lifetime engine; one worker cannot fork, so it is
-    the serial engine."""
-    return SweepEngine(
-        workers=workers, lifetime="persistent" if workers > 1 else None
-    )
-
-
-class TestPersistentEngine:
+class TestEngineReuse:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_back_to_back_sweeps_match_serial(self, workers):
         partitions = sample_partitions(GRAPH, line(3), 3)
         serial_a = sweep_runs(line(3), TC, partitions, (0, 1))
         serial_b = sweep_runs(line(3), TC, partitions, (2, 3))
-        with _persistent_engine(workers) as pool:
-            pooled_a = sweep_runs(line(3), TC, partitions, (0, 1), engine=pool)
-            pooled_b = sweep_runs(line(3), TC, partitions, (2, 3), engine=pool)
-            if pool.parallel:
-                assert pool.maps_served == 2  # one fork, two sweeps
+        engine = SweepEngine(workers=workers)
+        pooled_a = sweep_runs(line(3), TC, partitions, (0, 1), engine=engine)
+        pooled_b = sweep_runs(line(3), TC, partitions, (2, 3), engine=engine)
         assert pooled_a == serial_a
         assert pooled_b == serial_b
 
@@ -401,37 +390,29 @@ class TestPersistentEngine:
         inst, network, seed = case
         partitions = sample_partitions(inst, network, 3)
         serial = sweep_runs(network, TC, partitions, (seed, seed + 1))
-        with _persistent_engine(workers) as pool:
-            pooled = sweep_runs(
-                network, TC, partitions, (seed, seed + 1), engine=pool
-            )
+        pooled = sweep_runs(
+            network, TC, partitions, (seed, seed + 1),
+            engine=SweepEngine(workers=workers),
+        )
         assert pooled == serial
 
-    def test_map_preserves_order_and_reuses_pool(self):
-        with _persistent_engine(2) as pool:
-            for _ in range(3):
-                out = pool.map(_double, "ctx", list(range(7)))
-                assert out == [("ctx", i * 2) for i in range(7)]
-            if pool.parallel:
-                assert pool.maps_served == 3
-
-    def test_single_item_map_runs_in_process(self):
-        with _persistent_engine(2) as pool:
-            assert pool.map(_double, "c", [3]) == [("c", 6)]
-            assert pool.maps_served == 0  # no fan-out for one item
+    def test_consecutive_maps_preserve_order(self):
+        engine = SweepEngine(workers=2)
+        for _ in range(3):
+            out = engine.map(_double, "ctx", list(range(7)))
+            assert out == [("ctx", i * 2) for i in range(7)]
 
     def test_workers_one_is_serial(self):
-        pool = _persistent_engine(1)
-        assert not pool.parallel
-        assert pool.map(_double, "c", [1, 2]) == [("c", 2), ("c", 4)]
-        pool.close()  # no-op, never forked
+        engine = SweepEngine(workers=1)
+        assert not engine.parallel
+        assert engine.map(_double, "c", [1, 2]) == [("c", 2), ("c", 4)]
 
-    def test_close_is_idempotent(self):
-        pool = _persistent_engine(2)
-        pool.map(_double, "c", [1, 2, 3])
-        pool.close()
-        pool.close()
-        pool.terminate()
+    def test_session_close_is_idempotent(self):
+        session = SweepEngine(workers=2).session(_double, "c")
+        assert session.map([1, 2, 3]) == [("c", 2), ("c", 4), ("c", 6)]
+        session.close()
+        session.close()
+        session.terminate()
 
 
 def _double(context, item):
@@ -472,23 +453,6 @@ class TestShutdownDiscipline:
         session._pool = fake
         with pytest.raises(RuntimeError):
             with session:
-                raise RuntimeError("boom")
-        assert fake.calls == ["terminate", "join"]
-
-    def test_pool_clean_exit_closes_not_terminates(self):
-        pool = _persistent_engine(2)
-        fake = _FakePool()
-        pool._pool = fake
-        with pool:
-            pass
-        assert fake.calls == ["close", "join"]
-
-    def test_pool_exceptional_exit_terminates(self):
-        pool = _persistent_engine(2)
-        fake = _FakePool()
-        pool._pool = fake
-        with pytest.raises(RuntimeError):
-            with pool:
                 raise RuntimeError("boom")
         assert fake.calls == ["terminate", "join"]
 
@@ -1362,11 +1326,11 @@ class TestParallelSweepCache:
             run_cache=serial_cache,
         )
         parallel_cache = RunCache(max_entries=3)
-        with SweepEngine(workers=2, lifetime="fork") as engine:
-            parallel = sweep_runs(
-                line(3), transitive_closure_transducer(), partitions, (0, 1),
-                run_cache=parallel_cache, engine=engine,
-            )
+        parallel = sweep_runs(
+            line(3), transitive_closure_transducer(), partitions, (0, 1),
+            run_cache=parallel_cache,
+            engine=SweepEngine(workers=2, lifetime="fork"),
+        )
         assert parallel == serial
         got, want = parallel_cache.stats(), serial_cache.stats()
         # A weight is a pickled size, which follows object sharing, and
@@ -1374,36 +1338,6 @@ class TestParallelSweepCache:
         del got["bytes"], want["bytes"]
         assert got == want
         assert list(parallel_cache.entries) == list(serial_cache.entries)
-
-    def test_payload_does_not_carry_the_cache(self, monkeypatch):
-        import repro.net.executor as executor
-
-        sizes = []
-        dumps = executor.pickle.dumps
-
-        def recording(obj, *args, **kwargs):
-            blob = dumps(obj, *args, **kwargs)
-            if type(obj) is tuple and obj and obj[0] is executor._run_task:
-                sizes.append(len(blob))
-            return blob
-
-        monkeypatch.setattr(executor.pickle, "dumps", recording)
-        td = transitive_closure_transducer()
-        cache = RunCache()
-        with SweepEngine(workers=2, lifetime="persistent") as engine:
-            sweep_runs(
-                line(2), td, sample_partitions(GRAPH, line(2), 2), (0, 1),
-                run_cache=cache, engine=engine,
-            )
-            for i in range(300):
-                cache.record(("filler", i), "x" * 64)
-            assert len(cache) >= 300
-            sweep_runs(
-                line(2), td, sample_partitions(GRAPH, line(2), 2), (2, 3),
-                run_cache=cache, engine=engine,
-            )
-        assert len(sizes) == 2
-        assert sizes[0] == sizes[1]
 
 
 # ---------------------------------------------------------------------------

@@ -83,17 +83,15 @@ class TestSweepEngine:
     def test_explicit_lifetime_with_one_worker_rejected(self):
         # ... but an explicitly requested parallel lifetime that
         # cannot parallelize is a misconfiguration, not a preference.
-        for lifetime in ("fork", "persistent"):
-            with pytest.raises(ValueError, match="workers=1"):
-                SweepEngine(workers=1, lifetime=lifetime)
+        with pytest.raises(ValueError, match="workers=1"):
+            SweepEngine(workers=1, lifetime="fork")
 
     def test_explicit_lifetime_without_fork_rejected(self, monkeypatch):
         from repro.net import executor as executor_module
 
         monkeypatch.setattr(executor_module, "_fork_context", lambda: None)
-        for lifetime in ("fork", "persistent"):
-            with pytest.raises(ValueError, match="fork"):
-                SweepEngine(workers=2, lifetime=lifetime)
+        with pytest.raises(ValueError, match="fork"):
+            SweepEngine(workers=2, lifetime="fork")
         # the default path still degrades quietly
         assert SweepEngine(workers=2, lifetime=None).lifetime == "serial"
 
@@ -109,26 +107,41 @@ class TestSweepEngine:
             ("ctx", i * 2) for i in items
         ]
 
-    @pytest.mark.parametrize("lifetime", ["serial", "fork", "persistent"])
+    @pytest.mark.parametrize("lifetime", ["serial", "fork"])
     def test_every_lifetime_maps_in_order(self, lifetime):
-        with SweepEngine(workers=2, lifetime=lifetime) as engine:
-            items = list(range(9))
-            assert engine.map(_double, "ctx", items) == [
-                ("ctx", i * 2) for i in items
-            ]
+        engine = SweepEngine(workers=2, lifetime=lifetime)
+        items = list(range(9))
+        assert engine.map(_double, "ctx", items) == [
+            ("ctx", i * 2) for i in items
+        ]
 
-    @pytest.mark.parametrize("lifetime", ["fork", "persistent"])
+    @pytest.mark.parametrize("lifetime", ["serial", "fork"])
     def test_single_item_maps_run_in_process(self, lifetime, monkeypatch):
-        # A pool for one task costs a fork and buys nothing.
+        # A pool for one task costs a fork and buys nothing; the map
+        # calls fn inline without even opening a session.
         from repro.net import executor as executor_module
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a single-item map reached the pool")
 
         monkeypatch.setattr(executor_module, "_supervised_map", no_pool)
-        with SweepEngine(workers=2, lifetime=lifetime) as engine:
-            assert engine.map(_double, "ctx", [3]) == [("ctx", 6)]
-            assert engine.map(_double, "ctx", []) == []
+        monkeypatch.setattr(executor_module, "EngineSession", no_pool)
+        engine = SweepEngine(workers=2, lifetime=lifetime)
+        assert engine.map(_double, "ctx", [3]) == [("ctx", 6)]
+        assert engine.map(_double, "ctx", []) == []
+
+    def test_serial_maps_open_no_session(self, monkeypatch):
+        from repro.net import executor as executor_module
+
+        def no_session(*args, **kwargs):
+            raise AssertionError("a serial map opened a session")
+
+        monkeypatch.setattr(executor_module, "EngineSession", no_session)
+        engine = SweepEngine(workers=2, lifetime="serial")
+        items = list(range(5))
+        assert engine.map(_double, "ctx", items) == [
+            ("ctx", i * 2) for i in items
+        ]
 
 
 # Summaries live on the transducer, so no entry point takes a memo knob.

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import socket
 import sys
 import threading
 import urllib.error
@@ -150,6 +151,24 @@ class TestHttpSurface:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(req, timeout=30)
         assert info.value.code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "12x", "-1"])
+    def test_bad_content_length_400s(self, service, length):
+        # A raw socket: urllib would not send a malformed header.
+        config = service.service.config
+        with socket.create_connection(
+            (config.host, config.port), timeout=30
+        ) as conn:
+            conn.sendall(
+                f"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {length}\r\n\r\n{{}}".encode()
+            )
+            response = b""
+            while chunk := conn.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(body) == {"error": "bad Content-Length"}
 
     def test_bad_spec_400s_with_code(self, service):
         status, body = _request(
@@ -478,8 +497,6 @@ class TestCleanShutdown:
         # A job held at the start of its run keeps its SSE stream open
         # while the service stops; shutdown cancels the stream's
         # handler, and nothing may reach the loop's exception handler.
-        import socket
-
         st = ServiceThread(ServiceConfig(port=0, job_workers=1)).start()
         reported = []
         st._loop.call_soon_threadsafe(
