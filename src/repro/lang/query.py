@@ -14,11 +14,13 @@ author's obligation; :func:`check_generic` spot-checks it).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from weakref import WeakKeyDictionary
 
 from ..db.instance import Instance
 from ..db.schema import DatabaseSchema
 from ..db.values import Permutation
 from .ast import Formula, Var
+from .engine import resolve_engine
 from . import fo
 
 
@@ -50,6 +52,12 @@ class Query:
         return False
 
 
+#: Each FOQuery's compiled plan, looked up by the query's identity so
+#: a call hashes no formula.  Kept beside the query, not on it: pickles
+#: and run-cache fingerprints see only the formula.
+_FO_PLANS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 class FOQuery(Query):
     """An FO formula with an explicit answer-variable order.
 
@@ -66,8 +74,6 @@ class FOQuery(Query):
         engine: str | None = None,
     ):
         if engine is not None:
-            from .engine import resolve_engine
-
             resolve_engine(engine)  # validate eagerly; resolve per call
         free = formula.free_vars()
         declared = set(answer_vars)
@@ -103,8 +109,10 @@ class FOQuery(Query):
         return cls(formula, tuple(Var(n) for n in names), input_schema, **kwargs)
 
     def __call__(self, instance: Instance) -> frozenset[tuple]:
-        result = fo.evaluate(self.formula, instance, engine=self.engine)
-        return result.reorder(self.answer_vars).rows
+        plan = _FO_PLANS.get(self)
+        if plan is None:
+            plan = _FO_PLANS[self] = fo.compile_formula(self.formula, self.answer_vars)
+        return plan(instance, None, resolve_engine(self.engine))
 
     def relations(self) -> frozenset[str]:
         return self.formula.relations()

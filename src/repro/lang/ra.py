@@ -1,10 +1,12 @@
 """Relational-algebra evaluation core.
 
-The FO evaluator (:mod:`repro.lang.fo`) works bottom-up: every
-subformula denotes a *named relation* — a set of rows over the
-subformula's free variables.  This module supplies that named-relation
-data structure and its operators (natural join, union with
-active-domain padding, complement, projection, renaming).
+The FO reference interpreter (:func:`repro.lang.fo._eval`) works
+bottom-up: every subformula denotes a *named relation* — a set of rows
+over the subformula's free variables.  This module supplies that
+named-relation data structure and its operators (natural join, union
+with active-domain padding, complement, projection, renaming).  The
+compiled FO plan uses only the data structure, as the answer of
+:func:`repro.lang.fo.evaluate` and as the operand of the columnar join.
 
 The rows are plain tuples; the column order is explicit.  All operators
 are pure.
@@ -55,10 +57,6 @@ class NamedRelation:
     def nullary(cls, truth: bool) -> "NamedRelation":
         """The 0-column relation: {()} for true, {} for false."""
         return cls((), [()] if truth else [])
-
-    def is_true(self) -> bool:
-        """For 0-column relations: whether the empty row is present."""
-        return bool(self.rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -164,10 +162,6 @@ class NamedRelation:
         """All rows over ``domain^k`` not in the relation (adom semantics)."""
         universe = _product(domain, len(self.columns))
         return NamedRelation(self.columns, (r for r in universe if r not in self.rows))
-
-    def select_equal(self, i: int, j: int) -> "NamedRelation":
-        """Rows where columns *i* and *j* are equal."""
-        return NamedRelation(self.columns, (r for r in self.rows if r[i] == r[j]))
 
 
 def _pad(row: tuple, extra: int, domain: frozenset) -> Iterable[tuple]:

@@ -22,9 +22,37 @@ from . import routes
 
 _MAX_BODY = 8 * 1024 * 1024
 
-#: The body :meth:`VerificationService._read_request` returns for a
-#: Content-Length that is not a decimal digit string.
-_BAD_LENGTH = object()
+#: How long, and how much, a rejected request's unread input is drained
+#: before the connection closes (see ``VerificationService._reject``).
+_DRAIN_SECONDS = 2.0
+_DRAIN_BYTES = 1024 * 1024
+
+_REASONS = {
+    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
+    405: "Method Not Allowed", 414: "URI Too Long",
+    431: "Request Header Fields Too Large", 503: "Service Unavailable",
+}
+
+
+class _RequestError(Exception):
+    """A request answered with an error *status* before it is fully read."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+        self.message = message
+
+
+async def _readline(reader: asyncio.StreamReader, status: int, what: str) -> bytes:
+    """One line; a line over the reader's limit raises :class:`_RequestError`.
+
+    ``StreamReader.readline`` reports an over-long line as ``ValueError``
+    (it catches its own ``LimitOverrunError``).
+    """
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _RequestError(status, f"{what} too long") from None
 
 
 @dataclass
@@ -75,8 +103,8 @@ class VerificationService:
 
     async def _read_request(self, reader: asyncio.StreamReader):
         try:
-            request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
+            request_line = await _readline(reader, 414, "request line")
+        except ConnectionError:
             return None
         if not request_line:
             return None
@@ -86,7 +114,7 @@ class VerificationService:
             return None
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _readline(reader, 431, "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -95,7 +123,7 @@ class VerificationService:
         # HTTP allows digits only; int() would also take "-1", "+5" and
         # "1_000".
         if not (raw_length.isascii() and raw_length.isdigit()):
-            return method, target, headers, _BAD_LENGTH
+            raise _RequestError(400, "bad Content-Length")
         length = int(raw_length)
         if length > _MAX_BODY:
             return method, target, headers, None
@@ -106,11 +134,8 @@ class VerificationService:
     def _response(
         status: int, body: bytes, content_type: str = "application/json"
     ) -> bytes:
-        reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 405: "Method Not Allowed",
-                  503: "Service Unavailable"}.get(status, "OK")
         head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
+            f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
             "Connection: close\r\n\r\n"
@@ -122,15 +147,39 @@ class VerificationService:
         body = json.dumps(payload, sort_keys=True).encode()
         return VerificationService._response(status, body)
 
+    async def _reject(self, reader, writer, error: _RequestError) -> None:
+        """Answer *error*, then drain what the client still sends.
+
+        Closing a socket with unread input resets the connection, and a
+        reset can reach the client before it reads the answer.  So the
+        write side is shut first and the input read to its end, for at
+        most ``_DRAIN_SECONDS`` and ``_DRAIN_BYTES``.
+        """
+        writer.write(self._json(error.status, {"error": error.message}))
+        await writer.drain()
+        if writer.can_write_eof():
+            writer.write_eof()
+
+        async def drain_input() -> None:
+            left = _DRAIN_BYTES
+            while left > 0 and (chunk := await reader.read(65536)):
+                left -= len(chunk)
+
+        try:
+            await asyncio.wait_for(drain_input(), _DRAIN_SECONDS)
+        except asyncio.TimeoutError:
+            pass
+
     async def _handle(self, reader, writer):
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except _RequestError as error:
+                await self._reject(reader, writer, error)
+                return
             if request is None:
                 return
             method, target, _headers, body = request
-            if body is _BAD_LENGTH:
-                writer.write(self._json(400, {"error": "bad Content-Length"}))
-                return
             path, _, query = target.partition("?")
             parts = [p for p in path.split("/") if p]
 

@@ -170,6 +170,35 @@ class TestHttpSurface:
         assert head.startswith(b"HTTP/1.1 400")
         assert json.loads(body) == {"error": "bad Content-Length"}
 
+    def test_overlong_lines_answered_and_server_survives(self, service):
+        # Lines over the reader's 64 KiB limit, which asyncio reports as
+        # ValueError.  The 300,000-byte line also outgrows the reader's
+        # buffer, so the server closes with input unread: that resets
+        # the connection unless the server drains the input first.
+        config = service.service.config
+        cases = [
+            (f"GET /{'a' * size} HTTP/1.1\r\nHost: x\r\n\r\n",
+             b"HTTP/1.1 414 URI Too Long", "request line too long")
+            for size in (70_000, 300_000)
+        ] + [
+            (f"GET /healthz HTTP/1.1\r\nX-Big: {'b' * 70_000}\r\n\r\n",
+             b"HTTP/1.1 431 Request Header Fields Too Large",
+             "header line too long"),
+        ]
+        for request, status_line, error in cases:
+            with socket.create_connection(
+                (config.host, config.port), timeout=30
+            ) as conn:
+                conn.sendall(request.encode())
+                response = b""
+                while chunk := conn.recv(4096):
+                    response += chunk
+            head, _, body = response.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0] == status_line
+            assert json.loads(body) == {"error": error}
+        status, _ = _request(service.base_url, "/healthz")
+        assert status == 200
+
     def test_bad_spec_400s_with_code(self, service):
         status, body = _request(
             service.base_url, "/jobs",
