@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 
 from ..db.fact import Fact
-from ..db.instance import Instance
+from ..db.instance import Instance, checked_extent
 from ..db.schema import DatabaseSchema, SchemaError
 from ..db.values import is_atomic
 from ..lang.ast import Atom, Eq, Rule, Var
@@ -116,10 +116,16 @@ class Transducer:
                 raise SchemaError(
                     f"{role} query has arity {query.arity}, expected {arity}"
                 )
+            reads = query.input_schema
             for rel in query.relations():
                 if rel not in combined:
                     raise SchemaError(
                         f"{role} query reads {rel!r} outside the combined schema"
+                    )
+                if rel in reads and reads[rel] != combined[rel]:
+                    raise SchemaError(
+                        f"{role} query reads {rel!r} with arity {reads[rel]}, "
+                        f"the combined schema's is {combined[rel]}"
                     )
             return query
 
@@ -271,34 +277,40 @@ class Transducer:
         return result
 
     def _compute(self, state: Instance, received: Instance) -> LocalTransition:
-        """The transition, evaluated (a transition-cache miss)."""
+        """The transition, evaluated (a transition-cache miss).
+
+        The send and insert answers were checked where they were
+        derived (:meth:`_evaluate`), and every other row is one of an
+        extent of *state* or *received*, so the sent instance and the
+        new state are built without checking any row again.
+        """
         # The group memo's entries for this thread, fetched once for
         # every lookup of the miss (Memo.get's LRU discipline, inline).
         groups = self._group_memo.local()
-        results = iter(self._evaluate(state, received, groups))
+        results = self._evaluate(state, received, groups)
         # Equal send answers give one sent instance, kept in the group
         # memo: its facts are then the same objects in every buffer
-        # they reach, and dict lookups match them by identity.  Its
-        # rows are validated once, like every sent fact.
-        answers = tuple(next(results) for _ in self.send_queries)
+        # they reach, and dict lookups match them by identity.
+        sends = len(self.send_queries)
+        answers = results[:sends]
         sent_key = ("sent", *answers)
         sent = groups.pop(sent_key, None)
         if sent is None:
-            sent = Instance.from_relations(
-                self.schema.messages, dict(zip(self.send_queries, answers))
-            )
+            sent = Instance._build(self.schema.messages, {
+                rel: rows for rel, rows in zip(self.send_queries, answers) if rows
+            })
             if len(groups) >= self._group_memo.limit:
                 del groups[next(iter(groups))]
         groups[sent_key] = sent  # inserted last: the dict order is the recency
-        output = frozenset(next(results))
+        output = frozenset(results[sends])
         # The update formula per memory relation, as a frozenset (old
         # is the left operand).  With nothing deleted it is old ∪ Qins,
         # which is old itself when Qins adds no row.
         rels = state._rels
-        updates = {}
-        for rel in self.schema.memory:
-            inserted = next(results)
-            deleted = next(results)
+        new_rels = None
+        for rel, inserted, deleted in zip(
+            self.schema.memory, results[sends + 1::2], results[sends + 2::2]
+        ):
             old = rels.get(rel, _EMPTY)
             if deleted:
                 updated = (
@@ -311,7 +323,12 @@ class Transducer:
             else:
                 updated = old | inserted
             if updated != old:
-                updates[rel] = updated
+                if new_rels is None:
+                    new_rels = dict(rels)
+                if updated:
+                    new_rels[rel] = updated
+                else:
+                    del new_rels[rel]
         # The frozen dataclass's __init__ pays one object.__setattr__ per
         # field; filling __dict__ in field order gives an equal object
         # that pickles to the same bytes.
@@ -319,7 +336,7 @@ class Transducer:
         local.__dict__.update(
             state=state,
             received=received,
-            new_state=state.set_relations(updates) if updates else state,
+            new_state=state if new_rels is None else Instance._build(state.schema, new_rels),
             sent=sent,
             output=output,
         )
@@ -346,6 +363,12 @@ class Transducer:
         built on the first transition-cache miss and never pickled.
         *groups* is the calling thread's group-memo dict
         (:meth:`Memo.local <repro.memo.Memo.local>`).
+
+        The rows a send or insert query derives become facts, so a
+        group's answer is checked when it is computed (not when the
+        memo returns it) and a direct query's on every run
+        (:func:`~repro.db.instance.checked_extent`).  A copy's rows
+        are those of an extent already checked.
         """
         plan = self.__dict__.get("_evaluation_plan")
         if plan is None:
@@ -357,7 +380,7 @@ class Transducer:
         rels = {**state._rels, **received._rels}
         combined = None
         out = []
-        for copies, role_groups, direct in roles:
+        for copies, role_groups, direct, checked in roles:
             rows = _EMPTY
             for name in copies:
                 answer = rels.get(name)
@@ -374,6 +397,8 @@ class Transducer:
                     if combined is None:
                         combined = Instance._build(combined_schema, rels)
                     answer = group(combined)
+                    if checked is not None:
+                        answer = checked_extent(*checked, answer)
                     if len(groups) >= limit:
                         del groups[next(iter(groups))]
                 groups[key] = answer  # inserted last: the dict order is the recency
@@ -383,56 +408,74 @@ class Transducer:
                 if combined is None:
                     combined = Instance._build(combined_schema, rels)
                 answer = direct(combined)
+                if checked is not None:
+                    answer = checked_extent(*checked, answer)
                 rows = rows | answer if rows else answer
             out.append(rows)
         return out
 
     def _role_plans(self) -> list:
-        """``(copied relations, memoized groups, direct query)`` per role.
+        """``(copied relations, memoized groups, direct query, checked)``
+        per role.
 
         A UCQ¬ query runs as its :func:`group_rules` copies and groups,
         each group paired with the relations it reads (their name when
         it reads one); its active-domain rules, if any, form the direct
         query, run on the combined instance.  Any other query is run
         directly, except that an ``EmptyQuery`` does not run at all.
+        *checked* is ``(relation, arity)`` for a send or insert role,
+        whose rows must be checked, else ``None``.
         """
-        queries = [
-            *self.send_queries.values(),
-            self.output_query,
-            *(q for rel in self.schema.memory
-              for q in (self.insert_queries[rel], self.delete_queries[rel])),
+        schema = self.schema
+        roles = [
+            *((q, (rel, schema.messages[rel])) for rel, q in self.send_queries.items()),
+            (self.output_query, None),
+            *(role for rel in schema.memory
+              for role in ((self.insert_queries[rel], (rel, schema.memory[rel])),
+                           (self.delete_queries[rel], None))),
         ]
-        roles = []
-        for query in queries:
+        plans = []
+        for query, checked in roles:
             if type(query) is EmptyQuery:
-                roles.append(((), (), None))
+                plans.append(((), (), None, None))
             elif isinstance(query, UCQNegQuery):
                 copies, groups, domain = group_rules(query.rules, query.input_schema)
-                roles.append((
+                plans.append((
                     copies,
                     tuple((RuleGroup(query, compiled, None),
                            reads[0] if len(reads) == 1 else reads)
                           for reads, compiled in groups),
                     RuleGroup(query, domain, _program_constants_rules(query.rules))
                     if domain else None,
+                    checked,
                 ))
             else:
-                roles.append(((), (), query))
-        return roles
+                plans.append(((), (), query, checked))
+        return plans
 
     def heartbeat(self, state: Instance) -> LocalTransition:
         """A transition reading no messages (the local half of a heartbeat)."""
         return self.transition(state, self._empty_received)
 
     def deliver(self, state: Instance, fact: Fact) -> LocalTransition:
-        """A transition reading the single message fact *fact*."""
+        """A transition reading the single message fact *fact*.
+
+        Cached under ``(state, fact)``: only a miss fetches the received
+        instance ``{fact}``.
+        """
+        key = (state, fact)
+        cached = self._transition_cache.get(key)
+        if cached is not None:
+            return cached
         received = self._received_by_fact.get(fact)
         if received is None:
             received = Instance(
                 self.schema.messages.restrict([fact.relation]), (fact,)
             ).expand_schema(self.schema.messages)
             self._received_by_fact.put(fact, received)
-        return self.transition(state, received)
+        result = self._compute(state, received)
+        self._transition_cache.put(key, result)
+        return result
 
     def __repr__(self) -> str:
         return f"Transducer({self.name!r}, {self.schema!r})"

@@ -126,43 +126,10 @@ class Instance:
         """
         rels: dict[str, frozenset] = {}
         for name, tuples in relations.items():
-            arity = schema[name]  # raises SchemaError if absent
-            if isinstance(tuples, frozenset):
-                # Fast path for already-frozen extents (the fixpoint
-                # finalizers): validate in one pass, skip the rebuild.
-                # A non-tuple row (e.g. a raw string) falls back to the
-                # coercing slow path below.
-                all_tuples = True
-                for t in tuples:
-                    if not isinstance(t, tuple):
-                        all_tuples = False
-                        break
-                    if len(t) != arity:
-                        raise SchemaError(
-                            f"tuple {t!r} has arity {len(t)}, relation "
-                            f"{name} needs {arity}"
-                        )
-                    for v in t:
-                        if not is_atomic(v):
-                            raise ValueError(f"non-atomic value in fact: {v!r}")
-                if all_tuples:
-                    if tuples:
-                        rels[name] = tuples
-                    continue
-            rows = set()
-            for t in tuples:
-                t = tuple(t)
-                if len(t) != arity:
-                    raise SchemaError(
-                        f"tuple {t!r} has arity {len(t)}, relation {name} "
-                        f"needs {arity}"
-                    )
-                for v in t:
-                    if not is_atomic(v):
-                        raise ValueError(f"non-atomic value in fact: {v!r}")
-                rows.add(t)
+            # schema[name] raises SchemaError if the relation is absent.
+            rows = checked_extent(name, schema[name], tuples)
             if rows:
-                rels[name] = frozenset(rows)
+                rels[name] = rows
         return cls._build(schema, rels)
 
     @classmethod
@@ -357,33 +324,12 @@ class Instance:
         self, name: str, tuples: Iterable[tuple]
     ) -> "Instance":
         """Replace relation *name*'s extent wholesale."""
-        rows = frozenset(_checked_rows(name, self.schema[name], tuples))
+        rows = checked_extent(name, self.schema[name], tuples)
         out = dict(self._rels)
         if rows:
             out[name] = rows
         else:
             out.pop(name, None)
-        return Instance._build(self.schema, out)
-
-    def set_relations(self, extents: Mapping[str, frozenset]) -> "Instance":
-        """Replace the extents of several relations, building one instance.
-
-        Only the rows new to a relation are checked, with the errors of
-        :meth:`set_relation`: the rows already in its extent here were
-        checked when this instance was built.  A transition's memory
-        update keeps most rows, so this is where it saves.
-        """
-        out = dict(self._rels)
-        for name, rows in extents.items():
-            new = rows - out.get(name, _EMPTY)
-            checked = frozenset(_checked_rows(name, self.schema[name], new))
-            if checked != new:
-                # A row that was not a tuple, coerced as set_relation does.
-                rows = (rows - new) | checked
-            if rows:
-                out[name] = rows
-            else:
-                out.pop(name, None)
         return Instance._build(self.schema, out)
 
     def rename(self, mapping: Mapping[str, str]) -> "Instance":
@@ -462,6 +408,30 @@ def _checked_rows(name: str, arity: int, tuples: Iterable) -> Iterator[tuple]:
             if not is_atomic(v):
                 raise ValueError(f"non-atomic value in fact: {v!r}")
         yield t
+
+
+def checked_extent(name: str, arity: int, rows: Iterable) -> frozenset:
+    """*rows* as an extent of relation *name*: a frozenset of tuples,
+    each checked for *arity* and atomic values.
+
+    A frozenset of tuples is returned as it is, so an extent an
+    evaluator built is shared, not rebuilt.  Otherwise each row is
+    coerced with ``tuple()`` (a raw string becomes its characters).
+    """
+    if isinstance(rows, frozenset):
+        for t in rows:
+            if not isinstance(t, tuple):
+                break
+            if len(t) != arity:
+                raise SchemaError(
+                    f"tuple {t!r} has arity {len(t)}, relation {name} needs {arity}"
+                )
+            for v in t:
+                if not is_atomic(v):
+                    raise ValueError(f"non-atomic value in fact: {v!r}")
+        else:
+            return rows
+    return frozenset(_checked_rows(name, arity, rows))
 
 
 def _unpickle_instance(schema: DatabaseSchema, rels: dict) -> Instance:

@@ -409,33 +409,31 @@ def _compile_exists(formula: Exists):
 
 
 def _compile_forall(formula: Forall):
+    # Over an empty domain ∀ holds vacuously, as ¬∃¬ does: a sentence
+    # is true and no row exists to keep.
     bcols, body = _compile(formula.body)
     bound = [v for v in formula.variables if v in bcols]
-    if not bound:
-        # The body does not mention a quantified variable: its truth is
-        # independent of them (vacuously so over an empty domain).
-        return bcols, body
     columns = tuple(c for c in bcols if c not in set(formula.variables))
-    phantom = len(bound) < len(formula.variables)
     n_bound = len(bound)
     if not columns:
         def forall_closed(inst, dom, col):
+            if not dom:
+                return True
             rows = body(inst, dom, col)
-            if phantom and not dom:
-                return bool(rows)
-            return bool(rows) and len(rows) == len(dom) ** n_bound
+            return len(rows) == len(dom) ** n_bound if n_bound else rows
 
         return (), forall_closed
+    if not bound:
+        # The body does not mention a quantified variable: over a
+        # nonempty domain its truth is independent of them.
+        return columns, lambda inst, dom, col: body(inst, dom, col) if dom else _EMPTY
     keep = _getter([bcols.index(c) for c in columns])
 
     def forall(inst, dom, col):
         # Rows are distinct, so a free key's count is the size of its
-        # section; it must cover domain^k.
-        rows = body(inst, dom, col)
-        if phantom and not dom:
-            return set(map(keep, rows))
+        # section; it must cover domain^k (no key does when it is empty).
         needed = len(dom) ** n_bound
-        counts = Counter(map(keep, rows))
+        counts = Counter(map(keep, body(inst, dom, col)))
         return {key for key, n in counts.items() if n == needed}
 
     return columns, forall
@@ -491,10 +489,14 @@ def _eval(
         inner = _eval(formula.body, instance, domain, engine)
         bound = tuple(v for v in formula.variables if v in inner.columns)
         free = tuple(c for c in inner.columns if c not in set(formula.variables))
-        phantom = [v for v in formula.variables if v not in inner.columns]
-        if phantom and not domain:
-            # ∀ over an empty domain is vacuously true for all rows.
-            return inner.project(free)
+        if not domain:
+            # ∀ over an empty domain holds vacuously: a sentence is
+            # true, and no row exists to keep.
+            return NamedRelation(free, () if free else [()])
+        if not bound:
+            # The body does not mention a quantified variable: its truth
+            # is independent of them.
+            return inner
         needed = len(domain) ** len(bound)
         sections: dict[tuple, set[tuple]] = {}
         free_index = [inner.columns.index(c) for c in free]
@@ -502,11 +504,7 @@ def _eval(
         for row in inner.rows:
             key = tuple(row[i] for i in free_index)
             sections.setdefault(key, set()).add(tuple(row[i] for i in bound_index))
-        rows = [key for key, sec in sections.items() if len(sec) == needed]
-        if not bound:
-            # all variables phantom: body's truth is independent of them
-            rows = [tuple(row[i] for i in free_index) for row in inner.rows]
-        return NamedRelation(free, rows)
+        return NamedRelation(free, [key for key, sec in sections.items() if len(sec) == needed])
     raise TypeError(f"not a formula: {formula!r}")
 
 

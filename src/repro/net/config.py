@@ -19,6 +19,7 @@ Both offer the read side schedulers and the convergence checks use:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import _count_elements
 from collections.abc import Iterable, Iterator, Mapping
 
 from ..db.fact import Fact
@@ -337,15 +338,10 @@ class WorkingConfiguration:
         """Add one occurrence of each of *facts* to each of *nodes*' buffers."""
         for v in nodes:
             counts = self._counts[v]
-            grew = False
-            for f in facts:
-                n = counts.get(f)
-                if n is None:
-                    counts[f] = 1
-                    grew = True
-                else:
-                    counts[f] = n + 1
-            if grew:
+            distinct = len(counts)
+            # Counter.update's C loop: counts[f] = counts.get(f, 0) + 1.
+            _count_elements(counts, facts)
+            if len(counts) != distinct:
                 self._sorted[v] = self._sets[v] = None
             self._multisets[v] = None
             self._total += len(facts)

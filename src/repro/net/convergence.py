@@ -32,13 +32,14 @@ immutable :class:`~repro.net.config.Configuration` and the run's
 ``distinct_set(node)``, ``distinct_buffer(node)``, ``fact in
 buffer(node)`` and ``version``.  A check therefore builds no snapshot.
 
-Between checks the tracker additionally keeps the last *failure
-witness* — the concrete non-quiet transition that refuted convergence.
-While that witness remains enabled (same node state, fact still
-buffered, outputs still unproduced), the verdict is still False and
-the check is O(1).  This is the delta-invalidation the ROADMAP asked
-for: only nodes whose state or buffers changed since the last check
-are ever re-examined.
+Between checks the tracker additionally keeps the *failure witnesses*
+of the last full check — concrete non-quiet transitions that refuted
+convergence; the check stops at its first one unless the run's
+scheduler reads more (``witnesses``).  While a witness remains
+enabled (same node state, fact still buffered, outputs still
+unproduced), the verdict is still False and the check is O(1).  This
+is the delta-invalidation the ROADMAP asked for: only nodes whose
+state or buffers changed since the last check are ever re-examined.
 """
 
 from __future__ import annotations
@@ -156,14 +157,20 @@ class ConvergenceTracker:
     so every run of a transducer reuses the summaries earlier runs
     proved.  Verdicts are unaffected: a memoized certificate equals
     what :meth:`_summarize` would compute (the tests pin warm == fresh).
+
+    A full check stops at the *witnesses*-th buffered refutation.  One
+    decides the verdict; summarizing more nodes to harvest more costs
+    more than the witness hits it buys, except to a scheduler that
+    delivers the witness facts (:meth:`witness_facts`).
     """
 
-    def __init__(self, network: Network, transducer: Transducer):
+    def __init__(self, network: Network, transducer: Transducer, witnesses: int = 1):
         self.network = network
         self.transducer = transducer
         self._nodes = network.sorted_nodes()
         self._neighbors = {v: tuple(network.neighbors(v)) for v in self._nodes}
         self._memo = transducer.summary_memo
+        self._witness_limit = witnesses
         self._witnesses: list[_Witness] = []
         self._last_config = None
         self._last_version = -1
@@ -214,8 +221,7 @@ class ConvergenceTracker:
         # still enabled — same node state (shared Instance objects make
         # the identity test catch unchanged nodes), fact (if any) still
         # buffered, outputs (if the refutation was output-only) still
-        # unproduced.  Witnesses at several nodes die independently, so
-        # a full check harvests a handful.
+        # unproduced.
         states = config.states
         for w in self._witnesses:
             state = states[w.node]
@@ -280,14 +286,12 @@ class ConvergenceTracker:
                 refuted = True
                 # Only buffered-fact (or heartbeat) refutations make
                 # cheap witnesses: closure-only facts would need a
-                # reachability re-proof to stay valid.  Keep walking the
-                # other nodes to harvest independent witnesses (they die
-                # independently, raising the O(1)-refutation hit rate);
-                # sends of a non-quiet node are not propagated, exactly
-                # as the exact test never explores past a refutation.
+                # reachability re-proof to stay valid.  Sends of a
+                # non-quiet node are not propagated, exactly as the exact
+                # test never explores past a refutation.
                 if cached.fact is None or cached.fact in config.buffer(v):
                     witnesses.append(_Witness(v, key[0], cached.fact, None))
-                    if len(witnesses) >= 8:
+                    if len(witnesses) >= self._witness_limit:
                         break
                 continue
             summaries[v] = cached

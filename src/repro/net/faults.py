@@ -312,6 +312,7 @@ class FaultyScheduler(Scheduler):
         self.name = f"faulty({inner.name})"
         self.uses_batching = inner.uses_batching
         self.final_check = inner.final_check
+        self.witnesses = inner.witnesses
 
     def __repr__(self) -> str:
         return f"FaultyScheduler({self.inner!r}, {self.plan!r})"

@@ -208,6 +208,7 @@ class RunContext:
         config: WorkingConfiguration,
         stats: RunStats,
         outputs: _OutputTracker,
+        witnesses: int = 1,
     ):
         self.network = network
         self.transducer = transducer
@@ -216,7 +217,7 @@ class RunContext:
         self._outputs = outputs
         #: The run's ConvergenceTracker.  Witness-aware schedulers read
         #: its cached failure witnesses; treat it as read-only.
-        self.tracker = ConvergenceTracker(network, transducer)
+        self.tracker = ConvergenceTracker(network, transducer, witnesses)
 
     @property
     def produced(self) -> frozenset:
@@ -260,25 +261,25 @@ def run_schedule(
     outputs = _OutputTracker()
     stats = RunStats()
     trace: list = []
-    ctx = RunContext(network, transducer, work, stats, outputs)
+    ctx = RunContext(network, transducer, work, stats, outputs, scheduler.witnesses)
     tracker = ctx.tracker
-
-    def check() -> bool:
-        return tracker.check(work, outputs.frozen())
+    reads_steps = scheduler.reads_steps
+    record = outputs.record
 
     converged = False
     verdict: bool | None = None
     generator = scheduler.schedule(ctx)
+    send = generator.send
     send_value: object = None
     while True:
         try:
-            action = generator.send(send_value)
+            action = send(send_value)
         except StopIteration as stop:
             verdict = stop.value
             break
         kind = action.kind
         if kind == "check":
-            if check():
+            if tracker.check(work, outputs.frozen()):
                 converged = True
                 break
             send_value = False
@@ -292,37 +293,42 @@ def run_schedule(
         if max_steps is not None and stats.steps >= max_steps:
             break
         node = action.node
-        if kind == "heartbeat":
-            received = ()
-            stats.heartbeats += 1
-            step_kind = "heartbeat"
-        elif kind == "deliver":
+        if kind == "deliver":
             received = (action.fact,)
             stats.deliveries += 1
-            step_kind = "delivery"
+        elif kind == "heartbeat":
+            received = ()
+            stats.heartbeats += 1
         elif kind == "deliver_batch":
             received = tuple(work.buffer(node))
             if not received:
                 raise ValueError(f"cannot batch-deliver from empty buffer of {node!r}")
             stats.deliveries += 1
-            step_kind = "delivery" if len(received) == 1 else "general"
         else:
             raise ValueError(f"unknown action kind {kind!r}")
         before = work.snapshot() if keep_trace else None
         local = apply_step(work, network, transducer, node, received)
         sent = local.sent.facts()
-        stats.steps += 1
+        steps = stats.steps = stats.steps + 1
         stats.facts_sent += len(sent)
-        outputs.record(node, local.output, stats.steps)
+        record(node, local.output, steps)
         if keep_trace:
             trace.append(GlobalTransition(before, node, received, local, work.snapshot()))
-        send_value = Step(node, step_kind, sent, local.output)
+        if reads_steps:
+            step_kind = (
+                "heartbeat" if not received
+                else "delivery" if len(received) == 1
+                else "general"
+            )
+            send_value = Step(node, step_kind, sent, local.output)
+        else:
+            send_value = None
 
     if not converged:
         if verdict is not None:
             converged = verdict
         elif scheduler.final_check:
-            converged = check()
+            converged = tracker.check(work, outputs.frozen())
     config, output, by_node = outputs.result_fields(work.snapshot())
     return RunResult(
         config=config,

@@ -13,7 +13,8 @@ A scheduler is a generator of :class:`Action` values:
 * ``heartbeat``/``deliver``/``deliver_batch`` actions are executed by
   the driver, which sends a :class:`~repro.net.transition.Step` record
   of the committed step (node, kind, sent facts, output) back into the
-  generator (so schedulers like fifo-rounds can track message order);
+  generator (so schedulers like fifo-rounds can track message order),
+  or ``None`` to a scheduler whose ``reads_steps`` is False;
 * ``check`` actions ask the driver to run the convergence test; the
   driver ends the run as soon as a check passes, so schedulers place
   checks wherever their schedule shape makes quiescence plausible;
@@ -170,9 +171,10 @@ def _reused_actions(nodes) -> tuple[Action, dict[Node, Action]]:
     return Action.check(), {v: Action.heartbeat(v) for v in nodes}
 
 
-# The driver sends back a Step (for transition actions), a FaultEvent
-# (for fault actions) or a bool (for check actions); the generator's return value is the
-# scheduler's own convergence verdict, None delegating to a final check.
+# The driver sends back a Step (for transition actions; None unless the
+# scheduler reads_steps), a FaultEvent (for fault actions) or a bool (for
+# check actions); the generator's return value is the scheduler's own
+# convergence verdict, None delegating to a final check.
 Schedule = Generator[Action, object, "bool | None"]
 
 
@@ -185,6 +187,12 @@ class Scheduler(ABC):
     #: When True and the schedule ends without a verdict, the driver
     #: runs one final convergence check (the fair-random contract).
     final_check: bool = True
+    #: When True the driver sends a :class:`~repro.net.transition.Step`
+    #: back for each committed step; when False it sends ``None``.
+    reads_steps: bool = True
+    #: How many failure witnesses a full convergence check of the run
+    #: collects (:class:`~repro.net.convergence.ConvergenceTracker`).
+    witnesses: int = 1
 
     @abstractmethod
     def schedule(self, ctx) -> Schedule:
@@ -207,6 +215,7 @@ class FairRandomScheduler(Scheduler):
     """
 
     name = "fair-random"
+    reads_steps = False
 
     def __init__(
         self,
@@ -222,27 +231,40 @@ class FairRandomScheduler(Scheduler):
 
     def schedule(self, ctx) -> Schedule:
         rng = random.Random(self.seed)
+        choice, draw, randrange = rng.choice, rng.random, rng.randrange
         nodes = ctx.network.sorted_nodes()
+        config = ctx.config
         check_every = self.check_every
         if check_every is None:
             check_every = max(8, 4 * len(nodes))
+        deliver_bias = self.deliver_bias
+        batching = self.uses_batching
         check, heartbeats = _reused_actions(nodes)
         yield check
         steps_since_check = 0
         while True:
-            node = rng.choice(nodes)
-            buffer = ctx.config.buffer(node)
-            if buffer and rng.random() < self.deliver_bias:
-                if self.uses_batching:
+            node = choice(nodes)
+            buffer = config.buffer(node)
+            if buffer and draw() < deliver_bias:
+                if batching:
                     yield Action.deliver_batch(node)
                 else:
                     choices = buffer.distinct()
-                    f = choices[rng.randrange(len(choices))]
-                    yield Action.deliver(node, f)
+                    # Action.deliver without the frozen dataclass's
+                    # __init__ (one object.__setattr__ per field): an
+                    # equal action.
+                    action = object.__new__(Action)
+                    action.__dict__.update(
+                        kind="deliver",
+                        node=node,
+                        fact=choices[randrange(len(choices))],
+                        payload=None,
+                    )
+                    yield action
             else:
                 yield heartbeats[node]
             steps_since_check += 1
-            if steps_since_check >= check_every or ctx.config.buffers_empty():
+            if steps_since_check >= check_every or config.buffers_empty():
                 steps_since_check = 0
                 yield check
 
@@ -363,6 +385,8 @@ class WitnessGuidedScheduler(Scheduler):
     Those facts are exactly what keeps the run alive, so each round
     delivers them before the ordinary drain sweep, shortening the
     convergence tail (the ROADMAP's witness-guided-scheduling item).
+    Its full checks collect up to ``witnesses`` of them, where other
+    schedulers' stop at the first.
 
     Round shape: heartbeat every node in sorted order; deliver every
     currently-buffered witness fact; then one rotating distinct fact
@@ -376,6 +400,7 @@ class WitnessGuidedScheduler(Scheduler):
     """
 
     name = "witness-guided"
+    witnesses = 8
 
     def __init__(self, max_rounds: int = 2_000, batch_delivery: bool = False):
         self.max_rounds = max_rounds

@@ -50,9 +50,10 @@ class GlobalTransition:
 
 
 class Step:
-    """What the run driver sends a scheduler back for a committed step:
-    the acting node, the step's kind (as :attr:`GlobalTransition.kind`),
-    the facts it sent and its output."""
+    """What the run driver sends a scheduler back for a committed step,
+    when the scheduler ``reads_steps``: the acting node, the step's kind
+    (as :attr:`GlobalTransition.kind`), the facts it sent and its
+    output."""
 
     __slots__ = ("node", "kind", "sent_facts", "output")
 

@@ -39,6 +39,16 @@ class TestConstruction:
         with pytest.raises(Exception):
             Transducer(tschema, send={"M": EmptyQuery(2, combined)})
 
+    def test_query_reading_another_arity_rejected(self):
+        # A copy of S would otherwise send binary rows as unary M facts.
+        from repro.lang.parser import parse_rule
+        from repro.lang.ucq import UCQNegQuery
+
+        wide = TransducerSchema(schema(S=2), schema(M=1), schema(R=1), 1)
+        copy = UCQNegQuery((parse_rule("M(x) :- S(x)."),), schema(S=1))
+        with pytest.raises(SchemaError, match="reads 'S' with arity 1"):
+            Transducer(wide, send={"M": copy})
+
     def test_query_reading_outside_combined_rejected(self, tschema):
         foreign = schema(Zap=1)
         with pytest.raises(Exception):
@@ -199,9 +209,18 @@ def _nested_value(instance):
     return [((1, 2),)]
 
 
+def _fixed_rows(rows, arity, input_schema):
+    """A query answering *rows* as given: a ``ConstantQuery`` checks its
+    rows when built, so they are replaced after."""
+    query = ConstantQuery(frozenset(), arity, input_schema)
+    query.tuples = frozenset(rows)
+    return query
+
+
 class TestMemoryRowsValidated:
-    """A row a query inserts into memory is checked like any fact,
-    also when the transition keeps the rest of the extent as it was."""
+    """A row a query inserts into memory or sends is checked like any
+    fact, also when the transition keeps the rest of the extent as it
+    was."""
 
     def _transducer(self, tschema, combined):
         return Transducer(
@@ -224,6 +243,28 @@ class TestMemoryRowsValidated:
         partition = full_replication(instance(schema(S=1), S=[(1,)]), network)
         with pytest.raises(ValueError, match="non-atomic"):
             run_fair(network, self._transducer(tschema, combined), partition, seed=0)
+
+    @pytest.mark.parametrize("role", ["send", "insert"])
+    @pytest.mark.parametrize("rows, error", [
+        ([((1, 2),)], "non-atomic"),
+        ([(1, 2)], "arity 2, relation . needs 1"),
+    ])
+    def test_a_bad_sent_or_inserted_row_raises(self, tschema, combined, role, rows, error):
+        relation = "M" if role == "send" else "R"
+        t = Transducer(tschema, **{role: {relation: _fixed_rows(rows, 1, combined)}})
+        state = t.make_state(Instance.empty(schema(S=1)), "v", frozenset({"v"}))
+        for _ in range(2):  # a failed transition is not cached
+            with pytest.raises(ValueError, match=error):
+                t.heartbeat(state)
+
+    def test_run_rejects_a_non_atomic_sent_row(self, tschema, combined):
+        from repro.net import full_replication, line, run_fair
+
+        network = line(2)
+        partition = full_replication(instance(schema(S=1), S=[(1,)]), network)
+        t = Transducer(tschema, send={"M": PythonQuery(_nested_value, 1, combined)})
+        with pytest.raises(ValueError, match="non-atomic"):
+            run_fair(network, t, partition, seed=0)
 
 
 class TestNoopDetection:

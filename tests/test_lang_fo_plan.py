@@ -7,7 +7,8 @@ answers, on every engine.  Hypothesis draws formulas with every
 connective, nullary atoms, repeated variables, constants inside and
 outside the active domain and quantifiers over variables absent from
 the body, on instances and domains that may be empty and that mix
-``1``, ``1.0`` and ``True``.  The unit tests pin the empty-domain rules
+``1``, ``1.0`` and ``True``.  ∀ must equal its dual ¬∃¬, empty
+instances included.  The unit tests pin the empty-domain rules
 and check that a used query pickles and fingerprints like a fresh one.
 """
 
@@ -131,6 +132,49 @@ class TestEmptyDomainRules:
     def test_empty_instance_default_domain(self):
         assert self.run("~U(x)", "x", domain=None) == frozenset()
         assert self.run("exists x: U(x)", "", domain=None) == frozenset()
+
+    def test_closed_forall_is_vacuous(self):
+        for text in ("forall x: U(x)", "forall x: U(x) -> S(x, x)",
+                     "forall x, y: U(x)", "forall x: exists y: U(y)"):
+            assert self.run(text, "", domain=None) == frozenset({()}), text
+
+    def test_closed_forall_agrees_with_not_exists_not(self):
+        assert self.run("forall x: U(x) -> S(x, x)", "", domain=None) == self.run(
+            "~(exists x: U(x) & ~S(x, x))", "", domain=None)
+
+    def test_closed_forall_ignores_rows_outside_the_domain(self):
+        assert self.run("forall x: U(x)", "", U=[(1,)]) == frozenset({()})
+
+    def test_open_forall_keeps_no_row(self):
+        assert self.run("forall y: S(x, y)", "x", S=[(1, 2)]) == frozenset()
+        assert self.run("forall y, w: S(x, y)", "x", S=[(1, 2)]) == frozenset()
+        assert self.run("forall w: U(x)", "x", U=[(1,)]) == frozenset()
+
+
+class TestForallIsNotExistsNot:
+    """``forall x̄: φ`` answers what ``~exists x̄: ~φ`` does over the
+    default domain (or a larger one), empty instances included."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        formulas(depth=2),
+        st.one_of(st.just(instance(SCHEMA)), instances()),
+        st.lists(st.sampled_from(VARS), min_size=1, max_size=2, unique=True),
+        st.frozensets(st.sampled_from(VALUES + CONSTANTS), max_size=2),
+        st.booleans(),
+    )
+    def test_forall_equals_not_exists_not(self, engine, body, inst, bound, extra, widen):
+        bound = tuple(bound)
+        forall = Forall(bound, body)
+        dual = Not(Exists(bound, Not(body)))
+        answer_vars = tuple(sorted(forall.free_vars(), key=lambda v: v.name))
+        domain = None
+        if widen:
+            domain = inst.active_domain() | formula_constants(forall) | extra
+        got = compile_formula(forall, answer_vars)(inst, domain, engine)
+        assert got == compile_formula(dual, answer_vars)(inst, domain, engine)
+        assert got == reference(forall, answer_vars, inst, domain, engine)
 
 
 class TestPlanShape:

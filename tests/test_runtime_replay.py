@@ -26,6 +26,7 @@ from repro.net import (
     run_fifo_rounds,
     run_heartbeat_only,
     run_schedule,
+    run_witness_guided,
     star,
 )
 
@@ -63,6 +64,21 @@ GOLDEN_FIFO = {
 }
 
 
+#: (name, batch_delivery) -> signature, captured before full
+#: convergence checks stopped at their first refutation: a
+#: witness-guided run still delivers the same witness facts.
+GOLDEN_WITNESS = {
+    ("tc-line3", False): (33, 15, 18, 46, 26, 9, True),
+    ("tc-line3", True): (24, 12, 12, 47, 17, 9, True),
+    ("tc-ring4", False): (41, 20, 21, 47, 32, 9, True),
+    ("tc-ring4", True): (32, 16, 16, 59, 22, 9, True),
+    ("relay-line2", False): (18, 8, 10, 35, 15, 3, True),
+    ("relay-line2", True): (8, 4, 4, 18, 6, 3, True),
+    ("relay-star5", False): (41, 20, 21, 41, 32, 3, True),
+    ("relay-star5", True): (20, 10, 10, 36, 12, 3, True),
+}
+
+
 def _signature(result):
     return (
         result.stats.steps,
@@ -94,6 +110,13 @@ class TestGoldenReplay:
         assert _signature(result) == GOLDEN_FIFO["tc-line3"]
         result = run_fifo_rounds(ring(4), RELAY, round_robin(ELEMENTS, ring(4)))
         assert _signature(result) == GOLDEN_FIFO["relay-ring4"]
+
+    @pytest.mark.parametrize("name,batched", sorted(GOLDEN_WITNESS))
+    def test_run_witness_guided_matches_goldens(self, name, batched):
+        transducer, I, net = WORKLOADS[name]
+        result = run_witness_guided(net, transducer, round_robin(I, net),
+                                    batch_delivery=batched)
+        assert _signature(result) == GOLDEN_WITNESS[(name, batched)]
 
     def test_run_heartbeat_only_matches_goldens(self):
         result = run_heartbeat_only(line(3), TC, full_replication(GRAPH, line(3)))
