@@ -23,10 +23,20 @@ ALL_RELATION = "All"
 SYSTEM_SCHEMA = DatabaseSchema({ID_RELATION: 1, ALL_RELATION: 1})
 
 
-class TransducerSchema:
-    """The 5-tuple (Sin, Ssys, Smsg, Smem, k) with Ssys fixed to {Id, All}."""
+#: The slots a transducer schema pickles; the derived schemas are
+#: rebuilt on load.
+_PARTS = ("inputs", "system", "messages", "memory", "output_arity")
 
-    __slots__ = ("inputs", "system", "messages", "memory", "output_arity")
+
+class TransducerSchema:
+    """The 5-tuple (Sin, Ssys, Smsg, Smem, k) with Ssys fixed to {Id, All}.
+
+    ``combined`` (Sin ∪ Ssys ∪ Smsg ∪ Smem, what every transducer query
+    reads) and ``state`` (Sin ∪ Ssys ∪ Smem, what a transducer state
+    instantiates) are computed once, when the schema is built.
+    """
+
+    __slots__ = (*_PARTS, "combined", "state")
 
     def __init__(
         self,
@@ -59,18 +69,21 @@ class TransducerSchema:
         self.messages = messages
         self.memory = memory
         self.output_arity = output_arity
+        self._derive()
 
-    # -- derived schemas ---------------------------------------------------
+    def _derive(self) -> None:
+        self.combined = self.inputs.union(self.system, self.messages, self.memory)
+        self.state = self.inputs.union(self.system, self.memory)
 
-    @property
-    def combined(self) -> DatabaseSchema:
-        """Sin ∪ Ssys ∪ Smsg ∪ Smem — what every transducer query reads."""
-        return self.inputs.union(self.system, self.messages, self.memory)
+    def __getstate__(self):
+        # What the default slot pickling writes for the five parts, so a
+        # schema pickles as it did before it kept its derived schemas.
+        return None, {name: getattr(self, name) for name in _PARTS}
 
-    @property
-    def state(self) -> DatabaseSchema:
-        """Sin ∪ Ssys ∪ Smem — what a transducer state instantiates."""
-        return self.inputs.union(self.system, self.memory)
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._derive()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TransducerSchema):

@@ -239,7 +239,10 @@ class Transducer:
         rels["Id"] = frozenset({(node,)})
         if all_nodes:
             rels["All"] = frozenset((v,) for v in all_nodes)
-        return Instance._build(self.schema.state, rels)
+        # A schema object per state, as when every call built the union:
+        # a run result pickles each one, and the run cache weighs
+        # results by their pickled size.
+        return Instance._build(self.schema.state._copy(), rels)
 
     def check_state(self, state: Instance) -> None:
         """Validate that *state* instantiates Sin ∪ Ssys ∪ Smem."""

@@ -89,6 +89,12 @@ class DatabaseSchema(Mapping[str, int]):
                 merged[name] = arity
         return DatabaseSchema(merged)
 
+    def _copy(self) -> "DatabaseSchema":
+        """An equal schema as an object of its own, not re-validated."""
+        copy = object.__new__(DatabaseSchema)
+        copy._arities = dict(self._arities)
+        return copy
+
     def restrict(self, names: Iterable[str]) -> "DatabaseSchema":
         """The sub-schema on the given relation names (all must exist)."""
         names = list(names)

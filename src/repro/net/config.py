@@ -383,11 +383,9 @@ def initial_configuration(
     Every node starts with an empty buffer, empty memory, its fragment
     of the input, ``Id = {v}`` and ``All = V``.
     """
-    if partition.nodes != network.nodes:
+    nodes = network.nodes
+    if partition.nodes != nodes:
         raise ValueError("partition nodes do not match network nodes")
-    states = {
-        v: transducer.make_state(partition.fragment(v), v, network.nodes)
-        for v in network.nodes
-    }
-    buffers = {v: FactMultiset.empty() for v in network.nodes}
-    return Configuration(states, buffers)
+    make_state = transducer.make_state
+    states = {v: make_state(partition.fragment(v), v, nodes) for v in nodes}
+    return _configuration(states, dict.fromkeys(nodes, FactMultiset.empty()))

@@ -134,6 +134,11 @@ def observe_runs(
 
     if partitions is None:
         partitions = sample_partitions(instance, network, partition_count)
+    # An empty grid observes nothing, and nothing agrees vacuously.
+    if not partitions:
+        raise ValueError("observing runs needs at least one partition")
+    if not seeds:
+        raise ValueError("observing runs needs at least one seed")
     return sweep_runs(
         network,
         transducer,

@@ -23,7 +23,13 @@ from .network import Network, Node
 
 
 class HorizontalPartition:
-    """A mapping from nodes to sub-instances whose union is the instance."""
+    """A mapping from nodes to sub-instances whose union is the instance.
+
+    The constructor proves that every fragment is a subset of the
+    instance and that the fragments cover it, which costs O(|I| · n).
+    The builders below place I's own facts, so their partitions hold
+    by construction and skip the proof (as unpickling does).
+    """
 
     __slots__ = ("instance", "_fragments", "_digest")
 
@@ -92,6 +98,7 @@ class HorizontalPartition:
 def _unpickle_partition(
     instance: Instance, fragments: dict
 ) -> HorizontalPartition:
+    """A partition over fragments already known to cover *instance*."""
     partition = object.__new__(HorizontalPartition)
     object.__setattr__(partition, "instance", instance)
     object.__setattr__(partition, "_fragments", fragments)
@@ -99,23 +106,41 @@ def _unpickle_partition(
     return partition
 
 
+def _placed(instance: Instance, buckets: dict[Node, set[Fact]]) -> HorizontalPartition:
+    """The partition placing each bucket of *instance*'s facts at its node.
+
+    The fragments are grouped as ``Instance(schema, bucket)`` groups
+    them, in the bucket's order, without checking facts that already
+    belong to the instance.
+    """
+    fragments = {}
+    for v, bucket in buckets.items():
+        rels: dict[str, set] = {}
+        for f in bucket:
+            rels.setdefault(f.relation, set()).add(f.values)
+        fragments[v] = Instance._build(
+            instance.schema, {name: frozenset(rows) for name, rows in rels.items()}
+        )
+    return _unpickle_partition(instance, fragments)
+
+
 def full_replication(instance: Instance, network: Network) -> HorizontalPartition:
     """Every node holds the entire instance (Prop. 11's witness partition)."""
-    return HorizontalPartition(
-        instance, {v: instance for v in network.nodes}
-    )
+    return _unpickle_partition(instance, {v: instance for v in network.nodes})
 
 
 def all_at_one(
     instance: Instance, network: Network, node: Node | None = None
 ) -> HorizontalPartition:
     """The whole instance at one node, nothing elsewhere."""
-    nodes = network.sorted_nodes()
-    target = nodes[0] if node is None else node
+    if node is None:
+        node = network.sorted_nodes()[0]
+    elif node not in network.nodes:
+        raise ValueError(f"node {node!r} is not in the network")
     empty = Instance.empty(instance.schema)
-    return HorizontalPartition(
+    return _unpickle_partition(
         instance,
-        {v: (instance if v == target else empty) for v in network.nodes},
+        {v: (instance if v == node else empty) for v in network.nodes},
     )
 
 
@@ -125,10 +150,7 @@ def round_robin(instance: Instance, network: Network) -> HorizontalPartition:
     buckets: dict[Node, set[Fact]] = {v: set() for v in nodes}
     for i, f in enumerate(sorted(instance.facts())):
         buckets[nodes[i % len(nodes)]].add(f)
-    return HorizontalPartition(
-        instance,
-        {v: Instance(instance.schema, bucket) for v, bucket in buckets.items()},
-    )
+    return _placed(instance, buckets)
 
 
 def random_partition(
@@ -147,10 +169,7 @@ def random_partition(
         for v in nodes:
             if v != home and rng.random() < replication:
                 buckets[v].add(f)
-    return HorizontalPartition(
-        instance,
-        {v: Instance(instance.schema, bucket) for v, bucket in buckets.items()},
-    )
+    return _placed(instance, buckets)
 
 
 def enumerate_partitions(
@@ -176,10 +195,7 @@ def enumerate_partitions(
         for f, owners in zip(instance_facts, assignment):
             for v in owners:
                 buckets[v].add(f)
-        yield HorizontalPartition(
-            instance,
-            {v: Instance(instance.schema, bucket) for v, bucket in buckets.items()},
-        )
+        yield _placed(instance, buckets)
         count += 1
         if max_count is not None and count >= max_count:
             return
@@ -191,13 +207,15 @@ def sample_partitions(
     count: int,
     seed: int = 0,
 ) -> list[HorizontalPartition]:
-    """A reproducible diverse sample: named specials plus random ones."""
-    out = [
-        full_replication(instance, network),
-        all_at_one(instance, network),
-        round_robin(instance, network),
-    ]
-    for i in range(max(0, count - len(out))):
+    """A reproducible diverse sample of *count* partitions: the named
+    specials (full replication, all at one node, round robin) first,
+    then seeded random ones.  Only the partitions returned are built.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    named = (full_replication, all_at_one, round_robin)
+    out = [build(instance, network) for build in named[:count]]
+    for i in range(count - len(named)):
         replication = [0.0, 0.3, 0.7][i % 3]
         out.append(random_partition(instance, network, seed + i, replication))
-    return out[:count] if count < len(out) else out
+    return out

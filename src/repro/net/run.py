@@ -124,6 +124,41 @@ class RunResult:
             f"steps={self.stats.steps})"
         )
 
+    def __getstate__(self):
+        # A run derives one row many times over, in several nodes'
+        # states, each time as a new tuple.  Pickle writes a shared
+        # object once and refers back to it after, so the first pickle
+        # swaps in an equal final configuration whose states share
+        # their rows with the output: the result pickles a quarter to
+        # two fifths smaller, and a byte-bounded RunCache, which weighs
+        # each cell by that size, keeps the compact form.  A run whose
+        # result is never pickled never pays for the sharing.
+        state = self.__dict__
+        if state.get("_rows_unshared"):
+            self.config = _shared_rows(self.config, self.output)
+            state.pop("_rows_unshared", None)
+        return state
+
+
+def _shared_rows(config: Configuration, output: frozenset) -> Configuration:
+    """*config* with every state row equal to another row, or to an
+    output row, replaced by one shared tuple."""
+    rows = dict(zip(output, output))
+
+    def share(extent) -> frozenset:
+        return frozenset([rows.setdefault(row, row) for row in extent])
+
+    # Nodes and relations in a fixed order: which of two equal rows is
+    # kept must not depend on string hashing.
+    states = {}
+    for v in sorted(config.states, key=repr):
+        state = config.states[v]
+        rels = state._rels
+        states[v] = Instance._build(
+            state.schema, {rel: share(rels[rel]) for rel in sorted(rels)}
+        )
+    return Configuration({v: states[v] for v in config.states}, config.buffers)
+
 
 class _OutputTracker:
     """Accumulates out(ρ) = ∪ out(τ) and the quiescence step."""
@@ -158,35 +193,19 @@ class _OutputTracker:
         """
         return self._frozen
 
-    def result_fields(
-        self, config: Configuration
-    ) -> tuple[Configuration, frozenset, dict[Node, frozenset]]:
-        """The final configuration and outputs, with equal rows shared.
+    def result_fields(self) -> tuple[frozenset, dict[Node, frozenset]]:
+        """The output and the outputs by node, frozen.
 
-        A run derives one row many times over (in several nodes'
-        states and outputs), each time as a new tuple.  Pickle writes a
-        shared object once and refers back to it after, so sharing the
-        rows makes a result pickle a quarter to two fifths smaller; a
-        byte-bounded :class:`~repro.net.runcache.RunCache` weighs each
-        cached run by that size.
+        Every node's rows are the output's own tuples, so each pickles
+        once; the states share theirs only when the result is pickled
+        (:meth:`RunResult.__getstate__`).  Both are built by inserting
+        the rows in the order of the sets that gathered them, which
+        fixes how each frozenset, and so the pickle, is laid out.
         """
-        rows: dict = {}
-
-        def share(extent) -> frozenset:
-            return frozenset([rows.setdefault(row, row) for row in extent])
-
-        output = share(self.output)
-        by_node = {v: share(s) for v, s in self.by_node.items()}
-        # Nodes and relations in a fixed order: which of two equal rows
-        # is kept must not depend on string hashing.
-        states = {}
-        for v in sorted(config.states, key=repr):
-            rels = config.states[v]._rels
-            states[v] = Instance._build(
-                config.states[v].schema, {rel: share(rels[rel]) for rel in sorted(rels)}
-            )
-        states = {v: states[v] for v in config.states}
-        return Configuration(states, config.buffers), output, by_node
+        output = frozenset(iter(self.output))
+        row = dict(zip(output, output)).__getitem__
+        by_node = {v: frozenset(map(row, s)) for v, s in self.by_node.items()}
+        return output, by_node
 
 
 class RunContext:
@@ -329,9 +348,9 @@ def run_schedule(
             converged = verdict
         elif scheduler.final_check:
             converged = tracker.check(work, outputs.frozen())
-    config, output, by_node = outputs.result_fields(work.snapshot())
-    return RunResult(
-        config=config,
+    output, by_node = outputs.result_fields()
+    result = RunResult(
+        config=work.snapshot(),
         output=output,
         outputs_by_node=by_node,
         converged=converged,
@@ -340,6 +359,8 @@ def run_schedule(
         trace=trace,
         scheduler=scheduler.name,
     )
+    result._rows_unshared = True
+    return result
 
 
 def run_fair(

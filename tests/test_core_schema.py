@@ -1,8 +1,11 @@
 """Transducer schemas: disjointness, the fixed system schema."""
 
+import pickle
+
 import pytest
 
 from repro.core import SYSTEM_SCHEMA, TransducerSchema
+from repro.core.examples import transitive_closure_transducer
 from repro.db import SchemaError, schema
 
 
@@ -51,3 +54,21 @@ class TestDerivedSchemas:
         assert hash(a) == hash(b)
         c = TransducerSchema(schema(S=2), schema(M=1), schema(R=1), 3)
         assert a != c
+
+    def test_derived_schemas_are_built_once(self):
+        t = transitive_closure_transducer()
+        s = t.schema
+        assert s.state is s.state
+        assert s.combined is s.combined
+        assert s.state == s.inputs.union(s.system, s.memory)
+        assert s.combined == s.inputs.union(s.system, s.messages, s.memory)
+
+    def test_pickles_only_its_five_parts(self):
+        t = TransducerSchema(schema(S=2), schema(M=1), schema(R=3), 1)
+        parts = ("inputs", "system", "messages", "memory", "output_arity")
+        # What default slot pickling writes for a schema of five slots.
+        slot_state = (None, {name: getattr(t, name) for name in parts})
+        assert t.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2] == slot_state
+        clone = pickle.loads(pickle.dumps(t))
+        assert clone == t
+        assert clone.state == t.state and clone.combined == t.combined

@@ -18,6 +18,7 @@ from repro.net import (
     computed_output,
     full_replication_suffices,
     line,
+    observe_runs,
     ring,
     single,
 )
@@ -40,6 +41,19 @@ class TestConsistencyChecker:
         assert report.consistent
         assert len(report.distinct_outputs) == 1
         assert report.unconverged == 0
+
+    def test_no_partitions_is_no_evidence(self, tc, I2):
+        with pytest.raises(ValueError, match="count"):
+            check_consistency(line(2), tc, I2, partition_count=0)
+
+    def test_no_seeds_is_no_evidence(self, tc, I2):
+        with pytest.raises(ValueError, match="seed"):
+            check_consistency(line(2), tc, I2, seeds=())
+
+    @pytest.mark.parametrize("check", [observe_runs, check_consistency])
+    def test_an_empty_partition_list_is_no_evidence(self, tc, I2, check):
+        with pytest.raises(ValueError, match="partition"):
+            check(line(2), tc, I2, partitions=[])
 
     def test_inconsistent_transducer_caught(self):
         t = first_element_transducer()

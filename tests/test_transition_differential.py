@@ -61,7 +61,7 @@ from repro.net import (
 )
 from repro.net.partition import random_partition
 from repro.net.run import run_fair
-from repro.net.runcache import transducer_fingerprint
+from repro.net.runcache import RunCache, transducer_fingerprint
 
 from test_net_config import read_side, recomputed
 from test_static_differential import fo_formulas, ucq_rules
@@ -612,9 +612,9 @@ class TestRunLoop:
         result = run_fair(network, transitive_closure_transducer(),
                           random_partition(CHAIN, network, seed=1), seed=1)
         assert result.converged and result.stats.steps > 40
-        # The final snapshot only: one configuration, one multiset per
-        # node whose buffer changed.
-        assert built == {"transitions": 0, "configurations": 1, "multisets": 3}
+        # The initial configuration and the final snapshot only: two
+        # configurations, one multiset per node whose buffer changed.
+        assert built == {"transitions": 0, "configurations": 2, "multisets": 3}
         traced = run_fair(network, transitive_closure_transducer(),
                           random_partition(CHAIN, network, seed=1), seed=1, keep_trace=True)
         assert built["transitions"] == traced.stats.steps
@@ -699,9 +699,36 @@ class TestLazyAndPickleStable:
         assert all(map(int.__lt__, traced, UNSHARED_TRACED_RUN_RESULT_BYTES))
 
     def test_run_result_shares_equal_rows(self):
-        for result in _chain_runs(transitive_closure_transducer()):
-            canonical = {row: row for row in result.output}
-            rows = [row for extent in result.outputs_by_node.values() for row in extent]
-            rows += [row for state in result.config.states.values()
-                     for row in state.relation("T")]
-            assert rows and all(canonical[row] is row for row in rows)
+        # Rows are shared in the pickled form, which a run cache weighs
+        # and keeps, and which crosses processes and the disk tier.
+        cache = RunCache()
+        for seed, result in enumerate(_chain_runs(transitive_closure_transducer())):
+            cache.record(("chain", seed), result)
+            for shared in (pickle.loads(pickle.dumps(result)), cache.get(("chain", seed))):
+                canonical = {row: row for row in shared.output}
+                rows = [row for extent in shared.outputs_by_node.values() for row in extent]
+                rows += [row for state in shared.config.states.values()
+                         for row in state.relation("T")]
+                assert rows and all(canonical[row] is row for row in rows)
+
+    def test_run_result_shares_its_rows_once(self, monkeypatch):
+        from repro.net import run as run_module
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return shared_rows(*args)
+
+        shared_rows = run_module._shared_rows
+        monkeypatch.setattr(run_module, "_shared_rows", counting)
+        result = _chain_runs(transitive_closure_transducer())[0]
+        unshared = result.config
+        cache = RunCache()
+        cache.record(("chain",), result)
+        first = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        assert pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL) == first
+        assert len(calls) == 1 and cache.bytes == len(first) == RUN_RESULT_BYTES[0]
+        assert result.config == unshared and result.config is not unshared
+        pickle.dumps(pickle.loads(first))
+        assert len(calls) == 1
