@@ -23,8 +23,7 @@ ALL_RELATION = "All"
 SYSTEM_SCHEMA = DatabaseSchema({ID_RELATION: 1, ALL_RELATION: 1})
 
 
-#: The slots a transducer schema pickles; the derived schemas are
-#: rebuilt on load.
+#: The slots a transducer schema pickles.
 _PARTS = ("inputs", "system", "messages", "memory", "output_arity")
 
 
@@ -76,8 +75,8 @@ class TransducerSchema:
         self.state = self.inputs.union(self.system, self.memory)
 
     def __getstate__(self):
-        # What the default slot pickling writes for the five parts, so a
-        # schema pickles as it did before it kept its derived schemas.
+        # The five parts alone, in the form default slot pickling
+        # writes them; the derived schemas are rebuilt on load.
         return None, {name: getattr(self, name) for name in _PARTS}
 
     def __setstate__(self, state) -> None:

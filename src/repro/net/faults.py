@@ -313,6 +313,14 @@ class FaultyScheduler(Scheduler):
         self.uses_batching = inner.uses_batching
         self.final_check = inner.final_check
         self.witnesses = inner.witnesses
+        self._acts_on_sent = (
+            plan.loss > 0.0 or bool(plan.link_loss) or plan.duplication > 0.0
+        )
+        # The wrapper reads a committed step only to act on the facts it
+        # sent: loss, duplication, and drops on a link a partition cut.
+        self.reads_steps = (
+            inner.reads_steps or self._acts_on_sent or plan.partition_rate > 0.0
+        )
 
     def __repr__(self) -> str:
         return f"FaultyScheduler({self.inner!r}, {self.plan!r})"
@@ -327,7 +335,7 @@ class FaultyScheduler(Scheduler):
         # rate-gated, so skipping never shifts the plan's RNG stream.
         # This keeps a zero-rate plan's wrapper overhead flat.
         rolls_partitions = plan.partition_rate > 0.0
-        acts_on_sent = plan.loss > 0.0 or bool(plan.link_loss) or plan.duplication > 0.0
+        acts_on_sent = self._acts_on_sent
         while True:
             try:
                 action = inner.send(send_value)
@@ -355,7 +363,7 @@ class FaultyScheduler(Scheduler):
                 send_value = _suppress(state, action)
                 continue
             transition = yield action
-            if transition.sent_facts and (acts_on_sent or state.cut):
+            if (acts_on_sent or state.cut) and transition.sent_facts:
                 yield from self._post_commit(ctx, state, rng, transition)
             send_value = transition
 

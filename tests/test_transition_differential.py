@@ -619,7 +619,7 @@ class TestRunLoop:
                           random_partition(CHAIN, network, seed=1), seed=1, keep_trace=True)
         assert built["transitions"] == traced.stats.steps
 
-    @pytest.mark.parametrize("runner", ["fair", "fifo", "witness", "faulty"])
+    @pytest.mark.parametrize("runner", ["fair", "fifo", "witness", "faulty", "crashy"])
     def test_a_step_is_built_only_for_a_scheduler_that_reads_it(self, runner, monkeypatch):
         from repro.net import run as run_module
 
@@ -635,11 +635,15 @@ class TestRunLoop:
         if runner == "faulty":
             result = run_fair(network, transitive_closure_transducer(), partition,
                               seed=1, faults=FaultPlan(seed=1, loss=0.1))
+        elif runner == "crashy":
+            # The fault wrapper reads a step only to act on what it sent.
+            result = run_fair(network, transitive_closure_transducer(), partition,
+                              seed=1, faults=FaultPlan(seed=1, crash=0.05, delay=0.1))
         else:
             result = RUNNERS[runner](network, transitive_closure_transducer(),
                                      partition, seed=1)
         assert result.stats.steps > 40
-        assert len(built) == (0 if runner == "fair" else result.stats.steps)
+        assert len(built) == (0 if runner in ("fair", "crashy") else result.stats.steps)
 
 
 # ---------------------------------------------------------------------------
