@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, cast
 from ..core.properties import property_report
 from ..core.transducer import Transducer
 from ..db.instance import Instance
-from ..db.schema import DatabaseSchema
 from ..lang.monotone import _AnswerTable, check_monotone_pair, instance_pairs
 from ..lang.query import Query
 from ..net.consistency import computed_output
@@ -306,8 +305,3 @@ def calm_verdict(
         sources=sources,
         static_report=static_report,
     )
-
-
-def empty_instance(schema: DatabaseSchema) -> Instance:
-    """Convenience: the empty instance of a schema."""
-    return Instance.empty(schema)

@@ -96,7 +96,7 @@ def parse_program_text(text: str, edb_overrides: DatabaseSchema | None = None):
 
     Text containing ``@next`` / ``@async`` parses as a
     :class:`~repro.dedalus.program.DedalusProgram`, everything else as
-    a :class:`~repro.lang.stratified.StratifiedProgram`.  The EDB
+    a :class:`~repro.lang.datalog.StratifiedProgram`.  The EDB
     schema is inferred (relations read but never derived) unless pinned
     via *edb_overrides*.  Raises :class:`ProgramSpecError` on parse or
     validation failure — shared by the linter CLI (which renders it as
@@ -106,7 +106,7 @@ def parse_program_text(text: str, edb_overrides: DatabaseSchema | None = None):
     from ..dedalus.parser import parse_dedalus_rules
     from ..dedalus.program import DedalusProgram
     from ..lang.parser import ParseError, parse_rules
-    from ..lang.stratified import (
+    from ..lang.datalog import (
         DatalogError,
         StratificationError,
         StratifiedProgram,
@@ -168,7 +168,7 @@ def analyze_object(obj) -> StaticReport:
     from ..core.transducer import Transducer
     from ..dedalus.program import DedalusProgram
     from ..lang.query import Query
-    from ..lang.stratified import StratifiedProgram, StratifiedQuery
+    from ..lang.datalog import StratifiedProgram, StratifiedQuery
 
     if callable(obj) and not isinstance(
         obj, (Transducer, Query, DedalusProgram, StratifiedProgram)

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, types only
-    from .static.diagnostics import Diagnostic, StaticReport
+    from .static.diagnostics import StaticReport
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +128,6 @@ def reports_to_json(reports: Iterable["StaticReport"]) -> dict:
         "warnings": sum(len(r.warnings()) for r in reports),
         "reports": [r.to_json() for r in reports],
     }
-
-
-def render_diagnostic(diagnostic: "Diagnostic", *, hint: bool = False) -> str:
-    """One diagnostic as a single gcc-style line (plus an optional hint)."""
-    loc = f" at {diagnostic.where}" if diagnostic.where else ""
-    sev = diagnostic.severity.value if diagnostic.severity else "warning"
-    line = f"{diagnostic.code} [{sev}]{loc}: {diagnostic.message}"
-    if hint:
-        line += f"\n    hint: {diagnostic.hint}"
-    return line
 
 
 def _indent(block: str, by: str = "   ") -> str:

@@ -22,7 +22,7 @@ The static pass answers:
 from __future__ import annotations
 
 from ...dedalus.program import DedalusProgram
-from ...lang.stratified import StratificationError
+from ...lang.datalog import StratificationError
 from .diagnostics import Diagnostic, StaticReport, Verdict
 from .polarity import DependencyGraph, _trim, rule_diagnostics
 
@@ -55,7 +55,7 @@ def analyze_dedalus(program: DedalusProgram) -> StaticReport:
 
     stratifiable = Verdict.CERTIFIED
     try:
-        program._check_deductive_stratifiable()
+        program._deductive_core()
     except StratificationError as exc:
         stratifiable = Verdict.REFUTED
         diagnostics.append(

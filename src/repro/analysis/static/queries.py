@@ -27,10 +27,8 @@ from ...lang.combinators import (
     UnionQuery,
     UpdateQuery,
 )
-from ...lang.datalog import DatalogQuery
+from ...lang.datalog import DatalogQuery, StratifiedQuery
 from ...lang.query import EmptyQuery, FOQuery, PythonQuery, Query
-from ...lang.stratified import StratifiedQuery
-from ...lang.nonrecursive import NonrecursiveQuery
 from ...lang.ucq import UCQNegQuery, UCQQuery
 from ...lang.whilelang import WhileQuery
 from .diagnostics import Diagnostic, StaticReport, Verdict, combine
@@ -176,6 +174,7 @@ def _analyze(query: Query) -> StaticReport:
             return _report(query, Verdict.CERTIFIED, [], [note])
         return _report(query, Verdict.UNKNOWN, found, [])
 
+    # Before its base class: a Datalog program is one negation-free stratum.
     if isinstance(query, DatalogQuery):
         return _report(
             query,
@@ -185,7 +184,7 @@ def _analyze(query: Query) -> StaticReport:
              "semantics is monotone in the EDB)"],
         )
 
-    if isinstance(query, (StratifiedQuery, NonrecursiveQuery)):
+    if isinstance(query, StratifiedQuery):
         return _analyze_program_output(query)
 
     # --- combinators and adaptors ------------------------------------
@@ -374,9 +373,7 @@ def _ucq_rule_diagnostics(rule) -> list[Diagnostic]:
     return rule_diagnostics(rule, idb=frozenset())
 
 
-def _analyze_program_output(
-    query: "StratifiedQuery | NonrecursiveQuery",
-) -> StaticReport:
+def _analyze_program_output(query: StratifiedQuery) -> StaticReport:
     """Output-sensitive certificate for stratified/nonrecursive programs.
 
     The query returns a single IDB relation of the perfect model; when

@@ -144,13 +144,6 @@ class ColumnarRelation:
         self.codes = codes
         self.arity = arity
 
-    @classmethod
-    def from_rows(
-        cls, rows: Iterable[tuple], arity: int, pool: ValuePool
-    ) -> "ColumnarRelation":
-        """Encode *rows* (tuples of dom values) through *pool*."""
-        return cls(pool.encode_rows(rows, arity), arity)
-
     def __len__(self) -> int:
         return len(self.codes)
 

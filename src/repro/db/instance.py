@@ -312,10 +312,6 @@ class Instance:
         }
         return Instance._build(sub_schema, kept)
 
-    def restrict_to_schema(self, sub: DatabaseSchema) -> "Instance":
-        """The sub-instance over the relations of *sub* (all must exist here)."""
-        return self.restrict(sub.relation_names())
-
     def expand_schema(self, extra: DatabaseSchema) -> "Instance":
         """Same facts, wider schema (adds empty relations)."""
         return Instance._build(self.schema.union(extra), self._rels)

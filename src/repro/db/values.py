@@ -67,11 +67,6 @@ class Permutation:
         self._map: dict[Value, Value] = dict(mapping)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Value, Value]]) -> "Permutation":
-        """Build a permutation from (old, new) pairs."""
-        return cls(dict(pairs))
-
-    @classmethod
     def swap(cls, a: Value, b: Value) -> "Permutation":
         """The transposition exchanging *a* and *b*."""
         if a == b:

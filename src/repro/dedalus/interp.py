@@ -26,9 +26,8 @@ from collections.abc import Mapping
 from ..db.fact import Fact
 from ..db.instance import Instance
 from ..db.schema import DatabaseSchema
-from ..lang.datalog import fire_rule
+from ..lang.datalog import fire_rule, stratified_fixpoint
 from ..lang.engine import make_pool, resolve_engine
-from ..lang.stratified import StratifiedProgram, stratified_fixpoint
 from .ast import NOW_RELATION, DedalusRule
 from .program import DedalusProgram
 
@@ -96,18 +95,6 @@ class DedalusInterpreter:
         self._full_schema = program.schema.union(
             DatabaseSchema({NOW_RELATION: 1})
         )
-        deductive = program.deductive_rules()
-        self._deductive_heads = {r.head.relation for r in deductive}
-        pseudo_edb = {
-            name: self._full_schema[name]
-            for name in self._full_schema
-            if name not in self._deductive_heads
-        }
-        self._deductive_program = (
-            StratifiedProgram(deductive, DatabaseSchema(pseudo_edb))
-            if deductive
-            else None
-        )
         # Shared across _fire_temporal calls and timesteps: the pool is
         # value-keyed and size-capped, so unchanged extents (e.g. a large
         # EDB) keep their indexes — or columnar encodings — for the run.
@@ -120,10 +107,10 @@ class DedalusInterpreter:
         facts = set(base)
         facts.add(Fact(NOW_RELATION, (t,)))
         instance = Instance(self._full_schema, facts)
-        if self._deductive_program is None:
+        if self.program.deductive_program is None:
             return instance
         result = stratified_fixpoint(
-            self._deductive_program, instance, pool=self._pool,
+            self.program.deductive_program, instance, pool=self._pool,
             engine=self.engine,
         )
         # stratified_fixpoint works over its own schema; re-expand,

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from ..db.schema import DatabaseSchema, SchemaError
 from ..lang.ast import Atom, Rule
-from ..lang.datalog import DatalogError
-from ..lang.stratified import StratifiedProgram
+from ..lang.datalog import DatalogError, StratifiedProgram
 from .ast import NOW_RELATION, DedalusRule, RuleKind
 from .parser import parse_dedalus_rules
 
@@ -76,7 +75,7 @@ class DedalusProgram:
                     )
                 if len(atom.terms) != full[atom.relation]:
                     raise DatalogError(f"arity mismatch on {atom!r}")
-        self._check_deductive_stratifiable()
+        self.deductive_program = self._deductive_core()
 
     @classmethod
     def parse(
@@ -102,15 +101,16 @@ class DedalusProgram:
     def async_rules(self) -> tuple[DedalusRule, ...]:
         return tuple(d for d in self.rules if d.kind is RuleKind.ASYNC)
 
-    def _check_deductive_stratifiable(self) -> None:
-        """Validate the deductive core via StratifiedProgram's machinery.
+    def _deductive_core(self) -> StratifiedProgram | None:
+        """The deductive rules as one :class:`StratifiedProgram` (``None``
+        when there are none), which validates them.
 
         IDB relations only defined by inductive/async rules act as EDB
         within a timestep.
         """
         deductive = self.deductive_rules()
         if not deductive:
-            return
+            return None
         deductive_heads = {r.head.relation for r in deductive}
         pseudo_edb = dict(self.edb_schema)
         pseudo_edb[NOW_RELATION] = 1
@@ -119,7 +119,7 @@ class DedalusProgram:
                 pseudo_edb[name] = arity
         # StratifiedProgram raises StratificationError when negation
         # occurs through recursion.
-        StratifiedProgram(deductive, DatabaseSchema(pseudo_edb))
+        return StratifiedProgram(deductive, DatabaseSchema(pseudo_edb))
 
     def is_entangled(self) -> bool:
         """Does any rule copy ``now`` into data positions?"""

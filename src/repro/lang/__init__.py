@@ -26,8 +26,14 @@ from .datalog import (
     DatalogError,
     DatalogProgram,
     DatalogQuery,
+    NonrecursiveProgram,
+    NonrecursiveQuery,
+    StratificationError,
+    StratifiedProgram,
+    StratifiedQuery,
     naive_fixpoint,
     seminaive_fixpoint,
+    stratified_fixpoint,
     tp_step,
 )
 from .engine import (
@@ -44,7 +50,6 @@ from .monotone import (
     find_monotonicity_counterexample,
     random_instance,
 )
-from .nonrecursive import NonrecursiveProgram, NonrecursiveQuery
 from .parser import ParseError, parse_formula, parse_rule, parse_rules
 from .query import (
     EmptyQuery,
@@ -54,12 +59,6 @@ from .query import (
     QueryUndefined,
     check_answers_in_adom,
     check_generic,
-)
-from .stratified import (
-    StratificationError,
-    StratifiedProgram,
-    StratifiedQuery,
-    stratified_fixpoint,
 )
 from .ucq import UCQNegQuery, UCQQuery
 from .whilelang import (

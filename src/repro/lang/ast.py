@@ -45,15 +45,6 @@ class Const:
 Term = Union[Var, Const]
 
 
-def term_vars(terms: tuple[Term, ...]) -> tuple[Var, ...]:
-    """The variables among *terms*, in order of first occurrence."""
-    seen: list[Var] = []
-    for t in terms:
-        if isinstance(t, Var) and t not in seen:
-            seen.append(t)
-    return tuple(seen)
-
-
 # ---------------------------------------------------------------------------
 # FO formulas
 # ---------------------------------------------------------------------------
@@ -102,15 +93,6 @@ class Atom(Formula):
 
     def is_positive(self) -> bool:
         return True
-
-    def substitute(self, binding: dict[Var, Term]) -> "Atom":
-        """Replace variables per *binding* (missing vars kept)."""
-        return Atom(
-            self.relation,
-            tuple(
-                binding.get(t, t) if isinstance(t, Var) else t for t in self.terms
-            ),
-        )
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(t) for t in self.terms)

@@ -1,20 +1,27 @@
-"""Datalog: monotone recursive rules, naive and semi-naive evaluation.
+"""Datalog, stratified Datalog and nonrecursive Datalog: one evaluator.
 
-"Datalog" in the paper is Datalog without negation or aggregates — the
-monotone fragment at the heart of the CALM conjecture.  Rule bodies may
-contain positive relational atoms and (in)equality literals; negated
-*relational* atoms are rejected (use :mod:`repro.lang.stratified`).
-Nonequality between variables keeps queries monotone, so it is allowed
-(a flag makes programs reject it for the strictest reading).
+The paper's rule languages are one family:
 
-Both fixpoint strategies are provided:
+* Datalog without negation or aggregates — the monotone fragment at
+  the heart of the CALM conjecture (Theorem 6(5));
+* stratified Datalog — the local language of Dedalus (Section 8: "the
+  local language is stratified Datalog");
+* nonrecursive Datalog with negation — exactly FO's power (Section 2,
+  Corollary 14(3)).
 
-* :func:`naive_fixpoint` — iterate the immediate-consequence operator
-  ``T_P`` from the empty IDB (also exposed as :func:`tp_step`, which the
-  Theorem 6(5) transducer bridge applies one step at a time);
-* :func:`seminaive_fixpoint` — standard differential evaluation.
+:class:`StratifiedProgram` validates programs and computes strata;
+:class:`DatalogProgram` adds one rule (no negated relational atom, so
+the program is one stratum) and :class:`NonrecursiveProgram` another
+(an acyclic dependency graph).  Nonequality between variables keeps
+queries monotone, so Datalog allows it.
 
-Both return the same model; benchmarks E17/E22 compare their cost.
+Evaluation is one semi-naive loop, :func:`_layer_fixpoint`, run once
+per stratum by :func:`stratified_fixpoint`; :func:`seminaive_fixpoint`
+is the one-stratum case.  :func:`naive_fixpoint` iterates the
+immediate-consequence operator ``T_P`` from the empty IDB (also exposed
+as :func:`tp_step`, which the Theorem 6(5) transducer bridge applies one
+step at a time); it is the reference the tests compare against, and
+benchmarks E17/E22 compare the two strategies' cost.
 
 Rule bodies are evaluated through compiled join plans
 (:mod:`repro.lang.joinplan`): each body is compiled once into a
@@ -40,7 +47,7 @@ from ..db.instance import Instance
 from ..db.schema import DatabaseSchema, SchemaError
 from .ast import Atom, Const, Eq, Literal, Rule, Var
 from .engine import make_pool, resolve_engine
-from .joinplan import JoinPlan, plan_for
+from .joinplan import IndexPool, JoinPlan, plan_for
 from .query import Query
 
 Relations = Mapping[str, frozenset]
@@ -52,8 +59,12 @@ class DatalogError(ValueError):
     """Raised on rules outside the Datalog fragment."""
 
 
+class StratificationError(DatalogError):
+    """Raised when a program has no stratification."""
+
+
 # ---------------------------------------------------------------------------
-# Body evaluation (shared by datalog and stratified datalog)
+# Body evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -246,32 +257,22 @@ def fire_rule(
 # ---------------------------------------------------------------------------
 
 
-class DatalogProgram:
-    """A pure (negation-free) Datalog program.
+class StratifiedProgram:
+    """A stratified Datalog program with negation.
 
     *edb_schema* declares the extensional relations; every relation that
     appears in a head is intensional (IDB).  A relation may not be both.
+    Negative literals over EDB relations are always fine; negative
+    literals over IDB relations force a strictly lower stratum.
     """
 
-    def __init__(
-        self,
-        rules: tuple[Rule, ...],
-        edb_schema: DatabaseSchema,
-        allow_nonequality: bool = True,
-    ):
+    def __init__(self, rules: tuple[Rule, ...], edb_schema: DatabaseSchema):
         self.rules = tuple(rules)
         self.edb_schema = edb_schema
         idb: dict[str, int] = {}
         for rule in self.rules:
             rule.check_safe()
-            if not rule.is_positive():
-                if any(
-                    not lit.positive and isinstance(lit.atom, Atom)
-                    for lit in rule.body
-                ):
-                    raise DatalogError(f"negated atom in Datalog rule: {rule!r}")
-                if not allow_nonequality:
-                    raise DatalogError(f"nonequality not allowed: {rule!r}")
+            self._check_rule(rule)
             head = rule.head
             if head.relation in edb_schema:
                 raise DatalogError(f"rule head {head.relation!r} is an EDB relation")
@@ -279,41 +280,164 @@ class DatalogProgram:
             if arity != len(head.terms):
                 raise DatalogError(f"inconsistent arity for {head.relation!r}")
         for rule in self.rules:
-            for atom in rule.positive_body_atoms():
+            for atom in rule.positive_body_atoms() + rule.negative_body_atoms():
                 if atom.relation in edb_schema:
-                    if len(atom.terms) != edb_schema[atom.relation]:
-                        raise DatalogError(f"arity mismatch on {atom!r}")
+                    expected = edb_schema[atom.relation]
                 elif atom.relation in idb:
-                    if len(atom.terms) != idb[atom.relation]:
-                        raise DatalogError(f"arity mismatch on {atom!r}")
+                    expected = idb[atom.relation]
                 else:
                     raise DatalogError(
                         f"relation {atom.relation!r} is neither EDB nor IDB"
                     )
+                if len(atom.terms) != expected:
+                    raise DatalogError(f"arity mismatch on {atom!r}")
         self.idb_schema = DatabaseSchema(idb)
+        self.strata = self._stratify()
+
+    def _check_rule(self, rule: Rule) -> None:
+        """Reject a safe rule outside the program's fragment."""
 
     @classmethod
-    def parse(
-        cls, text: str, edb_schema: DatabaseSchema, **kwargs
-    ) -> "DatalogProgram":
+    def parse(cls, text: str, edb_schema: DatabaseSchema):
         from .parser import parse_rules
 
-        return cls(parse_rules(text), edb_schema, **kwargs)
+        return cls(parse_rules(text), edb_schema)
 
     @property
     def schema(self) -> DatabaseSchema:
         """EDB plus IDB schema."""
         return self.edb_schema.union(self.idb_schema)
 
+    def _stratify(self) -> list[list[Rule]]:
+        """Assign stratum numbers; raise if negation is cyclic."""
+        idb_names = list(self.idb_schema)
+        stratum = {name: 0 for name in idb_names}
+        bound = len(idb_names)
+        changed = True
+        while changed:
+            changed = False
+            for rule in self.rules:
+                head = rule.head.relation
+                for atom in rule.positive_body_atoms():
+                    if atom.relation in stratum:
+                        if stratum[head] < stratum[atom.relation]:
+                            stratum[head] = stratum[atom.relation]
+                            changed = True
+                for atom in rule.negative_body_atoms():
+                    if atom.relation in stratum:
+                        if stratum[head] < stratum[atom.relation] + 1:
+                            stratum[head] = stratum[atom.relation] + 1
+                            changed = True
+                if stratum[head] > bound:
+                    raise StratificationError(
+                        "program is not stratifiable (negation through recursion)"
+                    )
+        levels = sorted(set(stratum.values()))
+        layers: list[list[Rule]] = []
+        for level in levels:
+            layer = [r for r in self.rules if stratum[r.head.relation] == level]
+            if layer:
+                layers.append(layer)
+        self.stratum_of = stratum
+        return layers
+
+    def is_nonrecursive(self) -> bool:
+        """True when no IDB relation depends (positively or negatively) on
+        itself transitively — the 'nonrecursive Datalog' fragment."""
+        edges: dict[str, set[str]] = {name: set() for name in self.idb_schema}
+        for rule in self.rules:
+            deps = rule.body_relations() & set(self.idb_schema)
+            edges[rule.head.relation] |= deps
+        # cycle detection by DFS
+        WHITE, GRAY, BLACK = 0, 1, 2
+        color = {name: WHITE for name in edges}
+
+        def dfs(name: str) -> bool:
+            color[name] = GRAY
+            for nxt in edges[name]:
+                if color[nxt] == GRAY:
+                    return False
+                if color[nxt] == WHITE and not dfs(nxt):
+                    return False
+            color[name] = BLACK
+            return True
+
+        return all(dfs(name) for name in edges if color[name] == WHITE)
+
+    def __repr__(self) -> str:
+        return (
+            f"StratifiedProgram({len(self.rules)} rules, "
+            f"{len(self.strata)} strata, idb={list(self.idb_schema)})"
+        )
+
+
+class DatalogProgram(StratifiedProgram):
+    """A pure (negation-free) Datalog program: one stratum.
+
+    Nonequality literals keep a rule monotone, so they are allowed.
+    """
+
+    def _check_rule(self, rule: Rule) -> None:
+        if rule.negative_body_atoms():
+            raise DatalogError(f"negated atom in Datalog rule: {rule!r}")
+
     def __repr__(self) -> str:
         return f"DatalogProgram({len(self.rules)} rules, idb={list(self.idb_schema)})"
 
 
-def _relations_of(instance: Instance, schema: DatabaseSchema) -> dict[str, frozenset]:
-    return {
+class NonrecursiveProgram(StratifiedProgram):
+    """A stratified program whose dependency graph is acyclic.
+
+    Section 2: FO "is equivalent in expressive power to the relational
+    algebra, as well as to recursion-free Datalog with negation".
+    Corollary 14(3) uses *positive* nonrecursive Datalog transducers
+    (:attr:`is_positive`).
+    """
+
+    def __init__(self, rules: tuple[Rule, ...], edb_schema: DatabaseSchema):
+        super().__init__(rules, edb_schema)
+        if not self.is_nonrecursive():
+            raise DatalogError("program is recursive")
+
+    @property
+    def is_positive(self) -> bool:
+        """True when no rule uses a negated relational atom (UCQ-like).
+
+        Nonequalities are tolerated, matching :class:`DatalogProgram`.
+        """
+        return all(not rule.negative_body_atoms() for rule in self.rules)
+
+
+# ---------------------------------------------------------------------------
+# Fixpoints
+# ---------------------------------------------------------------------------
+
+
+def _program_constants_rules(rules: tuple[Rule, ...]) -> frozenset:
+    out = set()
+    for rule in rules:
+        for term in rule.head.terms:
+            if isinstance(term, Const):
+                out.add(term.value)
+        for lit in rule.body:
+            atom = lit.atom
+            terms = atom.terms if isinstance(atom, Atom) else (atom.left, atom.right)
+            for term in terms:
+                if isinstance(term, Const):
+                    out.add(term.value)
+    return frozenset(out)
+
+
+def _start(
+    program: StratifiedProgram, instance: Instance
+) -> tuple[frozenset, dict[str, frozenset]]:
+    """The evaluation domain and the input extent of every relation."""
+    domain = instance.active_domain() | _program_constants_rules(program.rules)
+    relations = {
         name: instance.relation(name) if name in instance.schema else _EMPTY
-        for name in schema.relation_names()
+        for name in program.schema.relation_names()
     }
+    return domain, relations
 
 
 def tp_step(
@@ -358,113 +482,137 @@ def naive_fixpoint(
 ) -> Instance:
     """Least fixpoint by naive iteration of ``T_P``."""
     engine = resolve_engine(engine)
-    domain = instance.active_domain() | _program_constants(program)
-    relations = _relations_of(instance, program.schema)
+    domain, relations = _start(program, instance)
     pool = make_pool(engine)
     while True:
         new = tp_step(program, relations, domain, engine=engine, pool=pool)
         if new == relations:
             break
         relations = new
-    return _to_instance(relations, program.schema)
+    return Instance.from_relations(program.schema, relations)
 
 
 def seminaive_fixpoint(
     program: DatalogProgram, instance: Instance, engine: str | None = None
 ) -> Instance:
-    """Least fixpoint by semi-naive (differential) evaluation."""
+    """Least fixpoint by semi-naive (differential) evaluation.
+
+    A Datalog program is one stratum, so this is
+    :func:`stratified_fixpoint`, after the columnar engine's dedicated
+    all-matrix driver has had its try.
+    """
     engine = resolve_engine(engine)
     if engine == "columnar":
         from .vecjoin import seminaive_fixpoint_columnar
 
-        # The dedicated all-matrix driver; rules outside the
-        # vectorizable fragment drop to the generic loop below (which
-        # still fires vectorizable rules columnar, per rule).
+        # Rules outside the vectorizable fragment drop to the generic
+        # loop (which still fires vectorizable rules columnar, per rule).
         result = seminaive_fixpoint_columnar(program, instance)
         if result is not None:
             return result
-    domain = instance.active_domain() | _program_constants(program)
-    total = _relations_of(instance, program.schema)
-    pool = make_pool(engine)
-    # Round 0: fire every rule once on the full (EDB-only) database.
-    delta: dict[str, set] = {name: set() for name in program.idb_schema}
-    for rule in program.rules:
+    return stratified_fixpoint(program, instance, engine=engine)
+
+
+def stratified_fixpoint(
+    program: StratifiedProgram,
+    instance: Instance,
+    pool=None,
+    engine: str | None = None,
+) -> Instance:
+    """Evaluate the perfect (stratified) model of *program* on *instance*.
+
+    *pool* lets a caller that evaluates the same program repeatedly
+    (e.g. the Dedalus interpreter, once per timestep) share hash-index
+    builds — or, under ``engine="columnar"``, extent encodings — for
+    extents that did not change between calls.  A *pool* of the wrong
+    kind for the resolved engine is replaced by a fresh matching one.
+    """
+    engine = resolve_engine(engine)
+    domain, relations = _start(program, instance)
+    if engine == "columnar":
+        from .vecjoin import ColumnPool
+
+        if not isinstance(pool, ColumnPool):
+            pool = ColumnPool()
+    elif engine == "indexed" and not isinstance(pool, IndexPool):
+        pool = IndexPool()
+    for layer in program.strata:
+        _layer_fixpoint(layer, relations, domain, pool, engine=engine)
+    return Instance.from_relations(program.schema, relations)
+
+
+def _layer_fixpoint(
+    layer: list[Rule],
+    relations: dict[str, frozenset],
+    domain: frozenset,
+    pool=None,
+    engine: str | None = None,
+) -> None:
+    """Semi-naive fixpoint of one stratum, updating *relations* in place.
+
+    Lower strata are read as EDB.  Round 0 fires every rule on the full
+    database; each later round fires, for every occurrence of a relation
+    derived in this stratum, the rule with that occurrence pointed at the
+    previous round's delta.
+    """
+    layer_heads = {rule.head.relation for rule in layer}
+    delta: dict[str, set] = {name: set() for name in layer_heads}
+    for rule in layer:
         sources = [
-            total.get(atom.relation, _EMPTY)
+            relations.get(atom.relation, _EMPTY)
             for atom in rule.positive_body_atoms()
         ]
-        for row in fire_rule(rule, sources, total, domain,
+        for row in fire_rule(rule, sources, relations, domain,
                              engine=engine, pool=pool):
-            if row not in total[rule.head.relation]:
+            if row not in relations[rule.head.relation]:
                 delta[rule.head.relation].add(row)
-    for name, rows in delta.items():
-        if rows:
-            total[name] = total[name] | frozenset(rows)
-
+    for name in layer_heads:
+        if delta[name]:
+            relations[name] = relations[name] | frozenset(delta[name])
     while any(delta.values()):
         frozen_delta = {
             name: frozenset(rows) for name, rows in delta.items() if rows
         }
-        new_delta: dict[str, set] = {name: set() for name in program.idb_schema}
-        for rule in program.rules:
+        new_delta: dict[str, set] = {name: set() for name in layer_heads}
+        for rule in layer:
             atoms = rule.positive_body_atoms()
-            idb_positions = [
-                i for i, atom in enumerate(atoms) if atom.relation in program.idb_schema
+            recursive_positions = [
+                i for i, atom in enumerate(atoms) if atom.relation in layer_heads
             ]
-            for pos in idb_positions:
+            for pos in recursive_positions:
                 delta_source = frozen_delta.get(atoms[pos].relation)
                 if not delta_source:
                     continue
                 sources = [
                     delta_source if i == pos
-                    else total.get(atom.relation, _EMPTY)
+                    else relations.get(atom.relation, _EMPTY)
                     for i, atom in enumerate(atoms)
                 ]
-                for row in fire_rule(rule, sources, total, domain,
+                for row in fire_rule(rule, sources, relations, domain,
                                      engine=engine, pool=pool):
-                    if row not in total[rule.head.relation]:
+                    if row not in relations[rule.head.relation]:
                         new_delta[rule.head.relation].add(row)
-        for name, rows in new_delta.items():
-            if rows:
-                total[name] = total[name] | frozenset(rows)
+        for name in layer_heads:
+            if new_delta[name]:
+                relations[name] = relations[name] | frozenset(new_delta[name])
         delta = new_delta
-    return _to_instance(total, program.schema)
 
 
-def _program_constants(program: DatalogProgram) -> frozenset:
-    return _program_constants_rules(program.rules)
+# ---------------------------------------------------------------------------
+# Queries
+# ---------------------------------------------------------------------------
 
 
-def _program_constants_rules(rules: tuple[Rule, ...]) -> frozenset:
-    out = set()
-    for rule in rules:
-        for term in rule.head.terms:
-            if isinstance(term, Const):
-                out.add(term.value)
-        for lit in rule.body:
-            atom = lit.atom
-            terms = atom.terms if isinstance(atom, Atom) else (atom.left, atom.right)
-            for term in terms:
-                if isinstance(term, Const):
-                    out.add(term.value)
-    return frozenset(out)
+class StratifiedQuery(Query):
+    """The query computed by a stratified program's output relation."""
 
-
-def _to_instance(relations: Relations, schema: DatabaseSchema) -> Instance:
-    return Instance.from_relations(
-        schema,
-        {name: relations.get(name, _EMPTY) for name in schema.relation_names()},
-    )
-
-
-class DatalogQuery(Query):
-    """The query computed by a Datalog program's designated output relation."""
+    #: the program class :meth:`parse` builds
+    program_type = StratifiedProgram
 
     def __init__(
         self,
-        program: DatalogProgram,
+        program: StratifiedProgram,
         output: str,
-        seminaive: bool = True,
         engine: str | None = None,
     ):
         if output not in program.idb_schema:
@@ -473,35 +621,60 @@ class DatalogQuery(Query):
             resolve_engine(engine)  # validate eagerly; resolve per call
         self.program = program
         self.output = output
-        self.seminaive = seminaive
         self.engine = engine
         self.arity = program.idb_schema[output]
         self.input_schema = program.edb_schema
 
     @classmethod
-    def parse(
-        cls, text: str, output: str, edb_schema: DatabaseSchema, **kwargs
-    ) -> "DatalogQuery":
-        return cls(DatalogProgram.parse(text, edb_schema), output, **kwargs)
+    def parse(cls, text: str, output: str, edb_schema: DatabaseSchema, **kwargs):
+        return cls(cls.program_type.parse(text, edb_schema), output, **kwargs)
+
+    def _fixpoint(self, instance: Instance) -> Instance:
+        return stratified_fixpoint(self.program, instance, engine=self.engine)
 
     def __call__(self, instance: Instance) -> frozenset[tuple]:
         instance = instance.restrict(
             [n for n in self.program.edb_schema if n in instance.schema]
         ).expand_schema(self.program.edb_schema)
-        evaluate = seminaive_fixpoint if self.seminaive else naive_fixpoint
-        return evaluate(self.program, instance, engine=self.engine).relation(
-            self.output
-        )
-
-    def relations(self) -> frozenset[str]:
-        return frozenset(self.program.edb_schema.relation_names())
+        return self._fixpoint(instance).relation(self.output)
 
     def is_monotone_syntactic(self) -> bool:
-        # Shim over the static analyzer (Datalog without negation is
-        # always certified monotone).
+        # Shim over the static analyzer.  Datalog without negation is
+        # always certified; otherwise the certificate is output-sensitive:
+        # the *backward slice* of the output relation must be
+        # negation-free, even if other strata use negation.
         from ..analysis.static import analyze_query
 
         return analyze_query(self).certifies("monotone")
 
     def __repr__(self) -> str:
-        return f"DatalogQuery({self.output}, {self.program!r})"
+        return f"{type(self).__name__}({self.output}, {self.program!r})"
+
+
+class DatalogQuery(StratifiedQuery):
+    """The query computed by a Datalog program's designated output relation."""
+
+    program_type = DatalogProgram
+
+    def _fixpoint(self, instance: Instance) -> Instance:
+        return seminaive_fixpoint(self.program, instance, engine=self.engine)
+
+
+class NonrecursiveQuery(StratifiedQuery):
+    """The query of a nonrecursive program's output relation.
+
+    Nonrecursive Datalog with negation has exactly FO power, so this is
+    the "nonrecursive-Datalog-transducer" local language of Theorem 6(5)
+    and Corollary 14(3).
+    """
+
+    program_type = NonrecursiveProgram
+
+    def relations(self) -> frozenset[str]:
+        # Only EDB relations are externally visible reads.
+        return frozenset(
+            name
+            for rule in self.program.rules
+            for name in rule.body_relations()
+            if name in self.program.edb_schema
+        )

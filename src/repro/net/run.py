@@ -373,7 +373,6 @@ def run_fair(
     keep_trace: bool = False,
     check_every: int | None = None,
     batch_delivery: bool = False,
-    scheduler: Scheduler | None = None,
     faults: FaultPlan | None = None,
 ) -> RunResult:
     """A seeded random fair run, truncated at convergence.
@@ -387,21 +386,19 @@ def run_fair(
 
     *batch_delivery* opts into draining a node's whole buffer per
     delivery transition — sound (and enforced) only for oblivious,
-    monotone transducers.  *scheduler* swaps the entire schedule; the
-    other schedule knobs are then ignored.
+    monotone transducers.  To run another schedule, hand its
+    :class:`~repro.net.scheduler.Scheduler` to :func:`run_schedule`.
     """
-    if scheduler is None:
-        scheduler = FairRandomScheduler(
-            seed=seed,
-            deliver_bias=deliver_bias,
-            check_every=check_every,
-            batch_delivery=batch_delivery,
-        )
     return run_schedule(
         network,
         transducer,
         partition,
-        scheduler,
+        FairRandomScheduler(
+            seed=seed,
+            deliver_bias=deliver_bias,
+            check_every=check_every,
+            batch_delivery=batch_delivery,
+        ),
         max_steps=max_steps,
         keep_trace=keep_trace,
         faults=faults,

@@ -21,8 +21,7 @@ Layering
 * :mod:`~repro.service.metrics` — lock-guarded counters + per-kind
   latency histograms, merged with cache/engine stats at scrape time.
 * :mod:`~repro.service.routes` — framework-agnostic request handlers.
-* :mod:`~repro.service.app` — the stdlib asyncio HTTP server (always
-  available) and a FastAPI adapter (used when FastAPI is installed).
+* :mod:`~repro.service.app` — the stdlib asyncio HTTP server.
 
 Run it: ``python -m repro.service --port 8080``.  See
 ``docs/service.md`` for the API reference and deployment knobs.

@@ -1,10 +1,11 @@
 """Framework-agnostic request handlers.
 
 Each handler takes the orchestrator plus parsed inputs and returns
-``(status_code, body_dict)`` — the stdlib asyncio app and the FastAPI
-adapter are thin shells over these, so the API surface cannot drift
-between the two.  Event streaming is the one exception: the transports
-differ, so apps drive :meth:`Job.wait_events` themselves.
+``(status_code, body_dict)``; the stdlib asyncio app in
+:mod:`~repro.service.app` is a thin shell over these, so the API
+surface lives in one place.  Event streaming is the one exception: it
+is tied to the transport, so the app drives :meth:`Job.wait_events`
+itself.
 """
 
 from __future__ import annotations

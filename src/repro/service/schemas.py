@@ -178,8 +178,7 @@ def _resolve_transducer(payload: dict):
         raise SpecError(f"[{exc.code}] {exc}", code=exc.code) from exc
 
     from ..core.datalog_bridge import datalog_to_transducer
-    from ..lang.datalog import DatalogError, DatalogProgram
-    from ..lang.stratified import StratifiedProgram
+    from ..lang.datalog import DatalogError, DatalogProgram, StratifiedProgram
 
     if not isinstance(program, StratifiedProgram):
         raise SpecError(
@@ -198,7 +197,7 @@ def _resolve_transducer(payload: dict):
     elif output not in program.idb_schema:
         raise SpecError(f"output relation {output!r} is not derived; IDB: {idb}")
     try:
-        datalog = DatalogProgram.parse(program_text, program.edb_schema)
+        datalog = DatalogProgram(program.rules, program.edb_schema)
         transducer = datalog_to_transducer(datalog, output)
     except (DatalogError, ValueError) as exc:
         raise SpecError(

@@ -45,12 +45,6 @@ class TestValidation:
     def test_nonequality_allowed_by_default(self, s2):
         DatalogProgram.parse("T(x, y) :- S(x, y), x != y.", s2)
 
-    def test_nonequality_rejected_when_strict(self, s2):
-        with pytest.raises(DatalogError):
-            DatalogProgram.parse(
-                "T(x, y) :- S(x, y), x != y.", s2, allow_nonequality=False
-            )
-
     def test_unknown_relation_rejected(self, s2):
         with pytest.raises(DatalogError):
             DatalogProgram.parse("T(x) :- U(x).", s2)

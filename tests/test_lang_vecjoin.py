@@ -31,6 +31,7 @@ from repro.lang import (
     DatalogQuery,
     FOQuery,
     NonrecursiveQuery,
+    StratifiedProgram,
     StratifiedQuery,
     UCQNegQuery,
     UCQQuery,
@@ -38,6 +39,7 @@ from repro.lang import (
     naive_fixpoint,
     resolve_engine,
     seminaive_fixpoint,
+    stratified_fixpoint,
     tp_step,
 )
 from repro.lang.ast import Atom, Const, Eq, Literal, Rule, Var
@@ -174,12 +176,32 @@ class TestFixpointDifferential:
     @given(instances(), st.sampled_from(range(len(PROGRAMS))))
     def test_fixpoints_agree_across_engines(self, inst, pi):
         program = DatalogProgram.parse(PROGRAMS[pi], S2R1W4)
+        stratified = StratifiedProgram(program.rules, S2R1W4)
         results = [
             strategy(program, inst, engine=engine)
             for engine in ENGINES
             for strategy in (naive_fixpoint, seminaive_fixpoint)
+        ] + [
+            stratified_fixpoint(stratified, inst, engine=engine)
+            for engine in ENGINES
         ]
         assert all(r == results[0] for r in results[1:])
+        # The same rules as a Datalog and as a stratified query.
+        for output in program.idb_schema:
+            answers = [
+                query_type(prog, output, engine=engine)(inst)
+                for engine in ENGINES
+                for query_type, prog in (
+                    (DatalogQuery, program), (StratifiedQuery, stratified)
+                )
+            ]
+            assert all(a == answers[0] for a in answers[1:])
+
+    def test_every_program_is_one_stratum(self):
+        for text in PROGRAMS:
+            program = DatalogProgram.parse(text, S2R1W4)
+            assert len(program.strata) == 1
+            assert program.strata[0] == list(program.rules)
 
     @settings(max_examples=40, deadline=None)
     @given(instances())

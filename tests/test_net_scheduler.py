@@ -240,11 +240,11 @@ class TestConvergenceEngines:
 
 
 class TestSchedulerCustomization:
-    def test_custom_scheduler_instance_via_run_fair(self):
+    def test_custom_scheduler_instance_via_run_schedule(self):
         net = ring(3)
         p = round_robin(GRAPH, net)
-        result = run_fair(
-            net, TC, p, scheduler=FifoRoundsScheduler(), max_steps=None
+        result = run_schedule(
+            net, TC, p, FifoRoundsScheduler(), max_steps=None
         )
         assert result.converged
         assert result.scheduler == "fifo-rounds"
