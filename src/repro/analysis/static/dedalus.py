@@ -15,14 +15,15 @@ The static pass answers:
   name unboundedly many new values and leave the CALM fragment
   (CALM008).
 * ``stratifiable`` — whether the deductive core has a stratified
-  semantics; a negative cycle is a hard CALM009 error, the same class
-  of defect as a parse error.
+  semantics.  Always certified here: a ``DedalusProgram`` stratifies
+  its core (``deductive_program``) when it is built, so a negative
+  cycle fails construction — a hard CALM009 error, the same class of
+  defect as a parse error.
 """
 
 from __future__ import annotations
 
 from ...dedalus.program import DedalusProgram
-from ...lang.datalog import StratificationError
 from .diagnostics import Diagnostic, StaticReport, Verdict
 from .polarity import DependencyGraph, _trim, rule_diagnostics
 
@@ -53,26 +54,16 @@ def analyze_dedalus(program: DedalusProgram) -> StaticReport:
                 )
             )
 
-    stratifiable = Verdict.CERTIFIED
-    try:
-        program._deductive_core()
-    except StratificationError as exc:
-        stratifiable = Verdict.REFUTED
-        diagnostics.append(
-            Diagnostic(
-                "CALM009",
-                f"deductive core is not stratifiable: {exc}",
-                where="deductive core",
-            )
-        )
-
     entangled = program.is_entangled()
     verdicts = {
         "monotone_edb": Verdict.UNKNOWN if negated else Verdict.CERTIFIED,
         "entanglement_free": (
             Verdict.REFUTED if entangled else Verdict.CERTIFIED
         ),
-        "stratifiable": stratifiable,
+        # The program built its deductive core, a stratified program
+        # (or none), when it was constructed: a negative cycle raised
+        # StratificationError there, which lint reports as CALM009.
+        "stratifiable": Verdict.CERTIFIED,
     }
     provenance: list[str] = []
     if not negated:

@@ -16,22 +16,25 @@ messages) and outputs can never be retracted — the runtime accumulates
 them.  Evaluation exploits that purity twice: whole transitions are
 memoized per ``(state, received)`` pair, and the answer of each group
 of UCQ¬ rules that read the same relations per extents of those
-relations, so a step re-derives only what it changed
-(:meth:`Transducer._evaluate`).  A rule that copies one relation
-evaluates to that relation's extent itself.
+relations, so a step re-derives only what it changed.  A rule that
+copies one relation evaluates to that relation's extent itself.  A
+miss runs a kernel: straight-line code generated once per role layout
+(:func:`kernel_factory`).
 """
 
 from __future__ import annotations
 
+import hashlib
+import linecache
 from dataclasses import dataclass
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from functools import lru_cache
 
 from ..db.fact import Fact
 from ..db.instance import Instance, checked_extent
 from ..db.schema import DatabaseSchema, SchemaError
 from ..db.values import is_atomic
-from ..lang.ast import Atom, Eq, Rule, Var
+from ..lang.ast import Atom, Const, Eq, Rule, Var
 from ..lang.datalog import _program_constants_rules
 from ..lang.query import EmptyQuery, Query
 from ..lang.ucq import CompiledRules, RuleGroup, UCQNegQuery, compile_rules
@@ -172,7 +175,7 @@ class Transducer:
         # Transitions are pure functions of (state, received); the runtime
         # replays the same pairs constantly (convergence checks re-simulate
         # every heartbeat and delivery), so memoize them, and the group
-        # answers and sent instances of a miss (see _evaluate).
+        # answers and sent instances of a miss (see kernel_factory).
         self._transition_cache = Memo(MEMO_LIMIT)
         self._group_memo = Memo(MEMO_LIMIT)
         self._empty_received = Instance.empty(schema.messages)
@@ -184,10 +187,10 @@ class Transducer:
         self.summary_memo = Memo(MEMO_LIMIT)
 
     def __getstate__(self):
-        # The memos pickle empty and the evaluation plan is rebuilt, so
+        # The memos pickle empty and the kernel is rebuilt, so
         # a used transducer pickles as a fresh one.
         state = dict(self.__dict__)
-        state.pop("_evaluation_plan", None)
+        state.pop("_kernel", None)
         return state
 
     # -- query plumbing ------------------------------------------------------
@@ -282,179 +285,90 @@ class Transducer:
     def _compute(self, state: Instance, received: Instance) -> LocalTransition:
         """The transition, evaluated (a transition-cache miss).
 
-        The send and insert answers were checked where they were
-        derived (:meth:`_evaluate`), and every other row is one of an
-        extent of *state* or *received*, so the sent instance and the
-        new state are built without checking any row again.
+        It runs this transducer's kernel (:func:`kernel_factory`),
+        built on the first miss and never pickled.
         """
-        # The group memo's entries for this thread, fetched once for
-        # every lookup of the miss (Memo.get's LRU discipline, inline).
-        groups = self._group_memo.local()
-        results = self._evaluate(state, received, groups)
-        # Equal send answers give one sent instance, kept in the group
-        # memo: its facts are then the same objects in every buffer
-        # they reach, and dict lookups match them by identity.
-        sends = len(self.send_queries)
-        answers = results[:sends]
-        sent_key = ("sent", *answers)
-        sent = groups.pop(sent_key, None)
-        if sent is None:
-            sent = Instance._build(self.schema.messages, {
-                rel: rows for rel, rows in zip(self.send_queries, answers) if rows
-            })
-            if len(groups) >= self._group_memo.limit:
-                del groups[next(iter(groups))]
-        groups[sent_key] = sent  # inserted last: the dict order is the recency
-        output = frozenset(results[sends])
-        # The update formula per memory relation, as a frozenset (old
-        # is the left operand).  With nothing deleted it is old ∪ Qins,
-        # which is old itself when Qins adds no row.
-        rels = state._rels
-        new_rels = None
-        for rel, inserted, deleted in zip(
-            self.schema.memory, results[sends + 1::2], results[sends + 2::2]
-        ):
-            old = rels.get(rel, _EMPTY)
-            if deleted:
-                updated = (
-                    (old - (inserted | deleted))
-                    | (inserted - deleted)
-                    | (inserted & deleted & old)
-                )
-            elif inserted <= old:
-                continue
-            else:
-                updated = old | inserted
-            if updated != old:
-                if new_rels is None:
-                    new_rels = dict(rels)
-                if updated:
-                    new_rels[rel] = updated
-                else:
-                    del new_rels[rel]
-        # The frozen dataclass's __init__ pays one object.__setattr__ per
-        # field; filling __dict__ in field order gives an equal object
-        # that pickles to the same bytes.
-        local = object.__new__(LocalTransition)
-        local.__dict__.update(
-            state=state,
-            received=received,
-            new_state=state if new_rels is None else Instance._build(state.schema, new_rels),
-            sent=sent,
-            output=output,
-        )
-        return local
+        kernel = self.__dict__.get("_kernel")
+        if kernel is None:
+            kernel = self._kernel = self._build_kernel()
+        return kernel(state, received)
 
-    def _evaluate(
-        self, state: Instance, received: Instance, groups: dict
-    ) -> list[frozenset]:
-        """Every query's answer on ``state ∪ received``, in role order:
-        the send queries, the output query, then insert and delete per
-        memory relation.
+    def _build_kernel(self):
+        """This transducer's kernel: its role layout's factory, called
+        with the relation names, rule groups and queries it binds.
 
-        A UCQ¬ query runs as copies and rule groups
-        (:func:`group_rules`).  A copy rule's answer is the extent it
-        copies, the very frozenset the state or the received instance
-        holds.  The rules of a group read the same relations, so its
-        answer is a function of their extents: it is kept in one memo
-        keyed by the group and those extents, shared by all groups.
-        Extents are frozensets that cache their hash, and an unchanged
-        extent is the same object in the next state, so a lookup costs
-        a few hashes.  Rules that may read the active domain, and
-        queries that are not UCQ¬, run per transition on the combined
-        instance; an ``EmptyQuery`` does not run.  The groups are
-        built on the first transition-cache miss and never pickled.
-        *groups* is the calling thread's group-memo dict
-        (:meth:`Memo.local <repro.memo.Memo.local>`).
-
-        The rows a send or insert query derives become facts, so a
-        group's answer is checked when it is computed (not when the
-        memo returns it) and a direct query's on every run
-        (:func:`~repro.db.instance.checked_extent`).  A copy's rows
-        are those of an extent already checked.
-        """
-        plan = self.__dict__.get("_evaluation_plan")
-        if plan is None:
-            plan = self._evaluation_plan = (self.schema.combined, self._role_plans())
-        combined_schema, roles = plan
-        limit = self._group_memo.limit
-        # State and message relations are disjoint: merge the extents.
-        # Absent relations are empty (instances keep no empty extent).
-        rels = {**state._rels, **received._rels}
-        combined = None
-        out = []
-        for copies, role_groups, direct, checked in roles:
-            rows = _EMPTY
-            for name in copies:
-                answer = rels.get(name)
-                if answer:
-                    rows = rows | answer if rows else answer
-            for group, reads in role_groups:
-                # A group reading one relation names it as a string.
-                if type(reads) is str:
-                    key = (group, rels.get(reads))
-                else:
-                    key = (group, *map(rels.get, reads))
-                answer = groups.pop(key, None)
-                if answer is None:
-                    if combined is None:
-                        combined = Instance._build(combined_schema, rels)
-                    answer = group(combined)
-                    if checked is not None:
-                        answer = checked_extent(*checked, answer)
-                    if len(groups) >= limit:
-                        del groups[next(iter(groups))]
-                groups[key] = answer  # inserted last: the dict order is the recency
-                if answer:
-                    rows = rows | answer if rows else answer
-            if direct is not None:
-                if combined is None:
-                    combined = Instance._build(combined_schema, rels)
-                answer = direct(combined)
-                if checked is not None:
-                    answer = checked_extent(*checked, answer)
-                rows = rows | answer if rows else answer
-            out.append(rows)
-        return out
-
-    def _role_plans(self) -> list:
-        """``(copied relations, memoized groups, direct query, checked)``
-        per role.
-
-        A UCQ¬ query runs as its :func:`group_rules` copies and groups,
-        each group paired with the relations it reads (their name when
-        it reads one); its active-domain rules, if any, form the direct
-        query, run on the combined instance.  Any other query is run
-        directly, except that an ``EmptyQuery`` does not run at all.
-        *checked* is ``(relation, arity)`` for a send or insert role,
-        whose rows must be checked, else ``None``.
+        The roles are the send queries, the output query, then insert
+        and delete per memory relation.  A UCQ¬ query runs as its
+        :func:`group_rules` copies and groups, and its active-domain
+        rules, if any, as one more group run directly; any other query
+        is run directly, except that an ``EmptyQuery`` does not run at
+        all.  The rows of a send or insert role become facts.  A copy's
+        and a group's rows are head projections of checked extents, so
+        only their head constants are checked, here.  A direct query's
+        rows are checked on every run: active-domain rules may bind a
+        head variable to any constant of the rules.
         """
         schema = self.schema
+        messages = schema.messages
         roles = [
-            *((q, (rel, schema.messages[rel])) for rel, q in self.send_queries.items()),
+            *((q, (rel, messages[rel])) for rel, q in self.send_queries.items()),
             (self.output_query, None),
             *(role for rel in schema.memory
               for role in ((self.insert_queries[rel], (rel, schema.memory[rel])),
                            (self.delete_queries[rel], None))),
         ]
-        plans = []
+        reads: dict[str, int] = {}  # relation -> its index in the layout
+
+        def read(rel: str) -> int:
+            return reads.setdefault(rel, len(reads))
+
+        groups: list[Query] = []
+        directs: list[Query] = []
+        checked_names: list = []
+        layout_roles = []
         for query, checked in roles:
-            if type(query) is EmptyQuery:
-                plans.append(((), (), None, None))
-            elif isinstance(query, UCQNegQuery):
-                copies, groups, domain = group_rules(query.rules, query.input_schema)
-                plans.append((
-                    copies,
-                    tuple((RuleGroup(query, compiled, None),
-                           reads[0] if len(reads) == 1 else reads)
-                          for reads, compiled in groups),
-                    RuleGroup(query, domain, _program_constants_rules(query.rules))
-                    if domain else None,
-                    checked,
-                ))
+            copies: tuple = ()
+            group_reads: tuple = ()
+            direct: Query | None = None
+            if isinstance(query, UCQNegQuery):
+                if checked is not None:
+                    _check_head_constants(query.rules)
+                copied, rule_groups, domain = group_rules(query.rules, query.input_schema)
+                copies = tuple(map(read, copied))
+                group_reads = tuple(tuple(map(read, names)) for names, _ in rule_groups)
+                groups.extend(RuleGroup(query, compiled, None) for _, compiled in rule_groups)
+                if domain:
+                    direct = RuleGroup(query, domain, _program_constants_rules(query.rules))
+            elif type(query) is not EmptyQuery:
+                direct = query
+            if direct is None:
+                mode = NO_DIRECT
             else:
-                plans.append(((), (), query, checked))
-        return plans
+                directs.append(direct)
+                mode = DIRECT
+                if checked is not None:
+                    checked_names.extend(checked)
+                    mode = CHECKED_DIRECT
+            layout_roles.append((copies, group_reads, mode))
+        sends = len(self.send_queries)
+        updated = []
+        memory = []
+        for i, rel in enumerate(schema.memory):
+            insert, delete = layout_roles[sends + 1 + 2 * i: sends + 3 + 2 * i]
+            if insert != _NO_ROWS or delete != _NO_ROWS:
+                updated.append(rel)
+                memory.append((read(rel), sends + 1 + 2 * i))
+        layout = (
+            tuple(rel in messages for rel in reads),
+            tuple(layout_roles),
+            sends,
+            tuple(memory),
+        )
+        return kernel_factory(layout)(
+            tuple(reads), tuple(groups), tuple(directs), tuple(checked_names),
+            tuple(messages), tuple(updated), schema.combined, messages,
+            self._group_memo,
+        )
 
     def heartbeat(self, state: Instance) -> LocalTransition:
         """A transition reading no messages (the local half of a heartbeat)."""
@@ -482,6 +396,215 @@ class Transducer:
 
     def __repr__(self) -> str:
         return f"Transducer({self.name!r}, {self.schema!r})"
+
+
+#: How a role runs its direct query: not at all, as it is, or with
+#: its rows checked (a send or insert role's).
+NO_DIRECT, DIRECT, CHECKED_DIRECT = range(3)
+_NO_ROWS = ((), (), NO_DIRECT)  # the layout of a role that derives nothing
+
+
+def _check_head_constants(rules: tuple[Rule, ...]) -> None:
+    """Raise the ``ValueError`` of a fact with a non-atomic value when
+    a head of *rules* has a non-atomic constant."""
+    for rule in rules:
+        for term in rule.head.terms:
+            if type(term) is Const and not is_atomic(term.value):
+                raise ValueError(f"non-atomic value in fact: {term.value!r}")
+
+
+@lru_cache(maxsize=1024)
+def kernel_factory(layout: tuple) -> Callable:
+    """The kernel factory of a role layout, generated once per layout.
+
+    *layout* is ``(sides, roles, sends, memory)``, with the relations a
+    transducer reads numbered in order of first use:
+
+    * *sides* says per relation whether the received instance holds
+      it (else the state does);
+    * *roles* gives per role, in :meth:`Transducer._build_kernel`'s
+      order, ``(copies, groups, direct)``: the relations it copies,
+      the relations each of its rule groups reads, and how it runs its
+      direct query (:data:`NO_DIRECT`, :data:`DIRECT`,
+      :data:`CHECKED_DIRECT`);
+    * *sends* is the number of send roles;
+    * *memory* pairs each memory relation that a role may change with
+      its index and its insert role's (its delete role is the next).
+
+    The factory takes the relation names, groups, direct queries,
+    checked ``(name, arity)`` pairs (flat), message names, updated
+    memory names, the combined and message schemas and the group memo,
+    and returns the kernel: ``kernel(state, received)`` is the
+    transition.  The kernel reads each relation once, then evaluates
+    the roles in order, straight-line.  A copy's answer is the extent.
+    A group's answer is kept in the group memo, keyed by the group and
+    the extents it reads, so an unchanged extent is a few hashes; a
+    group the memo lacks and a direct query run on the combined
+    instance, built once per miss when first needed.  Answers are
+    united in that order, as ``rows | answer`` from the first nonempty
+    one.  Equal send answers share one sent instance, kept in the same
+    memo, and the update formula runs per memory relation that a role
+    may change.  Names never enter the source: they are bound as
+    constants, so one code object serves every transducer of a layout.
+    The source is registered in :mod:`linecache` under its file name,
+    for tracebacks and profilers.
+    """
+    source = _kernel_source(*layout)
+    filename = f"<transducer kernel {hashlib.sha1(source.encode()).hexdigest()[:12]}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {
+        "EMPTY": _EMPTY,
+        "build": Instance._build,
+        "checked_extent": checked_extent,
+        "new": object.__new__,
+        "LocalTransition": LocalTransition,
+    }
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["make"]
+
+
+def _kernel_source(sides: tuple, roles: tuple, sends: int, memory: tuple) -> str:
+    """The source of :func:`kernel_factory`'s ``make`` for one layout."""
+    ngroups = sum(len(group_reads) for _, group_reads, _ in roles)
+    ndirect = sum(direct != NO_DIRECT for _, _, direct in roles)
+    nchecked = sum(direct == CHECKED_DIRECT for _, _, direct in roles)
+    lines = ["def make(N, G, D, K, M, W, CS, MS, memo):"]
+
+    def bind(names: list[str], source: str) -> None:
+        if names:
+            lines.append(f"    {', '.join(names)}, = {source}")
+
+    bind([f"N{i}" for i in range(len(sides))], "N")
+    bind([f"G{g}" for g in range(ngroups)], "G")
+    bind([f"D{d}" for d in range(ndirect)], "D")
+    bind([f"K{k}{part}" for k in range(nchecked) for part in "na"], "K")
+    bind([f"M{m}" for m in range(sends)], "M")
+    bind([f"W{w}" for w in range(len(memory))], "W")
+    lines += [
+        "    local = memo.local",
+        "    LIMIT = memo.limit",
+        "    def kernel(state, received):",
+        "        groups = local()",
+        "        pop = groups.pop",
+        "        S = state._rels",
+        "        R = received._rels",
+    ]
+
+    def emit(*block: str) -> None:  # lines of the kernel's body
+        lines.extend("        " + line for line in block)
+
+    for i, received in enumerate(sides):
+        emit(f"r{i} = {'R' if received else 'S'}.get(N{i})")
+    if ngroups or ndirect:
+        emit("c = None")
+    combined = [
+        "if c is None:",
+        "    c = build(CS, {**S, **R})",
+    ]
+    evict = [
+        "if len(groups) >= LIMIT:",
+        "    del groups[next(iter(groups))]",
+    ]
+
+    answers = []  # per role, the name of its answer
+    g = d = k = 0
+    for j, (copies, group_reads, direct) in enumerate(roles):
+        a = f"a{j}"
+        empty = True  # a is EMPTY so far
+
+        def unite(answer: str, always: bool = False) -> None:
+            # rows | answer from the first nonempty answer on; a direct
+            # answer is taken even when empty.
+            nonlocal empty
+            if empty:
+                emit(f"{a} = {answer}" if always else f"{a} = {answer} or EMPTY")
+            elif always:
+                emit(f"{a} = {a} | {answer} if {a} else {answer}")
+            else:
+                emit(f"if {answer}:", f"    {a} = {a} | {answer} if {a} else {answer}")
+            empty = False
+
+        for i in copies:
+            unite(f"r{i}")
+        for group in group_reads:
+            key = ", ".join([f"G{g}", *(f"r{i}" for i in group)])
+            emit(
+                f"k = ({key},)",
+                "x = pop(k, None)",
+                "if x is None:",
+                *("    " + line for line in combined),
+                f"    x = G{g}(c)",
+                *("    " + line for line in evict),
+                "groups[k] = x",
+            )
+            unite("x")
+            g += 1
+        if direct != NO_DIRECT:
+            emit(*combined)
+            if direct == CHECKED_DIRECT:
+                emit(f"x = checked_extent(K{k}n, K{k}a, D{d}(c))")
+                k += 1
+            else:
+                emit(f"x = D{d}(c)")
+            unite("x", always=True)
+            d += 1
+        answers.append("EMPTY" if empty else a)
+    sent = "".join(f"{answer}, " for answer in answers[:sends])
+    emit(
+        f'k = ("sent", {sent})',
+        "sent = pop(k, None)",
+        "if sent is None:",
+        "    d = {}",
+        *(line for j, answer in enumerate(answers[:sends]) if answer != "EMPTY"
+          for line in (f"    if {answer}:", f"        d[M{j}] = {answer}")),
+        "    sent = build(MS, d)",
+        *("    " + line for line in evict),
+        "groups[k] = sent",
+        f"out = frozenset({answers[sends]})",
+    )
+    if memory:
+        emit("n = None")
+    for w, (i, role) in enumerate(memory):
+        inserted, deleted = answers[role], answers[role + 1]
+        insert_empty = inserted == "EMPTY"
+        emit(f"o = EMPTY if r{i} is None else r{i}")
+        if deleted != "EMPTY":
+            emit(
+                f"if {deleted}:",
+                f"    u = (o - ({inserted} | {deleted})) | ({inserted} - {deleted})"
+                f" | ({inserted} & {deleted} & o)",
+                "    if u != o:",
+                "        if n is None:",
+                "            n = dict(S)",
+                "        if u:",
+                f"            n[W{w}] = u",
+                "        else:",
+                f"            del n[W{w}]",
+            )
+            if not insert_empty:
+                emit(f"elif not {inserted} <= o:")
+        elif not insert_empty:
+            emit(f"if not {inserted} <= o:")
+        if not insert_empty:
+            emit(
+                "    if n is None:",
+                "        n = dict(S)",
+                f"    n[W{w}] = o | {inserted}",
+            )
+    new_state = "state if n is None else build(state.schema, n)" if memory else "state"
+    emit(
+        "t = new(LocalTransition)",
+        "t.__dict__.update(",
+        "    state=state,",
+        "    received=received,",
+        f"    new_state={new_state},",
+        "    sent=sent,",
+        "    output=out,",
+        ")",
+        "return t",
+    )
+    lines.append("    return kernel")
+    return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=4096)

@@ -77,6 +77,16 @@ def _require(payload: dict, key: str, typ, default=None):
     return value
 
 
+#: The largest network a job may request, checked before it is built.
+#: Far above any network the tests or benchmarks run (at most a few
+#: nodes); a clique's edges grow with the square of its size.
+_MAX_NODES = 1024
+_MAX_EDGES = 16_384
+#: The largest arity an ``edb`` override may declare: the compiled
+#: transducer builds rules over that many variables.
+_MAX_ARITY = 64
+
+
 def _build_network(spec) -> Network:
     """``{"topology": ..., "size"/"rows"/"cols": ...}`` → Network."""
     if spec is None:
@@ -84,20 +94,31 @@ def _build_network(spec) -> Network:
     if not isinstance(spec, dict):
         raise SpecError("field 'network' must be an object")
     topology = spec.get("topology", "line")
+    builders = {"line": line, "ring": ring, "star": star, "clique": clique}
+    if topology not in ("single", "grid", *builders):
+        raise SpecError(
+            f"unknown topology {topology!r}; expected one of "
+            f"{sorted(builders) + ['single', 'grid']}"
+        )
+    if topology == "single":
+        return single()
     try:
-        if topology == "single":
-            return single()
         if topology == "grid":
-            return grid(int(spec.get("rows", 2)), int(spec.get("cols", 2)))
-        size = int(spec.get("size", 3))
-        builders = {"line": line, "ring": ring, "star": star, "clique": clique}
-        if topology not in builders:
+            build, dims = grid, (int(spec.get("rows", 2)), int(spec.get("cols", 2)))
+            rows, cols = dims
+            nodes, edges = rows * cols, rows * (cols - 1) + cols * (rows - 1)
+        else:
+            build, dims = builders[topology], (int(spec.get("size", 3)),)
+            nodes = dims[0]
+            edges = {"clique": nodes * (nodes - 1) // 2, "ring": nodes}.get(
+                topology, nodes - 1)
+        if nodes > _MAX_NODES or edges > _MAX_EDGES:
             raise SpecError(
-                f"unknown topology {topology!r}; expected one of "
-                f"{sorted(builders) + ['single', 'grid']}"
+                f"network of {nodes} nodes and {edges} edges is too large; "
+                f"at most {_MAX_NODES} nodes and {_MAX_EDGES} edges"
             )
-        return builders[topology](size)
-    except (NetworkError, TypeError, ValueError) as exc:
+        return build(*dims)
+    except (NetworkError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SpecError):
             raise
         raise SpecError(f"bad network spec: {exc}") from exc
@@ -171,7 +192,15 @@ def _resolve_transducer(payload: dict):
     if edb is not None:
         if not isinstance(edb, dict):
             raise SpecError("field 'edb' must map relation names to arities")
-        overrides = DatabaseSchema({k: int(v) for k, v in edb.items()})
+        try:
+            overrides = DatabaseSchema({k: int(v) for k, v in edb.items()})
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SpecError(f"bad 'edb' arities: {exc}") from exc
+        for name, arity in overrides.items():
+            if arity > _MAX_ARITY:
+                raise SpecError(
+                    f"'edb' arity {arity} of {name!r} is over the limit of {_MAX_ARITY}"
+                )
     try:
         program = parse_program_text(program_text, overrides)
     except ProgramSpecError as exc:
@@ -299,7 +328,7 @@ def parse_job(payload) -> JobRequest:
         raise SpecError("'partition_count' and 'max_steps' must be >= 1")
 
     scheduler = payload.get("scheduler", "fair-random")
-    if scheduler not in SCHEDULERS:
+    if not isinstance(scheduler, str) or scheduler not in SCHEDULERS:
         raise SpecError(
             f"unknown scheduler {scheduler!r}; registry: {sorted(SCHEDULERS)}"
         )
@@ -323,7 +352,7 @@ def parse_job(payload) -> JobRequest:
             raise SpecError("field 'faults' must be a FaultPlan object")
         try:
             faults = FaultPlan(**faults)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, LookupError) as exc:
             raise SpecError(f"bad fault plan: {exc}") from exc
 
     static_first = bool(payload.get("static_first", False))

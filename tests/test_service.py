@@ -23,14 +23,22 @@ import threading
 import urllib.error
 import urllib.request
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.analysis.lint import load_spec
 from repro.core import build_transducer, transitive_closure_transducer
 from repro.core import transducer as transducer_module
 from repro.db import schema
 from repro.lang import PythonQuery
+from repro.service import schemas
 from repro.service.app import ServiceConfig, ServiceThread
+from repro.service.schemas import SpecError, parse_job
+
+#: The largest clique within the edge bound.
+CLIQUE_BOUND = max(n for n in range(1, schemas._MAX_NODES + 1)
+                   if n * (n - 1) // 2 <= schemas._MAX_EDGES)
 
 #: The pytest process; the saboteur only fires in forked workers.
 _PARENT_PID = os.getpid()
@@ -263,6 +271,157 @@ class TestHttpSurface:
         assert all("id" in j and "status" in j for j in listing["jobs"])
 
 
+def _raw_post_job(service, payload) -> tuple[bytes, dict]:
+    """``POST /jobs`` over a raw socket: the status line and JSON body,
+    or an empty status line when the server closes without answering."""
+    config = service.service.config
+    body = json.dumps(payload).encode()
+    with socket.create_connection((config.host, config.port), timeout=30) as conn:
+        conn.sendall(
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+        )
+        response = b""
+        while chunk := conn.recv(4096):
+            response += chunk
+    head, _, rest = response.partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0], json.loads(rest) if rest else {}
+
+
+PATH_PROGRAM = "path(X, Y) :- edge(X, Y).\npath(X, Z) :- edge(X, Y), path(Y, Z)."
+
+
+class TestMalformedJobs:
+    """Every payload ``parse_job`` cannot run is a 400 with a reason,
+    never a connection closed without an answer."""
+
+    @pytest.mark.parametrize("payload", [
+        _payload(scheduler=[]),  # unhashable in the scheduler registry
+        _payload(faults={"link_loss": [[1]]}),
+        {"kind": "consistency", "program": PATH_PROGRAM, "edb": {"edge": "x"}},
+        {"kind": "consistency", "program": PATH_PROGRAM, "edb": {"edge": -1}},
+        {"kind": "consistency", "program": PATH_PROGRAM,
+         "edb": {"edge": schemas._MAX_ARITY + 1}},
+        _payload(network={"topology": "line", "size": schemas._MAX_NODES + 1}),
+        _payload(network={"topology": "line", "size": [3]}),
+    ], ids=["scheduler-list", "link-loss-short", "edb-text", "edb-negative",
+            "edb-over-arity", "network-over-bound", "network-size-list"])
+    def test_answered_400_and_server_survives(self, service, payload):
+        status_line, body = _raw_post_job(service, payload)
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert body["code"] == "SVC000" and body["error"]
+        status, _ = _request(service.base_url, "/healthz")
+        assert status == 200
+
+
+class TestNetworkBound:
+    """A job's network is bounded before it is built: at the bound it
+    parses, one node past it is a :class:`SpecError`."""
+
+    @pytest.mark.parametrize("network, nodes", [
+        ({"topology": "line", "size": schemas._MAX_NODES}, schemas._MAX_NODES),
+        ({"topology": "star", "size": schemas._MAX_NODES}, schemas._MAX_NODES),
+        ({"topology": "grid", "rows": 1, "cols": schemas._MAX_NODES}, schemas._MAX_NODES),
+        ({"topology": "clique", "size": CLIQUE_BOUND}, CLIQUE_BOUND),
+    ])
+    def test_at_the_bound_parses(self, network, nodes):
+        assert len(parse_job(_payload(network=network)).network.nodes) == nodes
+
+    @pytest.mark.parametrize("network", [
+        {"topology": "line", "size": schemas._MAX_NODES + 1},
+        {"topology": "ring", "size": schemas._MAX_NODES + 1},
+        {"topology": "grid", "rows": 1, "cols": schemas._MAX_NODES + 1},
+        # One node more adds CLIQUE_BOUND edges, past the edge bound.
+        {"topology": "clique", "size": CLIQUE_BOUND + 1},
+    ])
+    def test_one_node_past_it_is_refused_unbuilt(self, network, monkeypatch):
+        for name in ("line", "ring", "grid", "clique"):
+            monkeypatch.setattr(schemas, name, None)  # building would fail
+        with pytest.raises(SpecError, match="too large"):
+            parse_job(_payload(network=network))
+
+
+#: JSON values of every shape, small.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+#: Network sizes about the bounds: small, at most a few past the node
+#: bound, and about the largest clique.
+SIZES = (st.integers(-2, 5) | st.integers(schemas._MAX_NODES - 2, schemas._MAX_NODES + 3)
+         | st.integers(CLIQUE_BOUND - 1, CLIQUE_BOUND + 3))
+FAULT_FIELDS = ["seed", "loss", "link_loss", "duplication", "delay", "max_delay",
+                "crash", "restart_after", "retain_state", "max_crashes",
+                "partition_rate", "heal_after", "max_partitions"]
+
+
+@st.composite
+def job_payloads(draw):
+    """A job payload, each field valid, mistyped or absent, plus
+    unknown keys."""
+    def either(valid):
+        return st.one_of(valid, JSON)
+
+    def field(valid):
+        return draw(either(valid))
+
+    payload = {}
+    if draw(st.booleans()):
+        # No drawn text: a spec imports the module it names.
+        payload["spec"] = draw(st.sampled_from(
+            [TC_SPEC, "repro.core.examples:nothing", "not a spec"])
+            | JSON.filter(lambda value: not isinstance(value, str)))
+    if draw(st.booleans()):
+        payload["program"] = field(st.sampled_from(
+            [PATH_PROGRAM, "path(X) :- ", "p(X) :- q(X), not p(X)."]))
+        if draw(st.booleans()):
+            payload["edb"] = field(st.dictionaries(
+                st.sampled_from(["edge", "other"]),
+                st.integers(-1, schemas._MAX_ARITY + 2) | JSON, max_size=2))
+        if draw(st.booleans()):
+            payload["output"] = field(st.sampled_from(["path", "edge"]))
+    optional = {
+        "kind": st.sampled_from(["consistency", "calm-verdict", "coordination-free", "x"]),
+        "network": st.fixed_dictionaries({}, optional={
+            "topology": either(st.sampled_from(
+                ["line", "ring", "star", "clique", "grid", "single", "moebius"])),
+            "size": either(SIZES),
+            "rows": either(SIZES),
+            "cols": either(st.integers(-1, 3)),
+        }),
+        "instance": st.dictionaries(st.sampled_from(["S", "edge", "T"]), JSON, max_size=2),
+        "seeds": st.lists(st.integers(0, 3) | JSON, max_size=3),
+        "partition_count": st.integers(-1, 3),
+        "max_steps": st.integers(-1, 50),
+        "scheduler": st.sampled_from(["fair-random", "round-robin-batch", "fifo-rounds"]),
+        "batch_delivery": st.booleans(),
+        "faults": st.dictionaries(st.sampled_from(FAULT_FIELDS + ["bogus"]),
+                                  st.floats(0, 1) | JSON, max_size=3),
+        "static_first": st.booleans(),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        payload[key] = field(optional[key])
+    known = {"spec", "program", "edb", "output", *optional}
+    unknown = st.text(min_size=1, max_size=6).filter(lambda key: key not in known)
+    payload.update(draw(st.dictionaries(unknown, JSON, max_size=2)))
+    return payload
+
+
+class TestParseJobFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(job_payloads())
+    def test_a_payload_parses_or_raises_spec_error(self, payload):
+        try:
+            request = parse_job(payload)
+        except SpecError:
+            return
+        assert len(request.network.nodes) <= schemas._MAX_NODES
+        assert len(request.network.edges) <= schemas._MAX_EDGES
+
+
 class TestSharedCacheAcrossJobs:
     def test_identical_resubmission_serves_from_cache(self, service):
         payload = _payload(seeds=[11, 12], partition_count=4)
@@ -433,7 +592,7 @@ class TestSharedTransducerObject:
         serial = verdicts(TC_SPEC, job_workers=1)
         assert all(v["consistent"] for v in serial)
         assert verdicts(SHARED_TC_SPEC, job_workers=4) == serial
-        assert "_evaluation_plan" in vars(SHARED_TC)  # the jobs ran on it
+        assert "_kernel" in vars(SHARED_TC)  # the jobs ran on it
 
 
 class TestWorkerDeathMidJob:

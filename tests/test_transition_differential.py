@@ -17,6 +17,12 @@ copy rules, which a transition answers with the copied extent itself,
 and near-copies that must stay rule groups: a permuted head, a
 repeated variable, a constant and a projection.
 
+A miss runs the transducer's generated transition kernel.  The kernel
+tests cover what it unrolls per relation (two message and two memory
+relations, with deletes), relation names that a source generator could
+mangle, non-atomic send and insert constants rejected as before, and
+one code object per role layout.
+
 The step tests check that a heartbeat and a single-fact delivery,
 which reuse the transducer's received instances, make the same global
 transition as the general path for several facts.
@@ -26,6 +32,7 @@ first transition, and a used transducer and its fingerprint pickle as
 a fresh one.  They also pin the pickled size of run results.
 """
 
+import linecache
 import os
 import pickle
 from unittest import mock
@@ -35,14 +42,17 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import (
+    Transducer,
+    TransducerSchema,
     build_transducer,
     relay_identity_transducer,
     transitive_closure_transducer,
 )
-from repro.core.transducer import copied_relation
+from repro.core.transducer import copied_relation, kernel_factory
 from repro.db import Fact, FactMultiset, Instance, instance, schema
 from repro.db.columnar import HAVE_NUMPY
-from repro.lang import FOQuery, PythonQuery
+from repro.lang import FOQuery, PythonQuery, UCQNegQuery
+from repro.lang.ast import Atom, Const, Eq, Literal, Rule, Var
 from repro.lang.parser import parse_rule
 from repro.lang.ucq import RuleGroup
 from repro.net import (
@@ -647,6 +657,168 @@ class TestRunLoop:
 
 
 # ---------------------------------------------------------------------------
+# The generated kernel
+# ---------------------------------------------------------------------------
+
+#: Two message relations (T/1, U/2) and two memory relations (A/1,
+#: P/2): the kernel emits the sent-instance key and the update formula
+#: per relation.  Each role draws some of its rules, none leaving it
+#: empty: copies, groups, deletes and an active-domain rule.
+MULTI_SCHEMA = {"inputs": {"S": 2}, "messages": {"T": 1, "U": 2},
+                "memory": {"A": 1, "P": 2}}
+MULTI_RULES = {
+    "send T(x)": ["S(x, y)", "A(x)", "U(x, y), not A(x)"],
+    "send U(x, y)": ["S(x, y), not P(x, y)", "U(x, y)", "P(y, x)"],
+    "insert A(x)": ["T(x)", "U(x, y)", "S(x, y), z = w"],
+    "delete A(x)": ["T(x), P(x, y)", "A(x), not T(x)"],
+    "insert P(x, y)": ["U(x, y)", "P(x, z), S(z, y)"],
+    "delete P(x, y)": ["P(x, y), T(x)", "P(x, y), not A(y)"],
+    "out(x)": ["A(x)", "P(x, x)", "T(x), not U(x, x)"],
+}
+
+
+@st.composite
+def multi_relation_cases(draw):
+    text = "\n".join(
+        f"{head} :- {body}."
+        for head, bodies in MULTI_RULES.items()
+        for body in draw(st.lists(st.sampled_from(bodies), unique=True, max_size=3))
+    )
+    transducer = build_transducer(**MULTI_SCHEMA, output_arity=1, rules=text)
+    pairs = st.lists(st.tuples(VALUES, VALUES), max_size=3)
+    local = Instance.from_relations(schema(S=2), {"S": draw(pairs)})
+    state = transducer.make_state(local, "a", NODES)
+    state = state.set_relation("A", draw(st.lists(st.tuples(VALUES), max_size=3)))
+    state = state.set_relation("P", draw(pairs))
+    return transducer, state
+
+
+def multi_deliveries(draw, transducer):
+    facts = draw(st.lists(
+        st.builds(Fact, st.just("T"), st.tuples(VALUES))
+        | st.builds(Fact, st.just("U"), st.tuples(VALUES, VALUES)),
+        max_size=3, unique=True,
+    ))
+    return Instance(transducer.schema.messages, facts)
+
+
+def renamed(rule, names):
+    """*rule* with its body atoms' relations renamed by *names*."""
+    return Rule(rule.head, tuple(
+        Literal(Atom(names[lit.atom.relation], lit.atom.terms), lit.positive)
+        if isinstance(lit.atom, Atom) else lit
+        for lit in rule.body
+    ))
+
+
+def tc_with_names(names):
+    """Example 3 with its relations renamed by *names*."""
+    plain = transitive_closure_transducer()
+    tschema = TransducerSchema(
+        *({names[rel]: arity for rel, arity in part.items()}
+          for part in (plain.schema.inputs, plain.schema.messages, plain.schema.memory)),
+        plain.schema.output_arity,
+    )
+
+    def query(q):
+        return UCQNegQuery(tuple(renamed(rule, names) for rule in q.rules),
+                           tschema.combined)
+
+    return Transducer(
+        tschema,
+        send={names[rel]: query(q) for rel, q in plain.send_queries.items()},
+        insert={names[rel]: query(q) for rel, q in plain.insert_queries.items()},
+        output=query(plain.output_query),
+        name="tc",
+    )
+
+
+#: Relation names a source generator could mangle: quotes, backslashes
+#: and newlines.  Each keeps its plain name's first letter, so the
+#: schemas sort alike.
+ODD_NAMES = {"S": 'S"\\', "M": "M'\n\"\"\"", "R": "R\\n'''", "T": 'T\n"""\\'}
+#: Example 3 under ODD_NAMES before transitions ran as kernels: its
+#: fingerprint, and the steps and output size of each ``_chain_runs``
+#: run.
+ODD_FINGERPRINT = "sha256:443d7ae0ebfeb9128818ee8f12d5d0892954a62313e2b3e6315e1fb36c73804c"
+ODD_RUNS = [(84, 21), (48, 21), (96, 21), (96, 21)]
+
+
+def kernel_source(transducer) -> str:
+    return "".join(linecache.getlines(transducer._kernel.__code__.co_filename))
+
+
+def odd_chain_runs(transducer):
+    network = line(3)
+    chain = Instance.from_relations(schema(**{ODD_NAMES["S"]: 2}),
+                                    {ODD_NAMES["S"]: CHAIN.relation("S")})
+    return [
+        run_fair(network, transducer, random_partition(chain, network, seed=seed), seed=seed)
+        for seed in range(4)
+    ]
+
+
+class TestKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_two_message_and_two_memory_relations_equal_whole_evaluation(self, data):
+        transducer, state = data.draw(multi_relation_cases())
+        seen = [state]
+        for _ in range(6):
+            state = data.draw(st.sampled_from(seen))
+            received = multi_deliveries(data.draw, transducer)
+            local = transducer.transition(state, received)
+            assert (local.new_state, local.sent, local.output) == reference(
+                transducer, state, received
+            )
+            seen.append(local.new_state)
+
+    def test_odd_relation_names_run_as_before_and_stay_out_of_the_source(self):
+        odd = tc_with_names(ODD_NAMES)
+        runs = odd_chain_runs(odd)
+        plain = transitive_closure_transducer()
+        assert [r.output for r in runs] == [r.output for r in _chain_runs(plain)]
+        assert [(r.stats.steps, len(r.output)) for r in runs] == ODD_RUNS
+        assert transducer_fingerprint(tc_with_names(ODD_NAMES)) == ODD_FINGERPRINT
+        source = kernel_source(odd)
+        assert source and not any(name in source for name in ODD_NAMES.values())
+        # The names differ, the layout does not: one code object.
+        assert odd._kernel.__code__ is plain._kernel.__code__
+
+    @pytest.mark.parametrize("bound", ["head", "equality"])
+    @pytest.mark.parametrize("role", ["send", "insert"])
+    def test_a_non_atomic_head_constant_is_rejected(self, role, bound):
+        # An equality binding a head variable makes an active-domain
+        # rule, whose rows are checked on every run.
+        x, y = Var("x"), Var("y")
+        relation = "M" if role == "send" else "R"
+        if bound == "head":
+            rule = Rule(Atom(relation, (Const((1, 2)),)), (Literal(Atom("S", (x,))),))
+        else:
+            rule = Rule(Atom(relation, (y,)),
+                        (Literal(Atom("S", (x,))), Literal(Eq(y, Const((1, 2))))))
+        head = rule.head
+        tschema = TransducerSchema({"S": 1}, {"M": 1}, {"R": 1}, 1)
+        query = UCQNegQuery((rule,), tschema.combined)
+        t = Transducer(tschema, **{role: {head.relation: query}})
+        state = t.make_state(instance(schema(S=1), S=[(1,)]), "v", frozenset({"v"}))
+        for _ in range(2):  # a failed transition is not cached
+            with pytest.raises(ValueError, match=r"^non-atomic value in fact: \(1, 2\)$"):
+                t.heartbeat(state)
+
+    def test_fresh_transducers_of_one_program_share_one_factory(self):
+        first, second = transitive_closure_transducer(), transitive_closure_transducer()
+        _chain_runs(first)
+        before = kernel_factory.cache_info()
+        _chain_runs(second)
+        after = kernel_factory.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert first._kernel is not second._kernel
+        assert first._kernel.__code__ is second._kernel.__code__
+        assert kernel_source(second).startswith("def make(")
+
+
+# ---------------------------------------------------------------------------
 # Laziness and pickle guards
 # ---------------------------------------------------------------------------
 
@@ -671,7 +843,7 @@ def _chain_runs(transducer, keep_trace=False):
 
 
 def _built_state(transducer) -> set[str]:
-    return {"_evaluation_plan"} & set(vars(transducer))
+    return {"_kernel"} & set(vars(transducer))
 
 
 class TestLazyAndPickleStable:
@@ -679,7 +851,7 @@ class TestLazyAndPickleStable:
         transducer = transitive_closure_transducer()
         assert _built_state(transducer) == set()
         _chain_runs(transducer)
-        assert _built_state(transducer) == {"_evaluation_plan"}
+        assert _built_state(transducer) == {"_kernel"}
 
     def test_used_transducer_pickles_as_fresh(self):
         used = transitive_closure_transducer()
